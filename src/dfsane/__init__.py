@@ -21,7 +21,7 @@ from .core import (
     SolverConfig,
 )
 from .problems import available, make, suite_builtin
-from .solver import IterationRecord, solve, solve_plain
+from .solver import IterationRecord, solve
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "records_to_matrix",
     "run_suite",
     "solve",
-    "solve_plain",
     "suite_builtin",
     "write_profile",
     "write_records_csv",

@@ -50,12 +50,6 @@ class SecantWindow:
     def count(self) -> int:
         return len(self._s)
 
-    def s_columns(self) -> list[Array]:
-        return list(self._s)
-
-    def y_columns(self) -> list[Array]:
-        return list(self._y)
-
     def matrices_with(self, s_extra: Array, y_extra: Array) -> tuple[Array, Array]:
         """Stack window contents plus one extra pair into n x (count+1) matrices."""
         S = np.column_stack([*self._s, s_extra])

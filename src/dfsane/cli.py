@@ -180,8 +180,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    for name in REGISTRY.names():
-        print(f"{name} (default n = {REGISTRY.default_n(name)})")
+    for name, (_, default_n, _) in sorted(REGISTRY.items()):
+        print(f"{name} (default n = {default_n})")
     return 0
 
 

@@ -65,8 +65,11 @@ class SolverConfig:
     ``epsf`` is the convergence tolerance on ||F||_2; when left as None the
     solver uses 1e-6 * sqrt(n).  ``maxit`` / ``max_feval`` /
     ``time_budget_seconds`` are optional caps (absent means unbounded).
-    ``iprint`` controls console output: -1 silent, 0 one line per iteration,
-    1 adds line-search probes, 2 adds acceleration details.
+    ``iprint`` controls console output, printed by ``solve`` from the
+    per-iteration ``IterationRecord``: -1 silent, 0 one ``Iter:`` line per
+    iterate, 1 adds one ``ls:`` line per iteration (accepted direction,
+    step, evaluations), 2 adds one ``accel:`` line (columns, rank, ||nu||,
+    extrapolated merit value, accepted point).
     """
 
     gamma: float = 1e-4
@@ -134,8 +137,6 @@ class CountedEvaluator:
         else:
             f = math.inf
         return F, f
-
-    __call__ = evaluate
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,16 +30,17 @@ class FWindow:
             raise ValueError("barfk of an empty window")
         return max(self._buf)
 
-    def values(self) -> list[float]:
-        return list(self._buf)
-
     def __len__(self) -> int:
         return len(self._buf)
 
 
 @dataclass(frozen=True, eq=False)
 class LineSearchOutcome:
-    """An accepted step: direction, step size, trial point and its residual."""
+    """An accepted step: direction, step size, trial point and its residual.
+
+    ``direction`` names the accepted direction, ``"-"`` for -sigma F and
+    ``"+"`` for +sigma F.
+    """
 
     d: Array
     alpha: float
@@ -47,6 +48,7 @@ class LineSearchOutcome:
     F_trial: Array
     f_trial: float
     evals: int
+    direction: str
 
 
 def armijo_ok(f_new: float, fbar: float, eta_k: float, gamma: float,
@@ -79,7 +81,7 @@ def quad_new_alpha(alpha: float, f_k: float, f_probe: float,
 
 def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
                         sigma: float, fbar: float, eta_k: float,
-                        cfg: SolverConfig, k: int = 0) -> LineSearchOutcome:
+                        cfg: SolverConfig) -> LineSearchOutcome:
     """Backtrack along -sigma F and +sigma F with independent step sizes.
 
     Both directions start at step 1; each rejected round shrinks its own step
@@ -96,19 +98,17 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
         x_probe = x + alpha_plus * d_minus
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
-        if cfg.iprint >= 1:
-            print(f"    ls: iter = {k}  dir = -  alpha = {alpha_plus!r}  f = {f_probe!r}")
         if armijo_ok(f_probe, fbar, eta_k, cfg.gamma, alpha_plus, f_k):
-            return LineSearchOutcome(d_minus, alpha_plus, x_probe, F_probe, f_probe, evals)
+            return LineSearchOutcome(d_minus, alpha_plus, x_probe, F_probe, f_probe,
+                                     evals, "-")
         f_minus_dir = f_probe
 
         x_probe = x + alpha_minus * d_plus
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
-        if cfg.iprint >= 1:
-            print(f"    ls: iter = {k}  dir = +  alpha = {alpha_minus!r}  f = {f_probe!r}")
         if armijo_ok(f_probe, fbar, eta_k, cfg.gamma, alpha_minus, f_k):
-            return LineSearchOutcome(d_plus, alpha_minus, x_probe, F_probe, f_probe, evals)
+            return LineSearchOutcome(d_plus, alpha_minus, x_probe, F_probe, f_probe,
+                                     evals, "+")
 
         alpha_plus = quad_new_alpha(alpha_plus, f_k, f_minus_dir, cfg.tau_min, cfg.tau_max)
         alpha_minus = quad_new_alpha(alpha_minus, f_k, f_probe, cfg.tau_min, cfg.tau_max)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -146,65 +146,37 @@ def trigexp(n: int = 50) -> Problem:
     return Problem("trigexp", n, residual, np.zeros(n))
 
 
-@dataclass(frozen=True)
-class _Entry:
-    factory: Callable[..., Problem]
-    default_n: int
-    parametric: bool
-
-
-class ProblemRegistry:
-    """Case-insensitive map from problem name to constructor."""
-
-    def __init__(self):
-        self._entries: dict[str, _Entry] = {}
-
-    def register(self, name: str, factory: Callable[..., Problem],
-                 default_n: int, parametric: bool) -> None:
-        self._entries[name.lower()] = _Entry(factory, default_n, parametric)
-
-    def names(self) -> list[str]:
-        return sorted(self._entries)
-
-    def default_n(self, name: str) -> int:
-        return self._entry(name).default_n
-
-    def _entry(self, name: str) -> _Entry:
-        key = name.strip().lower()
-        if key not in self._entries:
-            known = ", ".join(self.names())
-            raise KeyError(f"unknown problem {name!r} (known: {known})")
-        return self._entries[key]
-
-    def make(self, name: str, n: int | None = None) -> Problem:
-        entry = self._entry(name)
-        if entry.parametric:
-            return entry.factory(n if n is not None else entry.default_n)
-        problem = entry.factory()
-        if n is not None and n != problem.n:
-            raise ValueError(f"{name} has fixed dimension {problem.n}")
-        return problem
-
-
-REGISTRY = ProblemRegistry()
-REGISTRY.register("expfun2", expfun2, default_n=3, parametric=True)
-REGISTRY.register("booth", booth, default_n=2, parametric=False)
-REGISTRY.register("linear-dense", linear_dense, default_n=8, parametric=True)
-REGISTRY.register("rosenbrock-ext", rosenbrock_ext, default_n=10, parametric=True)
-REGISTRY.register("broyden-tri", broyden_tridiagonal, default_n=50, parametric=True)
-REGISTRY.register("bvp", discrete_bvp, default_n=50, parametric=True)
-REGISTRY.register("powell-singular", powell_singular, default_n=4, parametric=False)
-REGISTRY.register("trigexp", trigexp, default_n=50, parametric=True)
+# name -> (factory, default n, parametric); a fixed-dimension factory takes
+# no argument.
+REGISTRY: dict[str, tuple[Callable[..., Problem], int, bool]] = {
+    "booth": (booth, 2, False),
+    "broyden-tri": (broyden_tridiagonal, 50, True),
+    "bvp": (discrete_bvp, 50, True),
+    "expfun2": (expfun2, 3, True),
+    "linear-dense": (linear_dense, 8, True),
+    "powell-singular": (powell_singular, 4, False),
+    "rosenbrock-ext": (rosenbrock_ext, 10, True),
+    "trigexp": (trigexp, 50, True),
+}
 
 
 def make(name: str, n: int | None = None) -> Problem:
-    """Construct a registered problem by name."""
-    return REGISTRY.make(name, n)
+    """Construct a registered problem by name (case-insensitive)."""
+    key = name.strip().lower()
+    if key not in REGISTRY:
+        raise KeyError(f"unknown problem {name!r} (known: {', '.join(available())})")
+    factory, default_n, parametric = REGISTRY[key]
+    if parametric:
+        return factory(default_n if n is None else n)
+    problem = factory()
+    if n is not None and n != problem.n:
+        raise ValueError(f"{name} has fixed dimension {problem.n}")
+    return problem
 
 
 def available() -> list[str]:
     """Names of all registered problems."""
-    return REGISTRY.names()
+    return sorted(REGISTRY)
 
 
 def _named(problem: Problem, name: str) -> Problem:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +29,19 @@ from .core import (
     as_vector,
 )
 from .linesearch import FWindow, double_backtracking
-from .steps import EtaSchedule, SpectralState, sigma_k
+from .steps import EtaSchedule, sigma_k
 
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Trace entry for one iteration (used by audits and regression tests)."""
+    """Trace entry for one iteration (used by audits, regression tests and
+    the iprint lines).
+
+    ``direction`` is the accepted line-search direction (``"-"`` for
+    -sigma F, ``"+"`` for +sigma F).  ``rank`` and ``nu_norm`` are the
+    numerical rank of the secant difference matrix and ||nu||_2 of the
+    acceleration step; both are None in plain mode.
+    """
 
     k: int
     sigma: float
@@ -47,6 +54,21 @@ class IterationRecord:
     f_accel: float | None
     accepted: str
     f_next: float
+    direction: str | None = None
+    rank: int | None = None
+    nu_norm: float | None = None
+
+
+def _print_record(rec: IterationRecord, cfg: SolverConfig) -> None:
+    """The iprint >= 1 lines of one completed iteration."""
+    print(f"    ls: dir = {rec.direction}  alpha = {rec.alpha!r}  "
+          f"evals = {rec.ls_evals}  f = {rec.f_trial!r}")
+    if cfg.iprint >= 2 and rec.f_accel is not None:
+        # One (s, y) pair joins the window per iteration, so the window holds
+        # min(k, p) pairs before the trial pair is added.
+        print(f"    accel: columns = {min(rec.k, cfg.p) + 1}  rank = {rec.rank}  "
+              f"|nu| = {rec.nu_norm!r}  f = {rec.f_accel!r}  "
+              f"accepted = {rec.accepted}")
 
 
 def solve(problem: Problem, cfg: SolverConfig | None = None,
@@ -56,11 +78,14 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
 
     Stops when ||F||_2 <= epsf (istop 0), at the iteration cap (istop 1),
     when a time or evaluation budget runs out (istop 2), or on numerical
-    breakdown (istop 3, reporting the best iterate seen).  When ``trace`` is
-    a list, one IterationRecord is appended per completed iteration.
+    breakdown (istop 3, reporting the best iterate seen).  A start point
+    whose residual is not finite is a breakdown after one evaluation.  When
+    ``trace`` is a list, one IterationRecord is appended per completed
+    iteration; ``cfg.iprint`` prints from the same records.
     """
     cfg = SolverConfig() if cfg is None else cfg
     accelerated = cfg.mode == "accelerated"
+    recording = trace is not None or cfg.iprint >= 1
     x = as_vector(problem.x0 if x_start is None else x_start, problem.n).copy()
     epsf = cfg.epsf if cfg.epsf is not None else 1e-6 * math.sqrt(problem.n)
     ev = CountedEvaluator(problem)
@@ -74,11 +99,22 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
         F, f = ev.evaluate(x)
     except Exception:
         return report(x, np.full(problem.n, math.nan), math.inf, 0, ISTOP_BREAKDOWN)
+    if not math.isfinite(f):
+        # No trial point can pass the nonmonotone test against fbar = inf.
+        return report(x, F, f, 0, ISTOP_BREAKDOWN)
+
+    rank: int | None = None
+    nu_norm: float | None = None
+
+    def on_info(_columns: int, r: int, nu: float) -> None:
+        nonlocal rank, nu_norm
+        rank, nu_norm = r, nu
 
     best_x, best_F, best_f = x, F, f
     fwindow = FWindow(cfg.M)
     fwindow.push(f)
-    spectral = SpectralState()
+    prev_x: Array | None = None
+    prev_F: Array | None = None
     window = SecantWindow(cfg.p) if accelerated else None
     schedule: EtaSchedule | None = None
     k = 0
@@ -103,26 +139,21 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
 
         if schedule is None:
             schedule = EtaSchedule.from_initial_residual(norm_f)
-        sigma = sigma_k(spectral, x, F, cfg)
+        sigma = sigma_k(prev_x, prev_F, x, F, cfg)
         fbar = fwindow.barfk()
         eta = schedule.eta(k)
 
         try:
-            ls = double_backtracking(ev, x, F, f, sigma, fbar, eta, cfg, k=k)
+            ls = double_backtracking(ev, x, F, f, sigma, fbar, eta, cfg)
         except Exception:
             # BreakdownError from step underflow, or a failing evaluator.
             return report(best_x, best_F, best_f, k, ISTOP_BREAKDOWN)
 
         f_accel: float | None = None
         if accelerated:
-            s_k = ls.x_trial - x
-            y_k = ls.F_trial - F
-            on_info = None
-            if cfg.iprint >= 2:
-                def on_info(m: int, r: int, nu_norm: float) -> None:
-                    print(f"    accel: columns = {m}  rank = {r}  |nu| = {nu_norm!r}")
-            x_accel = accel_point(window, s_k, y_k, ls.x_trial, ls.F_trial,
-                                  on_info=on_info)
+            x_accel = accel_point(window, ls.x_trial - x, ls.F_trial - F,
+                                  ls.x_trial, ls.F_trial,
+                                  on_info=on_info if recording else None)
             try:
                 F_accel, f_accel = ev.evaluate(x_accel)
             except Exception:
@@ -131,19 +162,22 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                 x_new, F_new, f_new, accepted = x_accel, F_accel, f_accel, "accel"
             else:
                 x_new, F_new, f_new, accepted = ls.x_trial, ls.F_trial, ls.f_trial, "trial"
-            if cfg.iprint >= 2:
-                print(f"    accel: accepted the {accepted} point")
             window.push_pair(x_new - x, F_new - F)
         else:
             x_new, F_new, f_new, accepted = ls.x_trial, ls.F_trial, ls.f_trial, "trial"
 
-        if trace is not None:
-            trace.append(IterationRecord(
+        if recording:
+            rec = IterationRecord(
                 k=k, sigma=sigma, fbar=fbar, eta=eta, alpha=ls.alpha,
                 ls_evals=ls.evals, f_current=f, f_trial=ls.f_trial,
-                f_accel=f_accel, accepted=accepted, f_next=f_new))
+                f_accel=f_accel, accepted=accepted, f_next=f_new,
+                direction=ls.direction, rank=rank, nu_norm=nu_norm)
+            if trace is not None:
+                trace.append(rec)
+            if cfg.iprint >= 1:
+                _print_record(rec, cfg)
 
-        spectral.update(x, F)
+        prev_x, prev_F = x, F
         x, F, f = x_new, F_new, f_new
         if f < best_f:
             best_x, best_F, best_f = x, F, f
@@ -153,13 +187,3 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
     if cfg.iprint >= 0 and istop == ISTOP_CONVERGED:
         print("success!")
     return report(x, F, f, k, istop)
-
-
-def solve_plain(problem: Problem, cfg: SolverConfig | None = None,
-                x_start: Array | None = None,
-                trace: list[IterationRecord] | None = None) -> SolveReport:
-    """Run the iteration without the acceleration step (trial point always wins)."""
-    cfg = SolverConfig(mode="plain") if cfg is None else cfg
-    if cfg.mode != "plain":
-        cfg = replace(cfg, mode="plain")
-    return solve(problem, cfg, x_start, trace)

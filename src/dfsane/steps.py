@@ -8,19 +8,6 @@ from dataclasses import dataclass
 from .core import Array, SolverConfig, norm2
 
 
-@dataclass
-class SpectralState:
-    """Previous accepted iterate and its residual; both None before the
-    first update."""
-
-    prev_x: Array | None = None
-    prev_F: Array | None = None
-
-    def update(self, x: Array, F: Array) -> None:
-        self.prev_x = x
-        self.prev_F = F
-
-
 @dataclass(frozen=True)
 class EtaSchedule:
     """Summable forcing sequence eta_k = 2^-k * eta0 with
@@ -36,19 +23,22 @@ class EtaSchedule:
         return math.ldexp(self.eta0, -k)
 
 
-def sigma_k(state: SpectralState, x: Array, F: Array, cfg: SolverConfig) -> float:
+def sigma_k(prev_x: Array | None, prev_F: Array | None, x: Array, F: Array,
+            cfg: SolverConfig) -> float:
     """Safeguarded spectral step coefficient.
 
-    When a previous iterate exists, the spectral value s's / s'y (with
-    s = x - prev_x, y = F - prev_F) is returned unchanged whenever
+    ``prev_x`` and ``prev_F`` are the previous iterate and its residual,
+    both None at the first iteration.  When they are given, the spectral
+    value s's / s'y (with s = x - prev_x, y = F - prev_F) is returned
+    unchanged whenever
     |sigma| lies in [sigma_min, min(1, sigma_max)].  Otherwise, and always
     at the first iteration, the fallback max(sigma_min,
     min(||x|| / ||F||, sigma_max)) is used, with ||x|| replaced by 1 when
     the current point is the origin.
     """
-    if state.prev_x is not None:
-        s = x - state.prev_x
-        y = F - state.prev_F
+    if prev_x is not None:
+        s = x - prev_x
+        y = F - prev_F
         sty = float(s @ y)
         if sty != 0.0:
             sigma_spg = float(s @ s) / sty

@@ -47,7 +47,9 @@ def test_eviction_order():
     for v in (1.0, 2.0, 3.0):
         w.push_pair(np.array([v]), np.array([v]))
     assert w.count == 2
-    assert [s[0] for s in w.s_columns()] == [2.0, 3.0]
+    S, Y = w.matrices_with(np.array([9.0]), np.array([-9.0]))
+    assert S[0].tolist() == [2.0, 3.0, 9.0]
+    assert Y[0].tolist() == [2.0, 3.0, -9.0]
 
 
 def test_default_capacity_keeps_last_five():
@@ -55,7 +57,8 @@ def test_default_capacity_keeps_last_five():
     for v in range(7):
         w.push_pair(np.full(2, float(v)), np.full(2, float(v)))
     assert w.count == 5
-    assert [s[0] for s in w.s_columns()] == [2.0, 3.0, 4.0, 5.0, 6.0]
+    S, _ = w.matrices_with(np.zeros(2), np.zeros(2))
+    assert S[0].tolist() == [2.0, 3.0, 4.0, 5.0, 6.0, 0.0]
 
 
 def test_push_rejects_mismatched_pair():

@@ -15,7 +15,7 @@ from dfsane.bench import perf_profile, records_to_matrix, run_suite, BenchRecord
 from dfsane.core import Problem, SolverConfig
 from dfsane.linesearch import armijo_ok
 from dfsane.problems import booth, expfun2, suite_builtin
-from dfsane.solver import solve, solve_plain
+from dfsane.solver import solve
 
 
 def _report(cid: str, ok: bool, detail: str = "") -> None:
@@ -95,8 +95,8 @@ def test_criterion_4_linear_exactness():
         if not (rep.istop == 0 and rep.iter <= n + 3):
             failures.append((trial, n, rep.iter, rep.istop))
         # plain mode is allowed to take more iterations; just record it
-        plain = solve_plain(p, SolverConfig(mode="plain", nhlim=n + 2,
-                                            epsf=1e-10, maxit=150))
+        plain = solve(p, SolverConfig(mode="plain", nhlim=n + 2,
+                                      epsf=1e-10, maxit=150))
         if plain.istop == 0 and plain.iter <= n + 3:
             plain_within += 1
     elapsed = time.perf_counter() - t0

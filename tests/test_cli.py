@@ -4,9 +4,9 @@ import json
 import math
 import shutil
 import subprocess
+import sys
 
 import numpy as np
-import pytest
 
 from dfsane.bench import report_from_json
 from dfsane.cli import dispatch
@@ -184,10 +184,10 @@ def test_usage_error_is_nonzero(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.skipif(shutil.which("dfsane") is None,
-                    reason="console script not on PATH")
 def test_console_script_smoke():
-    proc = subprocess.run(["dfsane", "solve", "--problem", "booth", "--json"],
+    # Without an installed console script, run the package as a module.
+    command = ["dfsane"] if shutil.which("dfsane") else [sys.executable, "-m", "dfsane"]
+    proc = subprocess.run([*command, "solve", "--problem", "booth", "--json"],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["istop"] == 0

@@ -39,8 +39,16 @@ def test_window_evicts_oldest():
     for v in range(1, 13):
         w.push(float(v))
     assert len(w) == 10
-    assert w.values() == [float(v) for v in range(3, 13)]
     assert w.barfk() == 12.0
+    # Refilled in descending order, the window drops its largest (oldest)
+    # value with each further push, so barfk walks down the stored values.
+    for v in range(12, 0, -1):
+        w.push(float(v))
+    maxima = []
+    for _ in range(10):
+        w.push(-1.0)
+        maxima.append(w.barfk())
+    assert maxima == [float(v) for v in range(9, 0, -1)] + [-1.0]
 
 
 def test_barfk_empty_rejected():
@@ -123,6 +131,7 @@ def test_first_probe_hits_root():
     assert out.alpha == 1.0
     assert out.evals == 1
     np.testing.assert_array_equal(out.d, [-1.0])     # d = -sigma F
+    assert out.direction == "-"
     np.testing.assert_array_equal(out.x_trial, [0.0])
     assert out.f_trial == 0.0
 
@@ -138,6 +147,7 @@ def test_second_probe_accepts_reverse_direction():
     assert out.alpha == 1.0
     assert out.evals == 2
     np.testing.assert_array_equal(out.d, [-1.0])     # d = +sigma F = -1
+    assert out.direction == "+"
     np.testing.assert_array_equal(out.x_trial, [0.0])
 
 

@@ -8,7 +8,7 @@ import numpy as np
 from dfsane.core import Problem, SolverConfig
 from dfsane.linesearch import armijo_ok
 from dfsane.problems import booth, broyden_tridiagonal, expfun2
-from dfsane.solver import solve, solve_plain
+from dfsane.solver import solve
 
 
 def test_start_at_root_stops_immediately():
@@ -23,7 +23,7 @@ def test_start_at_root_stops_immediately():
 
 def test_maxit_zero_caps_at_once():
     p = Problem("id", 1, lambda x: x + 1.0, np.zeros(1))
-    rep = solve_plain(p, SolverConfig(mode="plain", maxit=0))
+    rep = solve(p, SolverConfig(mode="plain", maxit=0))
     assert rep.istop == 1
     assert rep.fcnt == 1 and rep.iter == 0
 
@@ -53,7 +53,7 @@ def test_booth_golden_run():
 def test_plain_mode_solves_expfun2():
     p = expfun2(3)
     cfg = SolverConfig(mode="plain", epsf=1e-6 * math.sqrt(3), maxit=10_000)
-    rep = solve_plain(p, cfg)
+    rep = solve(p, cfg)
     assert rep.istop == 0
     # regression record: plain needed 29 iterations vs 5 accelerated when
     # this suite was frozen; only convergence itself is asserted.
@@ -168,7 +168,40 @@ def test_iprint_trace_format(capsys):
 
 
 def test_iprint_levels_add_detail(capsys):
-    solve(expfun2(3), SolverConfig(iprint=2, maxit=3))
-    out = capsys.readouterr().out
-    assert "ls:" in out
-    assert "accel:" in out
+    for iprint, tags in ((0, ()), (1, ("ls:",)), (2, ("ls:", "accel:"))):
+        trace = []
+        solve(expfun2(3), SolverConfig(iprint=iprint, maxit=3), trace=trace)
+        lines = [ln.strip() for ln in capsys.readouterr().out.splitlines()]
+        for tag in ("ls:", "accel:"):
+            tagged = [ln for ln in lines if ln.startswith(tag)]
+            assert len(tagged) == (len(trace) if tag in tags else 0)
+    for rec, ls_line, accel_line in zip(
+            trace, [ln for ln in lines if ln.startswith("ls:")],
+            [ln for ln in lines if ln.startswith("accel:")]):
+        assert f"dir = {rec.direction}" in ls_line
+        assert f"evals = {rec.ls_evals}" in ls_line
+        assert f"rank = {rec.rank}" in accel_line
+        assert f"accepted = {rec.accepted}" in accel_line
+
+
+def test_record_carries_direction_and_acceleration_info():
+    for mode in ("accelerated", "plain"):
+        trace = []
+        solve(broyden_tridiagonal(10), SolverConfig(mode=mode), trace=trace)
+        assert trace
+        for rec in trace:
+            assert rec.direction in ("-", "+")
+            if mode == "plain":
+                assert rec.rank is None and rec.nu_norm is None
+            else:
+                assert 1 <= rec.rank <= min(rec.k, SolverConfig().p) + 1
+                assert rec.nu_norm >= 0.0
+
+
+def test_non_finite_start_is_breakdown_after_one_evaluation():
+    for value in (np.array([math.inf, 1.0]), np.full(2, math.nan)):
+        p = Problem("dead", 2, lambda x, v=value: v.copy(), np.zeros(2))
+        for mode in ("accelerated", "plain"):
+            rep = solve(p, SolverConfig(mode=mode))
+            assert rep.istop == 3
+            assert rep.fcnt == 1 and rep.iter == 0

@@ -3,7 +3,7 @@
 import numpy as np
 
 from dfsane.core import SolverConfig
-from dfsane.steps import EtaSchedule, SpectralState, sigma_k
+from dfsane.steps import EtaSchedule, sigma_k
 
 CFG = SolverConfig()
 
@@ -29,14 +29,14 @@ def test_eta_halves_exactly():
 
 
 def test_sigma_spectral_value_passes_through():
-    state = SpectralState(prev_x=np.zeros(2), prev_F=np.zeros(2))
-    sigma = sigma_k(state, np.array([1.0, 0.0]), np.array([2.0, 0.0]), CFG)
+    prev = (np.zeros(2), np.zeros(2))
+    sigma = sigma_k(*prev, np.array([1.0, 0.0]), np.array([2.0, 0.0]), CFG)
     assert sigma == 0.5  # s's / s'y = 1 / 2, bit for bit
 
 
 def test_sigma_negative_value_is_kept():
-    state = SpectralState(prev_x=np.zeros(2), prev_F=np.array([1.0, 0.0]))
-    sigma = sigma_k(state, np.array([1.0, 0.0]), np.array([-1.0, 0.0]), CFG)
+    prev = (np.zeros(2), np.array([1.0, 0.0]))
+    sigma = sigma_k(*prev, np.array([1.0, 0.0]), np.array([-1.0, 0.0]), CFG)
     assert sigma == -0.5  # |sigma| in range, sign preserved
 
 
@@ -44,32 +44,30 @@ def test_sigma_orthogonal_sy_uses_fallback():
     # s = 0 makes s'y = 0; fallback is max(sig_min, min(|x|/|F|, sig_max)).
     x = np.array([3.0, 4.0])
     F = np.array([0.0, 5.0])
-    state = SpectralState(prev_x=x.copy(), prev_F=np.array([1.0, 1.0]))
-    assert sigma_k(state, x, F, CFG) == 1.0
+    prev = (x.copy(), np.array([1.0, 1.0]))
+    assert sigma_k(*prev, x, F, CFG) == 1.0
 
 
 def test_sigma_out_of_range_spectral_falls_back():
     # s = (1,0), y = (0.1,0) gives sigma_spg = 10 > min(1, sigma_max).
     x = np.array([1.0, 0.0])
     F = np.array([0.1, 5.0])
-    state = SpectralState(prev_x=np.zeros(2), prev_F=np.array([0.0, 5.0]))
+    prev = (np.zeros(2), np.array([0.0, 5.0]))
     expected = max(CFG.sigma_min,
                    min(np.linalg.norm(x) / np.linalg.norm(F), CFG.sigma_max))
-    assert sigma_k(state, x, F, CFG) == expected
+    assert sigma_k(*prev, x, F, CFG) == expected
 
 
 def test_sigma_first_iteration_uses_fallback():
-    state = SpectralState()
     x = np.array([3.0, 4.0])
     F = np.array([0.0, 5.0])
-    assert sigma_k(state, x, F, CFG) == 1.0
+    assert sigma_k(None, None, x, F, CFG) == 1.0
 
 
 def test_sigma_at_origin_substitutes_unit_rho():
     # |x| = 0 would give sigma = sigma_min; rho = 1 is substituted instead.
-    state = SpectralState()
     F = np.array([2.0, 0.0])
-    assert sigma_k(state, np.zeros(2), F, CFG) == 0.5
+    assert sigma_k(None, None, np.zeros(2), F, CFG) == 0.5
 
 
 def test_sigma_always_within_safeguards():
@@ -81,11 +79,10 @@ def test_sigma_always_within_safeguards():
         if np.linalg.norm(F) == 0.0:
             continue
         if rng.random() < 0.5:
-            state = SpectralState()
+            prev = (None, None)
         else:
-            state = SpectralState(prev_x=x - rng.standard_normal(n),
-                                  prev_F=F - rng.standard_normal(n))
-        sigma = sigma_k(state, x, F, CFG)
+            prev = (x - rng.standard_normal(n), F - rng.standard_normal(n))
+        sigma = sigma_k(*prev, x, F, CFG)
         assert CFG.sigma_min <= abs(sigma) <= CFG.sigma_max
 
 
@@ -107,6 +104,5 @@ def test_sigma_in_range_is_bit_identical():
         if not (CFG.sigma_min <= abs(spg) <= min(1.0, CFG.sigma_max)):
             continue
         hits += 1
-        state = SpectralState(prev_x=prev_x, prev_F=prev_F)
-        assert sigma_k(state, x, F, CFG) == spg
+        assert sigma_k(prev_x, prev_F, x, F, CFG) == spg
     assert hits > 20  # the sample must actually exercise the pass-through arm
