@@ -15,6 +15,7 @@ from .bench import (
 )
 from .core import (
     BreakdownError,
+    BudgetExhausted,
     CountedEvaluator,
     Problem,
     SolveReport,
@@ -28,6 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchRecord",
     "BreakdownError",
+    "BudgetExhausted",
     "CountedEvaluator",
     "IterationRecord",
     "Problem",

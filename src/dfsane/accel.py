@@ -64,15 +64,14 @@ class Orthogonalization:
     ``q`` holds ``rank`` orthonormal columns spanning the numerical column
     space; ``coef`` is the rank x m coefficient matrix with
     Y[:, perm] ~= q @ coef.  A column joins the basis only while its
-    orthogonalized residual norm exceeds ``tol_rank`` times the largest
-    column norm of the input.
+    orthogonalized residual norm exceeds ``DEFAULT_TOL_RANK`` times the
+    largest column norm of the input.
     """
 
     q: Array
     coef: Array
     perm: Array
     rank: int
-    tol_rank: float
 
     def min_norm_solution(self, b: Array) -> Array:
         """Minimum-norm least-squares solution of Y nu = b.
@@ -91,7 +90,7 @@ class Orthogonalization:
         return nu
 
 
-def orthogonalize_columns(Y: Array, tol_rank: float | None = None) -> Orthogonalization:
+def orthogonalize_columns(Y: Array) -> Orthogonalization:
     """Rank-revealing orthogonalization by pivoted modified Gram-Schmidt.
 
     At each step the remaining column with the largest residual norm is
@@ -103,8 +102,6 @@ def orthogonalize_columns(Y: Array, tol_rank: float | None = None) -> Orthogonal
     if Y.ndim != 2:
         raise ValueError("Y must be a 2-D matrix")
     n, m = Y.shape
-    if tol_rank is None:
-        tol_rank = DEFAULT_TOL_RANK
 
     work = Y.copy()
     perm = np.arange(m)
@@ -114,7 +111,7 @@ def orthogonalize_columns(Y: Array, tol_rank: float | None = None) -> Orthogonal
 
     col_norms = np.sqrt((work * work).sum(axis=0))
     ymax = float(col_norms.max()) if m else 0.0
-    threshold = tol_rank * ymax if math.isfinite(ymax) else math.inf
+    threshold = DEFAULT_TOL_RANK * ymax if math.isfinite(ymax) else math.inf
 
     rank = 0
     for step in range(limit):
@@ -145,18 +142,16 @@ def orthogonalize_columns(Y: Array, tol_rank: float | None = None) -> Orthogonal
             work[:, step + 1:] -= np.outer(q, proj)
         rank += 1
 
-    return Orthogonalization(q=Q[:, :rank], coef=R[:rank, :], perm=perm,
-                             rank=rank, tol_rank=tol_rank)
+    return Orthogonalization(q=Q[:, :rank], coef=R[:rank, :], perm=perm, rank=rank)
 
 
-def min_norm_ls(Y: Array, b: Array, tol_rank: float | None = None) -> Array:
+def min_norm_ls(Y: Array, b: Array) -> Array:
     """Minimum-norm least-squares solution of Y nu = b (rank-deficient safe)."""
-    return orthogonalize_columns(Y, tol_rank).min_norm_solution(np.asarray(b, dtype=np.float64))
+    return orthogonalize_columns(Y).min_norm_solution(np.asarray(b, dtype=np.float64))
 
 
 def accel_point(window: SecantWindow, s_k: Array, y_k: Array,
                 x_trial: Array, F_trial: Array,
-                tol_rank: float | None = None,
                 on_info: Callable[[int, int, float], None] | None = None) -> Array:
     """Extrapolated point x_trial - S nu from the window plus the trial pair.
 
@@ -164,7 +159,7 @@ def accel_point(window: SecantWindow, s_k: Array, y_k: Array,
     column count, the numerical rank, and ||nu||_2.
     """
     S, Y = window.matrices_with(s_k, y_k)
-    orth = orthogonalize_columns(Y, tol_rank)
+    orth = orthogonalize_columns(Y)
     nu = orth.min_norm_solution(np.asarray(F_trial, dtype=np.float64))
     if on_info is not None:
         on_info(S.shape[1], orth.rank, float(np.linalg.norm(nu)))

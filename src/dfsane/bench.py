@@ -8,7 +8,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -55,42 +55,31 @@ class ProfileCurve:
         return 0.0 if idx == 0 else float(self.gammas[idx - 1])
 
 
-def default_epsf_rule(problem: Problem) -> float:
-    """Per-problem convergence tolerance 1e-6 * sqrt(n)."""
-    return 1e-6 * math.sqrt(problem.n)
-
-
 def run_suite(problems: Sequence[Problem],
               solver_configs: Mapping[str, SolverConfig],
-              per_run_time_budget: float | None = None,
-              epsf_rule: Callable[[Problem], float] | None = None) -> list[BenchRecord]:
+              per_run_time_budget: float | None = None) -> list[BenchRecord]:
     """Run every solver configuration on every problem, one isolated solve each.
 
-    Records come back in problem-major, solver-minor order.  A solve that
-    raises is recorded as unsolved rather than aborting the run.
+    Records come back in problem-major, solver-minor order.  Each solve gets
+    its configuration with ``epsf`` set to 1e-6 * sqrt(n), the tolerance
+    that also decides ``solved``.  A residual that raises ends its solve in
+    breakdown, which is recorded as unsolved with the solve's own counts.
     """
     if not problems or not solver_configs:
         raise ValueError("need at least one problem and one solver configuration")
-    rule = default_epsf_rule if epsf_rule is None else epsf_rule
     records = []
     for problem in problems:
-        epsf = rule(problem)
+        epsf = 1e-6 * math.sqrt(problem.n)
         for name, cfg in solver_configs.items():
             run_cfg = replace(cfg, epsf=epsf)
             if per_run_time_budget is not None:
                 run_cfg = replace(run_cfg, time_budget_seconds=per_run_time_budget)
-            try:
-                rep = solve(problem, run_cfg)
-                norm_f = math.sqrt(rep.normF)
-                records.append(BenchRecord(
-                    problem=problem.name, n=problem.n, solver=name,
-                    normF_final=norm_f, iter=rep.iter, feval=rep.fcnt,
-                    time_seconds=rep.wall_seconds, solved=norm_f <= epsf))
-            except Exception:
-                records.append(BenchRecord(
-                    problem=problem.name, n=problem.n, solver=name,
-                    normF_final=math.inf, iter=0, feval=0,
-                    time_seconds=0.0, solved=False))
+            rep = solve(problem, run_cfg)
+            norm_f = math.sqrt(rep.normF)
+            records.append(BenchRecord(
+                problem=problem.name, n=problem.n, solver=name,
+                normF_final=norm_f, iter=rep.iter, feval=rep.fcnt,
+                time_seconds=rep.wall_seconds, solved=norm_f <= epsf))
     return records
 
 

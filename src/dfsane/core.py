@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -20,7 +21,12 @@ ISTOP_BREAKDOWN = 3
 
 
 class BreakdownError(RuntimeError):
-    """The line search cannot take a representable step any more."""
+    """The line search cannot take a representable step any more, or the
+    residual failed."""
+
+
+class BudgetExhausted(RuntimeError):
+    """The evaluation cap or the time budget is spent."""
 
 
 def as_vector(x, n: int | None = None) -> Array:
@@ -65,6 +71,8 @@ class SolverConfig:
     ``epsf`` is the convergence tolerance on ||F||_2; when left as None the
     solver uses 1e-6 * sqrt(n).  ``maxit`` / ``max_feval`` /
     ``time_budget_seconds`` are optional caps (absent means unbounded).
+    The last two are hard caps, checked before every residual evaluation
+    (line-search probes included); istop 2 reports the last completed iterate.
     ``iprint`` controls console output, printed by ``solve`` from the
     per-iteration ``IterationRecord``: -1 silent, 0 one ``Iter:`` line per
     iterate, 1 adds one ``ls:`` line per iteration (accepted direction,
@@ -117,21 +125,34 @@ class SolverConfig:
 
 
 class CountedEvaluator:
-    """Wraps a problem's residual and counts every evaluation.
+    """Wraps a problem's residual, counts every evaluation and enforces the caps.
 
     ``evaluate`` returns both F(x) and the merit value f = ||F(x)||_2^2; any
     non-finite residual component maps f to +inf so that downstream
-    comparisons reject the point without special cases.
+    comparisons reject the point without special cases.  It raises
+    BudgetExhausted, without evaluating, once ``max_feval`` evaluations are
+    made or ``perf_counter()`` is past ``deadline``.  A residual that raises
+    or returns a wrong shape raises BreakdownError chained to its error.
     """
 
-    def __init__(self, problem: Problem):
+    def __init__(self, problem: Problem, max_feval: int | None = None,
+                 deadline: float | None = None):
         self.problem = problem
+        self.max_feval = max_feval
+        self.deadline = deadline
         self.fcnt = 0
 
     def evaluate(self, x: Array) -> tuple[Array, float]:
+        if self.fcnt == self.max_feval:
+            raise BudgetExhausted(f"evaluation cap of {self.max_feval} reached")
+        if self.deadline is not None and perf_counter() > self.deadline:
+            raise BudgetExhausted("time budget exhausted")
         self.fcnt += 1
-        with np.errstate(all="ignore"):
-            F = as_vector(self.problem.residual(x), self.problem.n)
+        try:
+            with np.errstate(all="ignore"):
+                F = as_vector(self.problem.residual(x), self.problem.n)
+        except Exception as exc:
+            raise BreakdownError(f"residual failed: {exc!r}") from exc
         if np.isfinite(F).all():
             f = float(F @ F)
         else:

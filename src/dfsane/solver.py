@@ -22,6 +22,8 @@ from .core import (
     ISTOP_CONVERGED,
     ISTOP_MAXIT,
     Array,
+    BreakdownError,
+    BudgetExhausted,
     CountedEvaluator,
     Problem,
     SolveReport,
@@ -77,31 +79,26 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
     """Solve F(x) = 0 from ``x_start`` (default: the problem's start point).
 
     Stops when ||F||_2 <= epsf (istop 0), at the iteration cap (istop 1),
-    when a time or evaluation budget runs out (istop 2), or on numerical
-    breakdown (istop 3, reporting the best iterate seen).  A start point
-    whose residual is not finite is a breakdown after one evaluation.  When
-    ``trace`` is a list, one IterationRecord is appended per completed
-    iteration; ``cfg.iprint`` prints from the same records.
+    when the evaluation cap or time budget runs out (istop 2, hard caps
+    checked before every evaluation, reporting the last completed iterate),
+    or on breakdown (istop 3, reporting the best iterate seen): a step
+    underflow, a non-finite residual at the start point, or a residual that
+    raises or returns a wrong shape.  When ``trace`` is a list, it gets one
+    IterationRecord per completed iteration, ``iter`` in all; ``cfg.iprint``
+    prints from the same records.
     """
     cfg = SolverConfig() if cfg is None else cfg
     accelerated = cfg.mode == "accelerated"
     recording = trace is not None or cfg.iprint >= 1
     x = as_vector(problem.x0 if x_start is None else x_start, problem.n).copy()
     epsf = cfg.epsf if cfg.epsf is not None else 1e-6 * math.sqrt(problem.n)
-    ev = CountedEvaluator(problem)
     start = time.perf_counter()
+    deadline = None if cfg.time_budget_seconds is None else start + cfg.time_budget_seconds
+    ev = CountedEvaluator(problem, cfg.max_feval, deadline)
 
     def report(xv: Array, Fv: Array, fv: float, k: int, istop: int) -> SolveReport:
         return SolveReport(x=xv, res=Fv, normF=fv, iter=k, fcnt=ev.fcnt,
                            istop=istop, wall_seconds=time.perf_counter() - start)
-
-    try:
-        F, f = ev.evaluate(x)
-    except Exception:
-        return report(x, np.full(problem.n, math.nan), math.inf, 0, ISTOP_BREAKDOWN)
-    if not math.isfinite(f):
-        # No trial point can pass the nonmonotone test against fbar = inf.
-        return report(x, F, f, 0, ISTOP_BREAKDOWN)
 
     rank: int | None = None
     nu_norm: float | None = None
@@ -110,80 +107,69 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
         nonlocal rank, nu_norm
         rank, nu_norm = r, nu
 
+    F, f = np.full(problem.n, math.nan), math.inf
     best_x, best_F, best_f = x, F, f
     fwindow = FWindow(cfg.M)
-    fwindow.push(f)
     prev_x: Array | None = None
     prev_F: Array | None = None
     window = SecantWindow(cfg.p) if accelerated else None
-    schedule: EtaSchedule | None = None
     k = 0
+    try:
+        F, f = ev.evaluate(x)
+        best_F, best_f = F, f
+        if not math.isfinite(f):
+            # No trial point can pass the nonmonotone test against fbar = inf.
+            raise BreakdownError("merit value at the start point is not finite")
+        schedule = EtaSchedule.from_initial_residual(math.sqrt(f))
+        fwindow.push(f)
 
-    while True:
-        norm_f = math.sqrt(f)
-        if cfg.iprint >= 0:
-            print(f"Iter:  {k}  f =  {f!r}")
-        if norm_f <= epsf:
-            istop = ISTOP_CONVERGED
-            break
-        if cfg.maxit is not None and k >= cfg.maxit:
-            istop = ISTOP_MAXIT
-            break
-        if cfg.time_budget_seconds is not None and \
-                time.perf_counter() - start > cfg.time_budget_seconds:
-            istop = ISTOP_BUDGET
-            break
-        if cfg.max_feval is not None and ev.fcnt >= cfg.max_feval:
-            istop = ISTOP_BUDGET
-            break
+        while True:
+            if cfg.iprint >= 0:
+                print(f"Iter:  {k}  f =  {f!r}")
+            if math.sqrt(f) <= epsf:
+                if cfg.iprint >= 0:
+                    print("success!")
+                return report(x, F, f, k, ISTOP_CONVERGED)
+            if cfg.maxit is not None and k >= cfg.maxit:
+                return report(x, F, f, k, ISTOP_MAXIT)
 
-        if schedule is None:
-            schedule = EtaSchedule.from_initial_residual(norm_f)
-        sigma = sigma_k(prev_x, prev_F, x, F, cfg)
-        fbar = fwindow.barfk()
-        eta = schedule.eta(k)
-
-        try:
+            sigma = sigma_k(prev_x, prev_F, x, F, cfg)
+            fbar = fwindow.barfk()
+            eta = schedule.eta(k)
             ls = double_backtracking(ev, x, F, f, sigma, fbar, eta, cfg)
-        except Exception:
-            # BreakdownError from step underflow, or a failing evaluator.
-            return report(best_x, best_F, best_f, k, ISTOP_BREAKDOWN)
 
-        f_accel: float | None = None
-        if accelerated:
-            x_accel = accel_point(window, ls.x_trial - x, ls.F_trial - F,
-                                  ls.x_trial, ls.F_trial,
-                                  on_info=on_info if recording else None)
-            try:
+            f_accel: float | None = None
+            if accelerated:
+                x_accel = accel_point(window, ls.x_trial - x, ls.F_trial - F,
+                                      ls.x_trial, ls.F_trial,
+                                      on_info=on_info if recording else None)
                 F_accel, f_accel = ev.evaluate(x_accel)
-            except Exception:
-                return report(best_x, best_F, best_f, k, ISTOP_BREAKDOWN)
-            if f_accel < ls.f_trial:
-                x_new, F_new, f_new, accepted = x_accel, F_accel, f_accel, "accel"
+                if f_accel < ls.f_trial:
+                    x_new, F_new, f_new, accepted = x_accel, F_accel, f_accel, "accel"
+                else:
+                    x_new, F_new, f_new, accepted = ls.x_trial, ls.F_trial, ls.f_trial, "trial"
+                window.push_pair(x_new - x, F_new - F)
             else:
                 x_new, F_new, f_new, accepted = ls.x_trial, ls.F_trial, ls.f_trial, "trial"
-            window.push_pair(x_new - x, F_new - F)
-        else:
-            x_new, F_new, f_new, accepted = ls.x_trial, ls.F_trial, ls.f_trial, "trial"
 
-        if recording:
-            rec = IterationRecord(
-                k=k, sigma=sigma, fbar=fbar, eta=eta, alpha=ls.alpha,
-                ls_evals=ls.evals, f_current=f, f_trial=ls.f_trial,
-                f_accel=f_accel, accepted=accepted, f_next=f_new,
-                direction=ls.direction, rank=rank, nu_norm=nu_norm)
-            if trace is not None:
-                trace.append(rec)
-            if cfg.iprint >= 1:
-                _print_record(rec, cfg)
+            if recording:
+                rec = IterationRecord(
+                    k=k, sigma=sigma, fbar=fbar, eta=eta, alpha=ls.alpha,
+                    ls_evals=ls.evals, f_current=f, f_trial=ls.f_trial,
+                    f_accel=f_accel, accepted=accepted, f_next=f_new,
+                    direction=ls.direction, rank=rank, nu_norm=nu_norm)
+                if trace is not None:
+                    trace.append(rec)
+                if cfg.iprint >= 1:
+                    _print_record(rec, cfg)
 
-        prev_x, prev_F = x, F
-        x, F, f = x_new, F_new, f_new
-        if f < best_f:
-            best_x, best_F, best_f = x, F, f
-        fwindow.push(f)
-        k += 1
-
-    if cfg.iprint >= 0 and istop == ISTOP_CONVERGED:
-        print("success!")
-    return report(x, F, f, k, istop)
+            prev_x, prev_F = x, F
+            x, F, f = x_new, F_new, f_new
+            if f < best_f:
+                best_x, best_F, best_f = x, F, f
+            fwindow.push(f)
+            k += 1
+    except BudgetExhausted:
+        return report(x, F, f, k, ISTOP_BUDGET)
+    except BreakdownError:
+        return report(best_x, best_F, best_f, k, ISTOP_BREAKDOWN)

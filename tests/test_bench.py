@@ -65,6 +65,8 @@ def test_crashing_solve_yields_unsolved_record():
     (rec,) = run_suite([p], {"accelerated": SolverConfig()})
     assert not rec.solved
     assert rec.normF_final == math.inf or math.isinf(rec.normF_final)
+    # The failing evaluation is a breakdown of the solve, with its own counts.
+    assert (rec.iter, rec.feval) == (0, 1)
 
 
 def test_feval_matches_report():

@@ -1,12 +1,15 @@
 """Tests for the core types: counted evaluation, configuration, reports."""
 
 import math
+from time import perf_counter
 
 import numpy as np
 import pytest
 
 from dfsane.core import (
     EPS_MACH,
+    BreakdownError,
+    BudgetExhausted,
     CountedEvaluator,
     Problem,
     SolverConfig,
@@ -61,6 +64,57 @@ def test_nonfinite_residual_maps_to_plus_inf(bad):
     ev = CountedEvaluator(p)
     _, f = ev.evaluate(np.zeros(2))
     assert f == math.inf and f > 0  # usable in comparisons, never NaN
+
+
+def counting_problem(n=2):
+    calls = []
+
+    def residual(x):
+        calls.append(x.copy())
+        return x.copy()
+
+    return Problem("counted", n, residual, np.zeros(n)), calls
+
+
+def test_evaluate_at_cap_raises_without_calling_residual():
+    p, calls = counting_problem()
+    ev = CountedEvaluator(p, max_feval=3)
+    for _ in range(3):
+        ev.evaluate(np.ones(2))
+    with pytest.raises(BudgetExhausted):
+        ev.evaluate(np.ones(2))
+    assert ev.fcnt == 3 and len(calls) == 3
+
+
+def test_evaluate_past_deadline_raises_without_calling_residual():
+    p, calls = counting_problem()
+    ev = CountedEvaluator(p, deadline=perf_counter() + 3600.0)
+    ev.evaluate(np.ones(2))
+    ev.deadline = perf_counter() - 1.0
+    with pytest.raises(BudgetExhausted):
+        ev.evaluate(np.ones(2))
+    assert ev.fcnt == 1 and len(calls) == 1
+
+
+def test_raising_residual_becomes_breakdown_with_cause():
+    err = ValueError("sensor died")
+
+    def broken(x):
+        raise err
+
+    ev = CountedEvaluator(Problem("broken", 2, broken, np.zeros(2)))
+    with pytest.raises(BreakdownError) as info:
+        ev.evaluate(np.zeros(2))
+    assert info.value.__cause__ is err
+    assert ev.fcnt == 1
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (1,)])
+def test_wrong_shape_residual_becomes_breakdown(shape):
+    ev = CountedEvaluator(Problem("shape", 2, lambda x: np.ones(shape), np.zeros(2)))
+    with pytest.raises(BreakdownError) as info:
+        ev.evaluate(np.zeros(2))
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_f_agrees_with_norm_squared():

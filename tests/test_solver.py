@@ -4,7 +4,9 @@ import math
 import time
 
 import numpy as np
+import pytest
 
+import dfsane.solver as solver_mod
 from dfsane.core import Problem, SolverConfig
 from dfsane.linesearch import armijo_ok
 from dfsane.problems import booth, broyden_tridiagonal, expfun2
@@ -117,7 +119,7 @@ def test_feval_budget_stops_unsolvable_problem():
     p = Problem("norett", 2, lambda x: x * x + 1.0, np.zeros(2))
     rep = solve(p, SolverConfig(max_feval=50))
     assert rep.istop == 2
-    assert rep.fcnt >= 50
+    assert rep.fcnt == 50
 
 
 def test_breakdown_reports_best_iterate():
@@ -144,6 +146,15 @@ def test_failing_evaluator_maps_to_breakdown():
     rep = solve(p, SolverConfig())
     assert rep.istop == 3
     np.testing.assert_array_equal(rep.x, [0.0, 0.0])
+
+
+def test_failure_outside_the_residual_propagates(monkeypatch):
+    def broken_kernel(*args, **kwargs):
+        raise ZeroDivisionError("kernel bug")
+
+    monkeypatch.setattr(solver_mod, "accel_point", broken_kernel)
+    with pytest.raises(ZeroDivisionError):
+        solve(booth(), SolverConfig(mode="accelerated"))
 
 
 def test_armijo_holds_post_hoc_on_converged_runs():
