@@ -96,8 +96,11 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
     deadline = None if cfg.time_budget_seconds is None else start + cfg.time_budget_seconds
     ev = CountedEvaluator(problem, cfg.max_feval, deadline)
 
-    def report(xv: Array, Fv: Array, fv: float, k: int, istop: int) -> SolveReport:
-        return SolveReport(x=xv, res=Fv, normF=fv, iter=k, fcnt=ev.fcnt,
+    def report(xv: Array, Fv: Array | None, fv: float, k: int, istop: int) -> SolveReport:
+        # Fv is None when the first evaluation did not complete; building the
+        # NaN vector only then keeps it off the peak memory of large solves.
+        res = np.full(problem.n, math.nan) if Fv is None else Fv
+        return SolveReport(x=xv, res=res, normF=fv, iter=k, fcnt=ev.fcnt,
                            istop=istop, wall_seconds=time.perf_counter() - start)
 
     rank: int | None = None
@@ -107,7 +110,7 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
         nonlocal rank, nu_norm
         rank, nu_norm = r, nu
 
-    F, f = np.full(problem.n, math.nan), math.inf
+    F, f = None, math.inf
     best_x, best_F, best_f = x, F, f
     fwindow = FWindow(cfg.M)
     prev_x: Array | None = None

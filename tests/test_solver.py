@@ -148,6 +148,19 @@ def test_failing_evaluator_maps_to_breakdown():
     np.testing.assert_array_equal(rep.x, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("residual, cfg, istop, fcnt", [
+    (lambda x: 1 / 0, SolverConfig(), 3, 1),
+    (lambda x: x.copy(), SolverConfig(time_budget_seconds=1e-9), 2, 0),
+])
+def test_stop_before_first_evaluation_completes(residual, cfg, istop, fcnt):
+    p = Problem("stillborn", 3, residual, np.ones(3))
+    rep = solve(p, cfg)
+    assert (rep.istop, rep.iter, rep.fcnt) == (istop, 0, fcnt)
+    np.testing.assert_array_equal(rep.x, p.x0)
+    assert rep.res.shape == (3,) and np.isnan(rep.res).all()
+    assert rep.normF == math.inf
+
+
 def test_failure_outside_the_residual_propagates(monkeypatch):
     def broken_kernel(*args, **kwargs):
         raise ZeroDivisionError("kernel bug")
