@@ -4,7 +4,6 @@ compute performance profiles."""
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -12,7 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Array, Problem, SolveReport, SolverConfig
+from .core import Array, Problem, SolverConfig
 from .solver import solve
 
 TIME_FLOOR_SECONDS = 0.01
@@ -56,14 +55,15 @@ class ProfileCurve:
 
 
 def run_suite(problems: Sequence[Problem],
-              solver_configs: Mapping[str, SolverConfig],
-              per_run_time_budget: float | None = None) -> list[BenchRecord]:
+              solver_configs: Mapping[str, SolverConfig]) -> list[BenchRecord]:
     """Run every solver configuration on every problem, one isolated solve each.
 
     Records come back in problem-major, solver-minor order.  Each solve gets
     its configuration with ``epsf`` set to 1e-6 * sqrt(n), the tolerance
-    that also decides ``solved``.  A residual that raises ends its solve in
-    breakdown, which is recorded as unsolved with the solve's own counts.
+    that also decides ``solved``; its caps (``max_feval``,
+    ``time_budget_seconds``, ``maxit``) come from the configuration as given.
+    A residual that raises ends its solve in breakdown, which is recorded as
+    unsolved with the solve's own counts.
     """
     if not problems or not solver_configs:
         raise ValueError("need at least one problem and one solver configuration")
@@ -71,10 +71,7 @@ def run_suite(problems: Sequence[Problem],
     for problem in problems:
         epsf = 1e-6 * math.sqrt(problem.n)
         for name, cfg in solver_configs.items():
-            run_cfg = replace(cfg, epsf=epsf)
-            if per_run_time_budget is not None:
-                run_cfg = replace(run_cfg, time_budget_seconds=per_run_time_budget)
-            rep = solve(problem, run_cfg)
+            rep = solve(problem, replace(cfg, epsf=epsf))
             norm_f = math.sqrt(rep.normF)
             records.append(BenchRecord(
                 problem=problem.name, n=problem.n, solver=name,
@@ -83,13 +80,13 @@ def run_suite(problems: Sequence[Problem],
     return records
 
 
-def records_to_matrix(records: Sequence[BenchRecord], metric: str,
-                      time_floor: float = TIME_FLOOR_SECONDS,
-                      ) -> tuple[list[str], list[tuple[str, int]], Array]:
+def records_to_matrix(records: Sequence[BenchRecord],
+                      metric: str) -> tuple[list[str], list[tuple[str, int]], Array]:
     """Arrange records into the methods x problems cost matrix for profiling.
 
-    Unsolved (or missing) runs get +inf.  Time entries below ``time_floor``
-    are floored before profiling; feval entries are used as-is.
+    Unsolved (or missing) runs get +inf.  Time entries below
+    TIME_FLOOR_SECONDS are floored before profiling; feval entries are used
+    as-is.
     """
     if metric not in ("feval", "time"):
         raise ValueError("metric must be 'feval' or 'time'")
@@ -110,7 +107,7 @@ def records_to_matrix(records: Sequence[BenchRecord], metric: str,
         if metric == "feval":
             t[i, j] = float(r.feval)
         else:
-            t[i, j] = max(r.time_seconds, time_floor)
+            t[i, j] = max(r.time_seconds, TIME_FLOOR_SECONDS)
     return methods, keys, t
 
 
@@ -199,28 +196,12 @@ def write_profile(curves: Sequence[ProfileCurve], path_csv,
         Path(path_svg).write_text(profile_svg(curves))
 
 
-def read_profile_csv(path) -> list[ProfileCurve]:
-    """Read curves written by write_profile (CSV part)."""
-    by_method: dict[str, list[tuple[float, float]]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            by_method.setdefault(row["method"], []).append(
-                (float(row["tau"]), float(row["gamma"])))
-    curves = []
-    for method, pts in by_method.items():
-        pts.sort()
-        curves.append(ProfileCurve(method,
-                                   np.array([p[0] for p in pts]),
-                                   np.array([p[1] for p in pts])))
-    return curves
-
-
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def profile_svg(curves: Sequence[ProfileCurve], width: int = 720,
-                height: int = 480) -> str:
-    """Render curves as a staircase plot with a log-scaled tau axis."""
+def profile_svg(curves: Sequence[ProfileCurve]) -> str:
+    """Render curves as a 720 x 480 staircase plot with a log-scaled tau axis."""
+    width, height = 720, 480
     ml, mr, mt, mb = 60, 24, 24, 48
     tau_max = 1.0
     for c in curves:
@@ -277,17 +258,3 @@ def profile_svg(curves: Sequence[ProfileCurve], width: int = 720,
         parts.append(f'<text x="{ml + 40}" y="{ly}" font-size="12">{c.method}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def report_from_json(text: str) -> SolveReport:
-    """Reconstruct a solve report from the CLI's JSON output."""
-    data = json.loads(text)
-    return SolveReport(
-        x=np.asarray(data["x"], dtype=np.float64),
-        res=np.asarray(data["res"], dtype=np.float64),
-        normF=float(data["normF"]),
-        iter=int(data["iter"]),
-        fcnt=int(data["fcnt"]),
-        istop=int(data["istop"]),
-        wall_seconds=float(data.get("wall_seconds", 0.0)),
-    )

@@ -144,9 +144,10 @@ def _cmd_bench(args) -> int:
     if bad or not solvers:
         print(f"error: unknown solver modes {bad}", file=sys.stderr)
         return 2
-    configs = {name: SolverConfig(mode=name, max_feval=args.feval_cap)
+    configs = {name: SolverConfig(mode=name, max_feval=args.feval_cap,
+                                  time_budget_seconds=args.budget)
                for name in solvers}
-    records = run_suite(problems, configs, per_run_time_budget=args.budget)
+    records = run_suite(problems, configs)
     write_records_csv(records, args.out)
     for name in solvers:
         solved = sum(r.solved for r in records if r.solver == name)

@@ -39,11 +39,6 @@ def as_vector(x, n: int | None = None) -> Array:
     return v
 
 
-def norm2(v: Array) -> float:
-    """Euclidean norm of ``v``."""
-    return float(np.linalg.norm(v))
-
-
 @dataclass(frozen=True, eq=False)
 class Problem:
     """A square nonlinear system F(x) = 0 together with a start point.
@@ -65,8 +60,11 @@ class Problem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """All algorithm parameters.
+    """The settable solver parameters.
 
+    The method's fixed constants are not settings: GAMMA, TAU_MIN, TAU_MAX
+    and the nonmonotone memory M live in ``linesearch``, SIGMA_MIN and
+    SIGMA_MAX in ``steps``.
     ``nhlim`` equals p + 1 where p is the secant-window capacity in pairs.
     ``epsf`` is the convergence tolerance on ||F||_2; when left as None the
     solver uses 1e-6 * sqrt(n).  ``maxit`` / ``max_feval`` /
@@ -80,12 +78,6 @@ class SolverConfig:
     extrapolated merit value, accepted point).
     """
 
-    gamma: float = 1e-4
-    sigma_min: float = math.sqrt(EPS_MACH)
-    sigma_max: float = 1.0 / math.sqrt(EPS_MACH)
-    tau_min: float = 0.1
-    tau_max: float = 0.5
-    M: int = 10
     nhlim: int = 6
     epsf: float | None = None
     maxit: int | None = None
@@ -95,14 +87,6 @@ class SolverConfig:
     iprint: int = -1
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if not 0.0 < self.sigma_min < self.sigma_max:
-            raise ValueError("need 0 < sigma_min < sigma_max")
-        if not 0.0 < self.tau_min < self.tau_max < 1.0:
-            raise ValueError("need 0 < tau_min < tau_max < 1")
-        if self.M < 1:
-            raise ValueError("M must be a positive integer")
         if self.nhlim < 2:
             raise ValueError("nhlim must be at least 2")
         if self.epsf is not None and not self.epsf > 0.0:
@@ -176,11 +160,6 @@ class SolveReport:
     fcnt: int
     istop: int
     wall_seconds: float
-
-    @property
-    def residual_norm(self) -> float:
-        """||F(x)||_2 at the final iterate."""
-        return math.sqrt(self.normF)
 
     def to_json_dict(self) -> dict:
         return {

@@ -6,7 +6,14 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .core import EPS_MACH, Array, BreakdownError, CountedEvaluator, SolverConfig
+from .core import EPS_MACH, Array, BreakdownError, CountedEvaluator
+
+# Fixed DF-SANE constants (La Cruz, Martinez & Raydan, 2006): the sufficient
+# decrease factor, the step-cut safeguards and the nonmonotone memory.
+GAMMA = 1e-4
+TAU_MIN = 0.1
+TAU_MAX = 0.5
+M = 10
 
 
 class FWindow:
@@ -51,41 +58,41 @@ class LineSearchOutcome:
     direction: str
 
 
-def armijo_ok(f_new: float, fbar: float, eta_k: float, gamma: float,
-              alpha: float, f_k: float) -> bool:
-    """Nonmonotone acceptance test f_new <= fbar + eta_k - gamma alpha^2 f_k.
+def armijo_ok(f_new: float, fbar: float, eta_k: float, alpha: float,
+              f_k: float) -> bool:
+    """Nonmonotone acceptance test f_new <= fbar + eta_k - GAMMA alpha^2 f_k.
 
     A non-finite f_new never passes.
     """
-    return f_new <= fbar + eta_k - gamma * alpha * alpha * f_k
+    return f_new <= fbar + eta_k - GAMMA * alpha * alpha * f_k
 
 
-def quad_new_alpha(alpha: float, f_k: float, f_probe: float,
-                   tau_min: float, tau_max: float) -> float:
+def quad_new_alpha(alpha: float, f_k: float, f_probe: float) -> float:
     """Safeguarded quadratic-interpolation step-size cut.
 
     Minimizes the quadratic through f(0) = f_k, f(alpha) = f_probe with slope
     -f_k at zero (unit-Jacobian model), clipped to
-    [tau_min * alpha, tau_max * alpha].  Non-finite or non-positive
-    denominators take the mildest cut tau_max * alpha.
+    [TAU_MIN * alpha, TAU_MAX * alpha].  Non-finite or non-positive
+    denominators take the mildest cut TAU_MAX * alpha.
     """
-    hi = tau_max * alpha
+    hi = TAU_MAX * alpha
     denom = f_probe + (2.0 * alpha - 1.0) * f_k
     if not math.isfinite(denom) or denom <= 0.0:
         return hi
     raw = alpha * alpha * f_k / denom
     if not math.isfinite(raw):
         return hi
-    return max(tau_min * alpha, min(raw, hi))
+    return max(TAU_MIN * alpha, min(raw, hi))
 
 
 def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
-                        sigma: float, fbar: float, eta_k: float,
-                        cfg: SolverConfig) -> LineSearchOutcome:
+                        sigma: float, fbar: float, eta_k: float) -> LineSearchOutcome:
     """Backtrack along -sigma F and +sigma F with independent step sizes.
 
-    Both directions start at step 1; each rejected round shrinks its own step
-    via quad_new_alpha (the forward step from the forward probe, the reverse
+    A probe is accepted by armijo_ok against ``fbar`` (the largest of the
+    last M merit values) and the forcing term ``eta_k``.  Both directions
+    start at step 1; each rejected round shrinks its own step via
+    quad_new_alpha (the forward step from the forward probe, the reverse
     step from the reverse probe).  Raises BreakdownError once both steps fall
     below machine epsilon without acceptance.
     """
@@ -98,7 +105,7 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
         x_probe = x + alpha_plus * d_minus
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
-        if armijo_ok(f_probe, fbar, eta_k, cfg.gamma, alpha_plus, f_k):
+        if armijo_ok(f_probe, fbar, eta_k, alpha_plus, f_k):
             return LineSearchOutcome(d_minus, alpha_plus, x_probe, F_probe, f_probe,
                                      evals, "-")
         f_minus_dir = f_probe
@@ -106,12 +113,12 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
         x_probe = x + alpha_minus * d_plus
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
-        if armijo_ok(f_probe, fbar, eta_k, cfg.gamma, alpha_minus, f_k):
+        if armijo_ok(f_probe, fbar, eta_k, alpha_minus, f_k):
             return LineSearchOutcome(d_plus, alpha_minus, x_probe, F_probe, f_probe,
                                      evals, "+")
 
-        alpha_plus = quad_new_alpha(alpha_plus, f_k, f_minus_dir, cfg.tau_min, cfg.tau_max)
-        alpha_minus = quad_new_alpha(alpha_minus, f_k, f_probe, cfg.tau_min, cfg.tau_max)
+        alpha_plus = quad_new_alpha(alpha_plus, f_k, f_minus_dir)
+        alpha_minus = quad_new_alpha(alpha_minus, f_k, f_probe)
         if alpha_plus < EPS_MACH and alpha_minus < EPS_MACH:
             raise BreakdownError(
                 f"line search step underflow after {evals} evaluations")

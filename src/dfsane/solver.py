@@ -30,7 +30,7 @@ from .core import (
     SolverConfig,
     as_vector,
 )
-from .linesearch import FWindow, double_backtracking
+from .linesearch import M, FWindow, double_backtracking
 from .steps import EtaSchedule, sigma_k
 
 
@@ -112,7 +112,7 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
 
     F, f = None, math.inf
     best_x, best_F, best_f = x, F, f
-    fwindow = FWindow(cfg.M)
+    fwindow = FWindow(M)
     prev_x: Array | None = None
     prev_F: Array | None = None
     window = SecantWindow(cfg.p) if accelerated else None
@@ -136,10 +136,10 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
             if cfg.maxit is not None and k >= cfg.maxit:
                 return report(x, F, f, k, ISTOP_MAXIT)
 
-            sigma = sigma_k(prev_x, prev_F, x, F, cfg)
+            sigma = sigma_k(prev_x, prev_F, x, F)
             fbar = fwindow.barfk()
             eta = schedule.eta(k)
-            ls = double_backtracking(ev, x, F, f, sigma, fbar, eta, cfg)
+            ls = double_backtracking(ev, x, F, f, sigma, fbar, eta)
 
             f_accel: float | None = None
             if accelerated:

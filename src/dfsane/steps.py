@@ -5,7 +5,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Array, SolverConfig, norm2
+import numpy as np
+
+from .core import EPS_MACH, Array
+
+# Safeguards of the spectral coefficient (La Cruz, Martinez & Raydan, 2006).
+SIGMA_MIN = math.sqrt(EPS_MACH)
+SIGMA_MAX = 1.0 / math.sqrt(EPS_MACH)
 
 
 @dataclass(frozen=True)
@@ -23,18 +29,17 @@ class EtaSchedule:
         return math.ldexp(self.eta0, -k)
 
 
-def sigma_k(prev_x: Array | None, prev_F: Array | None, x: Array, F: Array,
-            cfg: SolverConfig) -> float:
+def sigma_k(prev_x: Array | None, prev_F: Array | None, x: Array,
+            F: Array) -> float:
     """Safeguarded spectral step coefficient.
 
     ``prev_x`` and ``prev_F`` are the previous iterate and its residual,
     both None at the first iteration.  When they are given, the spectral
     value s's / s'y (with s = x - prev_x, y = F - prev_F) is returned
-    unchanged whenever
-    |sigma| lies in [sigma_min, min(1, sigma_max)].  Otherwise, and always
-    at the first iteration, the fallback max(sigma_min,
-    min(||x|| / ||F||, sigma_max)) is used, with ||x|| replaced by 1 when
-    the current point is the origin.
+    unchanged whenever |sigma| lies in [SIGMA_MIN, 1] (SIGMA_MAX > 1).
+    Otherwise, and always at the first iteration, the fallback
+    max(SIGMA_MIN, min(||x|| / ||F||, SIGMA_MAX)) is used, with ||x||
+    replaced by 1 when the current point is the origin.
     """
     if prev_x is not None:
         s = x - prev_x
@@ -42,9 +47,9 @@ def sigma_k(prev_x: Array | None, prev_F: Array | None, x: Array, F: Array,
         sty = float(s @ y)
         if sty != 0.0:
             sigma_spg = float(s @ s) / sty
-            if cfg.sigma_min <= abs(sigma_spg) <= min(1.0, cfg.sigma_max):
+            if SIGMA_MIN <= abs(sigma_spg) <= 1.0:
                 return sigma_spg
-    rho = norm2(x)
+    rho = float(np.linalg.norm(x))
     if rho == 0.0:
         rho = 1.0
-    return max(cfg.sigma_min, min(rho / norm2(F), cfg.sigma_max))
+    return max(SIGMA_MIN, min(rho / float(np.linalg.norm(F)), SIGMA_MAX))

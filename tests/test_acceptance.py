@@ -130,8 +130,7 @@ def test_criterion_5_armijo_audit():
     for problem, name, cfg, rep, trace in _suite_runs_with_traces():
         for rec in trace:
             audited += 1
-            if not armijo_ok(rec.f_trial, rec.fbar, rec.eta, cfg.gamma,
-                             rec.alpha, rec.f_current):
+            if not armijo_ok(rec.f_trial, rec.fbar, rec.eta, rec.alpha, rec.f_current):
                 violations += 1
     ok = violations == 0 and audited > 0
     _report("5 armijo audit", ok, f"audited={audited} violations={violations}")
@@ -140,11 +139,13 @@ def test_criterion_5_armijo_audit():
 def test_criterion_6_robustness_desk_scale():
     t0 = time.perf_counter()
     configs = {
-        "accelerated": SolverConfig(mode="accelerated", max_feval=100_000),
-        "plain": SolverConfig(mode="plain", max_feval=100_000),
+        "accelerated": SolverConfig(mode="accelerated", max_feval=100_000,
+                                    time_budget_seconds=10.0),
+        "plain": SolverConfig(mode="plain", max_feval=100_000,
+                              time_budget_seconds=10.0),
     }
     suite = suite_builtin()
-    records = run_suite(suite, configs, per_run_time_budget=10.0)
+    records = run_suite(suite, configs)
     elapsed = time.perf_counter() - t0
     acc = {r.problem for r in records if r.solver == "accelerated" and r.solved}
     pla = {r.problem for r in records if r.solver == "plain" and r.solved}

@@ -1,6 +1,7 @@
 """Tests for the benchmark harness and performance profiles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from dfsane.bench import (
     BenchRecord,
     perf_profile,
-    read_profile_csv,
     read_records_csv,
     records_to_matrix,
     profile_svg,
@@ -34,23 +34,25 @@ def unsolvable():
 # ---------------------------------------------------------------------------
 
 def test_one_record_per_pair():
-    records = run_suite([booth()], BOTH, per_run_time_budget=5.0)
+    configs = {name: replace(cfg, time_budget_seconds=5.0)
+               for name, cfg in BOTH.items()}
+    records = run_suite([booth()], configs)
     assert len(records) == 2
     assert [r.solver for r in records] == ["accelerated", "plain"]
     assert all(r.problem == "booth" and r.n == 2 for r in records)
 
 
 def test_booth_record_solved():
-    (rec,) = run_suite([booth()], {"accelerated": SolverConfig()},
-                       per_run_time_budget=5.0)
+    cfg = {"accelerated": SolverConfig(time_budget_seconds=5.0)}
+    (rec,) = run_suite([booth()], cfg)
     assert rec.solved
     assert rec.iter <= 10
     assert rec.normF_final <= 1e-6 * math.sqrt(2)
 
 
 def test_unsolvable_respects_budget():
-    cfg = {"accelerated": SolverConfig(max_feval=100_000)}
-    (rec,) = run_suite([unsolvable()], cfg, per_run_time_budget=1.0)
+    cfg = {"accelerated": SolverConfig(max_feval=100_000, time_budget_seconds=1.0)}
+    (rec,) = run_suite([unsolvable()], cfg)
     assert not rec.solved
     assert rec.time_seconds <= 2.0  # budget plus scheduling grace
     # merit is bounded below by construction: each component is >= 1
@@ -203,11 +205,9 @@ def test_profile_csv_contents_and_roundtrip(tmp_path):
     assert rows[0] == "method,tau,gamma"
     assert "m1,1.0,0.5" in rows
     assert "m1,2.0,1.0" in rows
-
-    back = {c.method: c for c in read_profile_csv(csv_path)}
-    for c in curves:
-        np.testing.assert_array_equal(back[c.method].taus, c.taus)
-        np.testing.assert_array_equal(back[c.method].gammas, c.gammas)
+    # Every curve point, in order, with repr floats that read back exactly.
+    assert rows[1:] == [f"{c.method},{float(tau)!r},{float(gamma)!r}"
+                        for c in curves for tau, gamma in zip(c.taus, c.gammas)]
 
     svg = svg_path.read_text()
     assert svg.startswith("<svg")

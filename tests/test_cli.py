@@ -2,13 +2,13 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
-import numpy as np
-
-from dfsane.bench import report_from_json
+import dfsane.bench
 from dfsane.cli import dispatch
 from dfsane.core import SolverConfig
 from dfsane.problems import booth
@@ -42,11 +42,9 @@ def test_solve_json_roundtrip(capsys):
     assert data["istop"] == 0
     assert data["iter"] <= 10
 
-    rep = report_from_json(out)
-    direct = solve(booth(), SolverConfig(epsf=1e-6 * math.sqrt(2)))
-    assert np.array_equal(rep.x, direct.x)
-    assert (rep.normF, rep.iter, rep.fcnt, rep.istop) == \
-        (direct.normF, direct.iter, direct.fcnt, direct.istop)
+    direct = solve(booth(), SolverConfig(epsf=1e-6 * math.sqrt(2))).to_json_dict()
+    del data["wall_seconds"], direct["wall_seconds"]
+    assert data == direct
 
 
 def test_solve_unknown_problem(capsys):
@@ -106,6 +104,27 @@ def test_bench_fixture_dir(capsys, tmp_path):
     assert out_csv.exists()
     assert "accelerated: solved 1/1" in out
     assert "plain: solved 1/1" in out
+
+
+def test_bench_budget_and_cap_reach_every_solve(capsys, tmp_path, monkeypatch):
+    fdir = tmp_path / "fixtures"
+    fdir.mkdir()
+    (fdir / "diag.txt").write_text(FIXTURE)
+    seen = []
+    real_solve = dfsane.bench.solve
+
+    def spy(problem, cfg):
+        seen.append(cfg)
+        return real_solve(problem, cfg)
+
+    monkeypatch.setattr(dfsane.bench, "solve", spy)
+    code = dispatch(["bench", "--fixture-dir", str(fdir), "--budget", "7.5",
+                     "--feval-cap", "1234", "--out", str(tmp_path / "bench.csv")])
+    capsys.readouterr()
+    assert code == 0
+    assert [cfg.mode for cfg in seen] == ["accelerated", "plain"]
+    assert all(cfg.time_budget_seconds == 7.5 and cfg.max_feval == 1234
+               for cfg in seen)
 
 
 def test_bench_fixture_dir_from_env(capsys, tmp_path, monkeypatch):
@@ -185,9 +204,16 @@ def test_usage_error_is_nonzero(capsys):
 
 
 def test_console_script_smoke():
-    # Without an installed console script, run the package as a module.
-    command = ["dfsane"] if shutil.which("dfsane") else [sys.executable, "-m", "dfsane"]
+    # Without an installed console script, run the package as a module, from
+    # the directory these tests imported it from.
+    env = dict(os.environ)
+    if shutil.which("dfsane"):
+        command = ["dfsane"]
+    else:
+        command = [sys.executable, "-m", "dfsane"]
+        src = str(Path(dfsane.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([*command, "solve", "--problem", "booth", "--json"],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["istop"] == 0

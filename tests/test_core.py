@@ -1,11 +1,13 @@
 """Tests for the core types: counted evaluation, configuration, reports."""
 
 import math
+from dataclasses import fields
 from time import perf_counter
 
 import numpy as np
 import pytest
 
+from dfsane import linesearch, steps
 from dfsane.core import (
     EPS_MACH,
     BreakdownError,
@@ -14,7 +16,6 @@ from dfsane.core import (
     Problem,
     SolverConfig,
     as_vector,
-    norm2,
 )
 from dfsane.problems import expfun2
 
@@ -124,7 +125,7 @@ def test_f_agrees_with_norm_squared():
         v = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
         p = Problem("v", n, lambda x, v=v: v.copy(), np.zeros(n))
         _, f = CountedEvaluator(p).evaluate(np.zeros(n))
-        expected = norm2(v) ** 2
+        expected = float(np.linalg.norm(v)) ** 2
         assert abs(f - expected) <= 4.0 * EPS_MACH * n * max(expected, 1e-300)
 
 
@@ -143,25 +144,29 @@ def test_problem_rejects_bad_inputs():
 
 
 def test_config_defaults():
+    assert [f.name for f in fields(SolverConfig)] == [
+        "nhlim", "epsf", "maxit", "max_feval", "time_budget_seconds", "mode", "iprint"]
     cfg = SolverConfig()
-    assert cfg.gamma == 1e-4
-    assert cfg.tau_min == 0.1 and cfg.tau_max == 0.5
-    assert cfg.M == 10
-    assert cfg.sigma_min == math.sqrt(EPS_MACH)
-    assert cfg.sigma_max == 1.0 / math.sqrt(EPS_MACH)
     assert cfg.nhlim == 6 and cfg.p == 5
     assert cfg.epsf is None and cfg.maxit is None
+    assert cfg.max_feval is None and cfg.time_budget_seconds is None
     assert cfg.mode == "accelerated" and cfg.iprint == -1
+    # The method's fixed constants live next to the functions that read them.
+    assert linesearch.GAMMA == 1e-4
+    assert linesearch.TAU_MIN == 0.1 and linesearch.TAU_MAX == 0.5
+    assert linesearch.M == 10
+    assert steps.SIGMA_MIN == math.sqrt(EPS_MACH)
+    assert steps.SIGMA_MAX == 1.0 / math.sqrt(EPS_MACH)
+
+
+@pytest.mark.parametrize("name", ["gamma", "sigma_min", "sigma_max", "tau_min",
+                                  "tau_max", "M"])
+def test_config_rejects_fixed_constants(name):
+    with pytest.raises(TypeError):
+        SolverConfig(**{name: 1.0})
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"gamma": 0.0},
-    {"gamma": 1.0},
-    {"sigma_min": 2.0, "sigma_max": 1.0},
-    {"sigma_min": 0.0},
-    {"tau_min": 0.5, "tau_max": 0.1},
-    {"tau_max": 1.0},
-    {"M": 0},
     {"nhlim": 1},
     {"epsf": -1e-6},
     {"maxit": -1},

@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from dfsane.core import (
-    EPS_MACH,
-    BreakdownError,
-    CountedEvaluator,
-    Problem,
-    SolverConfig,
+from dfsane.core import EPS_MACH, BreakdownError, CountedEvaluator, Problem
+from dfsane.linesearch import (
+    GAMMA,
+    TAU_MAX,
+    TAU_MIN,
+    FWindow,
+    armijo_ok,
+    double_backtracking,
+    quad_new_alpha,
 )
-from dfsane.linesearch import FWindow, armijo_ok, double_backtracking, quad_new_alpha
-
-CFG = SolverConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -61,18 +61,18 @@ def test_barfk_empty_rejected():
 # ---------------------------------------------------------------------------
 
 def test_armijo_accepts_below_bound():
-    assert armijo_ok(0.9, 1.0, 0.5, 1e-4, 1.0, 1.0)
+    assert armijo_ok(0.9, 1.0, 0.5, 1.0, 1.0)
 
 
 def test_armijo_rejects_infinite_merit():
-    assert not armijo_ok(math.inf, 1.0, 0.5, 1e-4, 1.0, 1.0)
-    assert not armijo_ok(math.nan, 1.0, 0.5, 1e-4, 1.0, 1.0)
+    assert not armijo_ok(math.inf, 1.0, 0.5, 1.0, 1.0)
+    assert not armijo_ok(math.nan, 1.0, 0.5, 1.0, 1.0)
 
 
 def test_armijo_bound_is_exact():
-    bound = 1.0 + 0.5 - 1e-4 * 1.0 * 1.0  # 1.4999
-    assert not armijo_ok(1.4999001, 1.0, 0.5, 1e-4, 1.0, 1.0)
-    assert armijo_ok(bound, 1.0, 0.5, 1e-4, 1.0, 1.0)  # <= is inclusive
+    bound = 1.0 + 0.5 - GAMMA * 1.0 * 1.0  # 1.4999
+    assert not armijo_ok(1.4999001, 1.0, 0.5, 1.0, 1.0)
+    assert armijo_ok(bound, 1.0, 0.5, 1.0, 1.0)  # <= is inclusive
 
 
 # ---------------------------------------------------------------------------
@@ -80,25 +80,25 @@ def test_armijo_bound_is_exact():
 # ---------------------------------------------------------------------------
 
 def test_quad_cut_plain_value():
-    assert quad_new_alpha(1.0, 1.0, 3.0, 0.1, 0.5) == 0.25  # 1 / (3 + 1)
+    assert quad_new_alpha(1.0, 1.0, 3.0) == 0.25  # 1 / (3 + 1)
 
 
 def test_quad_cut_clips_low():
-    assert quad_new_alpha(1.0, 1.0, 1e6, 0.1, 0.5) == 0.1
+    assert quad_new_alpha(1.0, 1.0, 1e6) == 0.1
 
 
 def test_quad_cut_clips_high():
-    # raw = 1 / 1.2 = 0.8333... exceeds tau_max.
-    assert quad_new_alpha(1.0, 1.0, 0.2, 0.1, 0.5) == 0.5
+    # raw = 1 / 1.2 = 0.8333... exceeds TAU_MAX.
+    assert quad_new_alpha(1.0, 1.0, 0.2) == 0.5
 
 
 def test_quad_cut_nonpositive_denominator():
     # denom = 0 + (0.8 - 1) * 1 < 0 -> mildest cut.
-    assert quad_new_alpha(0.4, 1.0, 0.0, 0.1, 0.5) == pytest.approx(0.2)
+    assert quad_new_alpha(0.4, 1.0, 0.0) == pytest.approx(0.2)
 
 
 def test_quad_cut_infinite_probe():
-    assert quad_new_alpha(1.0, 1.0, math.inf, 0.1, 0.5) == 0.5
+    assert quad_new_alpha(1.0, 1.0, math.inf) == 0.5
 
 
 def test_quad_cut_stays_in_safeguard_interval():
@@ -109,8 +109,8 @@ def test_quad_cut_stays_in_safeguard_interval():
         f_probe = float(10.0 ** rng.uniform(-12, 12))
         if rng.random() < 0.1:
             f_probe = math.inf
-        out = quad_new_alpha(alpha, f_k, f_probe, 0.1, 0.5)
-        assert 0.1 * alpha <= out <= 0.5 * alpha + 1e-18
+        out = quad_new_alpha(alpha, f_k, f_probe)
+        assert TAU_MIN * alpha <= out <= TAU_MAX * alpha + 1e-18
         assert out < alpha  # strictly shrinking
 
 
@@ -127,7 +127,7 @@ def test_first_probe_hits_root():
     ev = CountedEvaluator(p)
     x = np.array([1.0])
     F, f = ev.evaluate(x)
-    out = double_backtracking(ev, x, F, f, 1.0, 1.0, 0.5, CFG)
+    out = double_backtracking(ev, x, F, f, 1.0, 1.0, 0.5)
     assert out.alpha == 1.0
     assert out.evals == 1
     np.testing.assert_array_equal(out.d, [-1.0])     # d = -sigma F
@@ -142,7 +142,7 @@ def test_second_probe_accepts_reverse_direction():
     x = np.array([1.0])
     F, f = ev.evaluate(x)
     assert f == 1.0
-    out = double_backtracking(ev, x, F, f, 1.0, 1.0, 0.5, CFG)
+    out = double_backtracking(ev, x, F, f, 1.0, 1.0, 0.5)
     # forward probe x = 2 has f = 4 > 1.4999; reverse probe x = 0 is a root.
     assert out.alpha == 1.0
     assert out.evals == 2
@@ -163,7 +163,7 @@ def test_first_accept_shape():
         if f == 0.0:
             continue
         sigma = 0.5
-        out = double_backtracking(ev, x, F, f, sigma, f, 10.0 * f + 1.0, CFG)
+        out = double_backtracking(ev, x, F, f, sigma, f, 10.0 * f + 1.0)
         if out.evals == 1:
             np.testing.assert_allclose(out.x_trial, x - sigma * out.alpha * F)
         np.testing.assert_allclose(out.x_trial, x + out.alpha * out.d)
@@ -185,8 +185,8 @@ def test_outcome_always_satisfies_acceptance():
         fbar = f * float(rng.uniform(1.0, 2.0))
         eta = float(rng.uniform(1e-8, 0.5))
         before = ev.fcnt
-        out = double_backtracking(ev, x, F, f, sigma, fbar, eta, CFG)
-        assert armijo_ok(out.f_trial, fbar, eta, CFG.gamma, out.alpha, f)
+        out = double_backtracking(ev, x, F, f, sigma, fbar, eta)
+        assert armijo_ok(out.f_trial, fbar, eta, out.alpha, f)
         assert out.evals == ev.fcnt - before
         assert 0.0 < out.alpha <= 1.0
 
@@ -207,14 +207,14 @@ def test_step_cuts_are_monotone_and_bounded():
     F, f_k = ev.evaluate(x)
     assert f_k == 1e-6
     points.clear()
-    out = double_backtracking(ev, x, F, f_k, 1.0, f_k, 1e-9, CFG)
+    out = double_backtracking(ev, x, F, f_k, 1.0, f_k, 1e-9)
     probe_alphas = np.abs(np.array(points)) / 1e-3
     plus = probe_alphas[0::2]   # forward-direction probes
     minus = probe_alphas[1::2]
     for seq in (plus, minus):
         for old, new in zip(seq, seq[1:]):
             assert new <= old
-            assert CFG.tau_min * old - 1e-15 <= new <= CFG.tau_max * old + 1e-15
+            assert TAU_MIN * old - 1e-15 <= new <= TAU_MAX * old + 1e-15
     assert out.evals == len(points)
     assert out.alpha == plus[-1]
 
@@ -230,7 +230,7 @@ def test_underflow_raises_breakdown():
     x = np.zeros(1)
     F, f = ev.evaluate(x)
     with pytest.raises(BreakdownError):
-        double_backtracking(ev, x, F, f, 1.0, f, 0.5, CFG)
-    # tau_max = 0.5 halves both steps each round until they pass eps_mach
+        double_backtracking(ev, x, F, f, 1.0, f, 0.5)
+    # TAU_MAX = 0.5 halves both steps each round until they pass eps_mach
     rounds = math.ceil(-math.log2(EPS_MACH)) + 1
     assert ev.fcnt - 1 == 2 * rounds

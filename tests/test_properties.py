@@ -44,8 +44,7 @@ def test_solve_contract_under_evaluation_cap(name, mode, max_feval):
         assert rep.fcnt == max_feval
     assert len(trace) == rep.iter
     for rec in trace:
-        assert armijo_ok(rec.f_trial, rec.fbar, rec.eta, cfg.gamma,
-                         rec.alpha, rec.f_current)
+        assert armijo_ok(rec.f_trial, rec.fbar, rec.eta, rec.alpha, rec.f_current)
     assert np.array_equal(problem.residual(rep.x), rep.res)
     assert rep.normF == float(rep.res @ rep.res)
 

@@ -177,8 +177,7 @@ def test_armijo_holds_post_hoc_on_converged_runs():
         rep = solve(problem, cfg, trace=trace)
         assert rep.istop == 0
         for rec in trace:
-            assert armijo_ok(rec.f_trial, rec.fbar, rec.eta, cfg.gamma,
-                             rec.alpha, rec.f_current)
+            assert armijo_ok(rec.f_trial, rec.fbar, rec.eta, rec.alpha, rec.f_current)
 
 
 def test_iprint_trace_format(capsys):

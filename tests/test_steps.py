@@ -2,10 +2,7 @@
 
 import numpy as np
 
-from dfsane.core import SolverConfig
-from dfsane.steps import EtaSchedule, sigma_k
-
-CFG = SolverConfig()
+from dfsane.steps import SIGMA_MAX, SIGMA_MIN, EtaSchedule, sigma_k
 
 
 def test_eta_from_norm_four():
@@ -30,13 +27,13 @@ def test_eta_halves_exactly():
 
 def test_sigma_spectral_value_passes_through():
     prev = (np.zeros(2), np.zeros(2))
-    sigma = sigma_k(*prev, np.array([1.0, 0.0]), np.array([2.0, 0.0]), CFG)
+    sigma = sigma_k(*prev, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
     assert sigma == 0.5  # s's / s'y = 1 / 2, bit for bit
 
 
 def test_sigma_negative_value_is_kept():
     prev = (np.zeros(2), np.array([1.0, 0.0]))
-    sigma = sigma_k(*prev, np.array([1.0, 0.0]), np.array([-1.0, 0.0]), CFG)
+    sigma = sigma_k(*prev, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
     assert sigma == -0.5  # |sigma| in range, sign preserved
 
 
@@ -45,29 +42,29 @@ def test_sigma_orthogonal_sy_uses_fallback():
     x = np.array([3.0, 4.0])
     F = np.array([0.0, 5.0])
     prev = (x.copy(), np.array([1.0, 1.0]))
-    assert sigma_k(*prev, x, F, CFG) == 1.0
+    assert sigma_k(*prev, x, F) == 1.0
 
 
 def test_sigma_out_of_range_spectral_falls_back():
-    # s = (1,0), y = (0.1,0) gives sigma_spg = 10 > min(1, sigma_max).
+    # s = (1,0), y = (0.1,0) gives sigma_spg = 10 > min(1, SIGMA_MAX).
     x = np.array([1.0, 0.0])
     F = np.array([0.1, 5.0])
     prev = (np.zeros(2), np.array([0.0, 5.0]))
-    expected = max(CFG.sigma_min,
-                   min(np.linalg.norm(x) / np.linalg.norm(F), CFG.sigma_max))
-    assert sigma_k(*prev, x, F, CFG) == expected
+    expected = max(SIGMA_MIN,
+                   min(np.linalg.norm(x) / np.linalg.norm(F), SIGMA_MAX))
+    assert sigma_k(*prev, x, F) == expected
 
 
 def test_sigma_first_iteration_uses_fallback():
     x = np.array([3.0, 4.0])
     F = np.array([0.0, 5.0])
-    assert sigma_k(None, None, x, F, CFG) == 1.0
+    assert sigma_k(None, None, x, F) == 1.0
 
 
 def test_sigma_at_origin_substitutes_unit_rho():
-    # |x| = 0 would give sigma = sigma_min; rho = 1 is substituted instead.
+    # |x| = 0 would give sigma = SIGMA_MIN; rho = 1 is substituted instead.
     F = np.array([2.0, 0.0])
-    assert sigma_k(None, None, np.zeros(2), F, CFG) == 0.5
+    assert sigma_k(None, None, np.zeros(2), F) == 0.5
 
 
 def test_sigma_always_within_safeguards():
@@ -82,8 +79,8 @@ def test_sigma_always_within_safeguards():
             prev = (None, None)
         else:
             prev = (x - rng.standard_normal(n), F - rng.standard_normal(n))
-        sigma = sigma_k(*prev, x, F, CFG)
-        assert CFG.sigma_min <= abs(sigma) <= CFG.sigma_max
+        sigma = sigma_k(*prev, x, F)
+        assert SIGMA_MIN <= abs(sigma) <= SIGMA_MAX
 
 
 def test_sigma_in_range_is_bit_identical():
@@ -101,8 +98,8 @@ def test_sigma_in_range_is_bit_identical():
         if sty == 0.0:
             continue
         spg = float(s @ s) / sty
-        if not (CFG.sigma_min <= abs(spg) <= min(1.0, CFG.sigma_max)):
+        if not (SIGMA_MIN <= abs(spg) <= min(1.0, SIGMA_MAX)):
             continue
         hits += 1
-        assert sigma_k(prev_x, prev_F, x, F, CFG) == spg
+        assert sigma_k(prev_x, prev_F, x, F) == spg
     assert hits > 20  # the sample must actually exercise the pass-through arm
