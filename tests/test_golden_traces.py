@@ -1,6 +1,6 @@
 """Pinned per-iteration traces: the solver must keep taking the same iterates.
 
-``golden_traces.json`` holds, for four problems in both modes, the final
+``golden_traces.json`` holds, for six problems in both modes, the final
 iteration count, evaluation count and stop code plus, per iteration, which
 point was accepted, how many line-search evaluations it took and the merit
 value f_next of the new iterate.  Counts must match exactly; f_next must
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from dfsane.core import SolverConfig
-from dfsane.problems import booth, discrete_bvp, expfun2, powell_singular
+from dfsane.problems import booth, discrete_bvp, expfun2, make, powell_singular
 from dfsane.solver import solve
 
 GOLDEN = Path(__file__).with_name("golden_traces.json")
@@ -28,6 +28,10 @@ PROBLEMS = {
     "booth": booth,
     "bvp-50": lambda: discrete_bvp(50),
     "powell-singular": powell_singular,
+    # At n = 10,000 the accelerated runs reach rank 6, so the kernel's
+    # pivoting and trailing updates run on long columns.
+    "broyden-tri-1e4": lambda: make("broyden-tri", 10_000),
+    "trigexp-1e4": lambda: make("trigexp", 10_000),
 }
 MODES = ("accelerated", "plain")
 CASES = [f"{name}/{mode}" for name in PROBLEMS for mode in MODES]
