@@ -6,6 +6,17 @@ least-squares solution of Y nu = F(x_trial), with S and Y collecting the
 recent iterate and residual differences column by column.  nu is computed
 through a rank-revealing complete orthogonalization of Y rather than an
 explicit pseudoinverse.
+
+Layout and rounding.  S and Y are C-ordered n x m arrays (m <= nhlim), so a
+column of Y is a strided view.  The kernel keeps that layout and issues its
+BLAS and LAPACK calls (``Q.T @ v``, ``Q @ c``, ``q @ work``, ``norm``, the
+``qr`` and ``solve`` of the coefficient matrix, ``S @ nu``) on exactly these
+operands, because a different layout changes their rounding: the accelerated
+rosenbrock-10 run and the golden traces move under a row-major kernel that
+is otherwise the same Gram-Schmidt.  The elementwise work between those calls
+runs through two preallocated n-vectors instead of n x k temporaries, with
+every floating-point operation unchanged, so nu, the rank and ||nu|| are the
+same bit for bit.
 """
 
 from __future__ import annotations
@@ -97,49 +108,74 @@ def orthogonalize_columns(Y: Array) -> Orthogonalization:
     orthogonalized against the basis (with one reorthogonalization pass to
     keep the basis orthonormal to round-off) and the factorization stops as
     soon as the best remaining residual norm falls below the rank threshold.
+    ``Y`` is not modified.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
         raise ValueError("Y must be a 2-D matrix")
-    n, m = Y.shape
+    return _orthogonalize_in_place(Y.copy())
 
-    work = Y.copy()
+
+def _column_norms(w: Array, col: Array) -> Array:
+    """Euclidean norms of the columns of ``w``, rounded as
+    ``np.sqrt((w * w).sum(axis=0))`` rounds them, without the n x k product.
+
+    numpy sums a C-ordered product down axis 0 one row at a time, and einsum
+    does the same for two or more columns; for a single column numpy's
+    reduction is pairwise, which the 1-D sum of the squares in ``col``
+    repeats.
+    """
+    if w.shape[1] == 1:
+        return np.sqrt(np.multiply(w[:, 0], w[:, 0], out=col).sum(keepdims=True))
+    return np.sqrt(np.einsum("ij,ij->j", w, w))
+
+
+def _orthogonalize_in_place(work: Array) -> Orthogonalization:
+    """``orthogonalize_columns`` on a C-ordered float64 matrix it may overwrite."""
+    n, m = work.shape
     perm = np.arange(m)
     limit = min(n, m)
     Q = np.zeros((n, limit))
     R = np.zeros((limit, m))
+    v = np.empty(n)
+    col = np.empty(n)
 
-    col_norms = np.sqrt((work * work).sum(axis=0))
-    ymax = float(col_norms.max()) if m else 0.0
+    residual_norms = _column_norms(work, col)
+    ymax = float(residual_norms.max()) if m else 0.0
     threshold = DEFAULT_TOL_RANK * ymax if math.isfinite(ymax) else math.inf
 
     rank = 0
     for step in range(limit):
-        residual_norms = np.sqrt((work[:, step:] * work[:, step:]).sum(axis=0))
+        if step > 0:
+            residual_norms = _column_norms(work[:, step:], col)
         jloc = int(np.argmax(residual_norms))
         if not residual_norms[jloc] > threshold:
             break
         j = step + jloc
+        # The pivot column goes to v; column ``step`` of work is not read
+        # again, so the swap only has to move it to column j.
+        v[:] = work[:, j]
         if j != step:
-            work[:, [step, j]] = work[:, [j, step]]
+            work[:, j] = work[:, step]
             R[:, [step, j]] = R[:, [j, step]]
             perm[[step, j]] = perm[[j, step]]
 
-        v = work[:, step].copy()
         if rank > 0:
             correction = Q[:, :rank].T @ v
-            v -= Q[:, :rank] @ correction
+            v -= np.matmul(Q[:, :rank], correction, out=col)
             R[:rank, step] += correction
         nrm = float(np.linalg.norm(v))
         if not nrm > threshold:
             break
-        q = v / nrm
+        q = np.divide(v, nrm, out=v)
         Q[:, rank] = q
         R[rank, step] = nrm
         if step + 1 < m:
             proj = q @ work[:, step + 1:]
             R[rank, step + 1:] = proj
-            work[:, step + 1:] -= np.outer(q, proj)
+            # Rank-1 update of the trailing columns, one column at a time.
+            for i, p in enumerate(proj, start=step + 1):
+                work[:, i] -= np.multiply(q, p, out=col)
         rank += 1
 
     return Orthogonalization(q=Q[:, :rank], coef=R[:rank, :], perm=perm, rank=rank)
@@ -159,7 +195,8 @@ def accel_point(window: SecantWindow, s_k: Array, y_k: Array,
     column count, the numerical rank, and ||nu||_2.
     """
     S, Y = window.matrices_with(s_k, y_k)
-    orth = orthogonalize_columns(Y)
+    # Y is a fresh C-ordered stack, so the kernel may work in it directly.
+    orth = _orthogonalize_in_place(np.asarray(Y, dtype=np.float64))
     nu = orth.min_norm_solution(np.asarray(F_trial, dtype=np.float64))
     if on_info is not None:
         on_info(S.shape[1], orth.rank, float(np.linalg.norm(nu)))

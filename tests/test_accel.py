@@ -1,10 +1,14 @@
 """Tests for the secant window and the minimum-norm least-squares solve."""
 
+import math
+
 import numpy as np
 import pytest
 
 from dfsane.accel import (
+    DEFAULT_TOL_RANK,
     SecantWindow,
+    _column_norms,
     accel_point,
     min_norm_ls,
     orthogonalize_columns,
@@ -14,6 +18,58 @@ from dfsane.accel import (
 def pinv_solution(Y, b):
     """Independent oracle: dense SVD pseudoinverse (test harness only)."""
     return np.linalg.pinv(Y) @ b
+
+
+def reference_min_norm_ls(Y, b):
+    """The kernel as first written (test harness only): pivoted modified
+    Gram-Schmidt on a copy of Y with n x k numpy temporaries, then the
+    minimum-norm solve.  Returns (nu, rank); the package kernel must
+    reproduce both bit for bit."""
+    work = np.array(Y, dtype=np.float64)
+    n, m = work.shape
+    perm = np.arange(m)
+    limit = min(n, m)
+    Q = np.zeros((n, limit))
+    R = np.zeros((limit, m))
+
+    col_norms = np.sqrt((work * work).sum(axis=0))
+    ymax = float(col_norms.max()) if m else 0.0
+    threshold = DEFAULT_TOL_RANK * ymax if math.isfinite(ymax) else math.inf
+
+    rank = 0
+    for step in range(limit):
+        residual_norms = np.sqrt((work[:, step:] * work[:, step:]).sum(axis=0))
+        jloc = int(np.argmax(residual_norms))
+        if not residual_norms[jloc] > threshold:
+            break
+        j = step + jloc
+        if j != step:
+            work[:, [step, j]] = work[:, [j, step]]
+            R[:, [step, j]] = R[:, [j, step]]
+            perm[[step, j]] = perm[[j, step]]
+        v = work[:, step].copy()
+        if rank > 0:
+            correction = Q[:, :rank].T @ v
+            v -= Q[:, :rank] @ correction
+            R[:rank, step] += correction
+        nrm = float(np.linalg.norm(v))
+        if not nrm > threshold:
+            break
+        q = v / nrm
+        Q[:, rank] = q
+        R[rank, step] = nrm
+        if step + 1 < m:
+            proj = q @ work[:, step + 1:]
+            R[rank, step + 1:] = proj
+            work[:, step + 1:] -= np.outer(q, proj)
+        rank += 1
+
+    nu = np.zeros(m)
+    if rank > 0:
+        c = Q[:, :rank].T @ b
+        q2, t = np.linalg.qr(R[:rank, :].T)
+        nu[perm] = q2 @ np.linalg.solve(t.T, c)
+    return nu, rank
 
 
 def random_instance(rng, rank_deficient):
@@ -139,6 +195,72 @@ def test_rank_detection_on_constructed_cases():
     assert orthogonalize_columns(np.column_stack([c, 2.0 * c])).rank == 1
     assert orthogonalize_columns(np.zeros((4, 3))).rank == 0
     assert orthogonalize_columns(np.eye(4)).rank == 4
+
+
+def bitwise_instance(rng, n, m):
+    """A secant-like window: columns at scales 1e-4..1e4, sometimes with a
+    duplicated, a zero or a nearly dependent column."""
+    Y = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-4.0, 4.0, size=m)
+    kind = int(rng.integers(4)) if m >= 2 else 0
+    if kind == 1:
+        Y[:, int(rng.integers(m))] = Y[:, 0]
+    elif kind == 2:
+        Y[:, int(rng.integers(m))] = 0.0
+    elif kind == 3:
+        Y[:, -1] = Y[:, 0] * 3.0 + 1e-9 * Y[:, -1]
+    S = rng.standard_normal((n, m))
+    return S, Y, rng.standard_normal(n), rng.standard_normal(n)
+
+
+def assert_bitwise_like_reference(S, Y, x_trial, F_trial):
+    nu_ref, rank_ref = reference_min_norm_ls(Y, F_trial)
+    assert np.array_equal(min_norm_ls(Y, F_trial), nu_ref)
+
+    window = SecantWindow(6)
+    for i in range(S.shape[1] - 1):
+        window.push_pair(S[:, i], Y[:, i])
+    seen = {}
+    x_accel = accel_point(window, S[:, -1], Y[:, -1], x_trial, F_trial,
+                          on_info=lambda m, r, nn: seen.update(m=m, r=r, nn=nn))
+    assert np.array_equal(x_accel, x_trial - S @ nu_ref)
+    assert seen["m"] == S.shape[1]
+    assert seen["r"] == rank_ref
+    assert seen["nn"] == float(np.linalg.norm(nu_ref))
+    return rank_ref
+
+
+def test_kernel_is_bitwise_the_reference():
+    rng = np.random.default_rng(2024)
+    ranks = set()
+    for trial in range(300):
+        n = int(10.0 ** rng.uniform(0.0, 4.0))
+        m = trial % 6 + 1
+        ranks.add(assert_bitwise_like_reference(*bitwise_instance(rng, n, m)))
+    assert ranks == {1, 2, 3, 4, 5, 6}
+
+
+def test_kernel_is_bitwise_the_reference_at_n_1e5():
+    rng = np.random.default_rng(7)
+    S, Y, x_trial, F_trial = bitwise_instance(rng, 100_000, 6)
+    assert assert_bitwise_like_reference(S, Y, x_trial, F_trial) >= 5
+
+
+def test_column_norms_round_like_the_squared_sum():
+    rng = np.random.default_rng(11)
+    for n in (1, 7, 8, 129, 1000, 40_000):
+        W = rng.standard_normal((n, 6)) * 10.0 ** rng.uniform(-4.0, 4.0, size=6)
+        for step in range(6):
+            w = W[:, step:]
+            assert np.array_equal(_column_norms(w, np.empty(n)),
+                                  np.sqrt((w * w).sum(axis=0)))
+
+
+def test_orthogonalize_columns_leaves_input_alone():
+    rng = np.random.default_rng(5)
+    Y = rng.standard_normal((50, 4))
+    before = Y.copy()
+    orthogonalize_columns(Y)
+    assert np.array_equal(Y, before)
 
 
 # ---------------------------------------------------------------------------
