@@ -95,6 +95,7 @@ def _print_report(rep: SolveReport) -> None:
     print(f"iter = {rep.iter}")
     print(f"fcnt = {rep.fcnt}")
     print(f"istop = {rep.istop}")
+    print(f"reason = {rep.reason}")
 
 
 def _cmd_solve(args) -> int:
@@ -144,9 +145,13 @@ def _cmd_bench(args) -> int:
     if bad or not solvers:
         print(f"error: unknown solver modes {bad}", file=sys.stderr)
         return 2
-    configs = {name: SolverConfig(mode=name, max_feval=args.feval_cap,
-                                  time_budget_seconds=args.budget)
-               for name in solvers}
+    try:
+        configs = {name: SolverConfig(mode=name, max_feval=args.feval_cap,
+                                      time_budget_seconds=args.budget)
+                   for name in solvers}
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     records = run_suite(problems, configs)
     write_records_csv(records, args.out)
     for name in solvers:

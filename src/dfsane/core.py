@@ -128,7 +128,7 @@ class CountedEvaluator:
 
     def evaluate(self, x: Array) -> tuple[Array, float]:
         if self.fcnt == self.max_feval:
-            raise BudgetExhausted(f"evaluation cap of {self.max_feval} reached")
+            raise BudgetExhausted("evaluation cap reached")
         if self.deadline is not None and perf_counter() > self.deadline:
             raise BudgetExhausted("time budget exhausted")
         self.fcnt += 1
@@ -136,7 +136,7 @@ class CountedEvaluator:
             with np.errstate(all="ignore"):
                 F = as_vector(self.problem.residual(x), self.problem.n)
         except Exception as exc:
-            raise BreakdownError(f"residual failed: {exc!r}") from exc
+            raise BreakdownError(f"residual failed: {exc}") from exc
         if np.isfinite(F).all():
             f = float(F @ F)
         else:
@@ -150,7 +150,10 @@ class SolveReport:
 
     ``normF`` is f(x) = ||F(x)||_2^2 at the final iterate (the squared
     residual norm).  ``istop``: 0 converged, 1 iteration cap, 2 budget
-    exhausted, 3 numerical breakdown.
+    exhausted, 3 numerical breakdown.  ``reason`` says the same in words:
+    "converged", "iteration cap reached", "evaluation cap reached" or "time
+    budget exhausted", and on breakdown the error's message, followed by
+    the type of the residual's exception in parentheses when one caused it.
     """
 
     x: Array
@@ -159,6 +162,7 @@ class SolveReport:
     iter: int
     fcnt: int
     istop: int
+    reason: str
     wall_seconds: float
 
     def to_json_dict(self) -> dict:
@@ -169,5 +173,6 @@ class SolveReport:
             "iter": int(self.iter),
             "fcnt": int(self.fcnt),
             "istop": int(self.istop),
+            "reason": self.reason,
             "wall_seconds": float(self.wall_seconds),
         }

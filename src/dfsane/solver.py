@@ -83,9 +83,11 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
     checked before every evaluation, reporting the last completed iterate),
     or on breakdown (istop 3, reporting the best iterate seen): a step
     underflow, a non-finite residual at the start point, or a residual that
-    raises or returns a wrong shape.  When ``trace`` is a list, it gets one
-    IterationRecord per completed iteration, ``iter`` in all; ``cfg.iprint``
-    prints from the same records.
+    raises or returns a wrong shape.  ``SolveReport.reason`` names the stop
+    in words; on breakdown it carries the error's message and the type of
+    the residual's exception, if one caused it.  When ``trace`` is a list,
+    it gets one IterationRecord per completed iteration, ``iter`` in all;
+    ``cfg.iprint`` prints from the same records.
     """
     cfg = SolverConfig() if cfg is None else cfg
     accelerated = cfg.mode == "accelerated"
@@ -96,12 +98,14 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
     deadline = None if cfg.time_budget_seconds is None else start + cfg.time_budget_seconds
     ev = CountedEvaluator(problem, cfg.max_feval, deadline)
 
-    def report(xv: Array, Fv: Array | None, fv: float, k: int, istop: int) -> SolveReport:
+    def report(xv: Array, Fv: Array | None, fv: float, k: int, istop: int,
+               reason: str) -> SolveReport:
         # Fv is None when the first evaluation did not complete; building the
         # NaN vector only then keeps it off the peak memory of large solves.
         res = np.full(problem.n, math.nan) if Fv is None else Fv
         return SolveReport(x=xv, res=res, normF=fv, iter=k, fcnt=ev.fcnt,
-                           istop=istop, wall_seconds=time.perf_counter() - start)
+                           istop=istop, reason=reason,
+                           wall_seconds=time.perf_counter() - start)
 
     rank: int | None = None
     nu_norm: float | None = None
@@ -132,9 +136,9 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
             if math.sqrt(f) <= epsf:
                 if cfg.iprint >= 0:
                     print("success!")
-                return report(x, F, f, k, ISTOP_CONVERGED)
+                return report(x, F, f, k, ISTOP_CONVERGED, "converged")
             if cfg.maxit is not None and k >= cfg.maxit:
-                return report(x, F, f, k, ISTOP_MAXIT)
+                return report(x, F, f, k, ISTOP_MAXIT, "iteration cap reached")
 
             sigma = sigma_k(prev_x, prev_F, x, F)
             fbar = fwindow.barfk()
@@ -172,7 +176,9 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                 best_x, best_F, best_f = x, F, f
             fwindow.push(f)
             k += 1
-    except BudgetExhausted:
-        return report(x, F, f, k, ISTOP_BUDGET)
-    except BreakdownError:
-        return report(best_x, best_F, best_f, k, ISTOP_BREAKDOWN)
+    except BudgetExhausted as exc:
+        return report(x, F, f, k, ISTOP_BUDGET, str(exc))
+    except BreakdownError as exc:
+        cause = exc.__cause__
+        reason = str(exc) if cause is None else f"{exc} ({type(cause).__name__})"
+        return report(best_x, best_F, best_f, k, ISTOP_BREAKDOWN, reason)

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dfsane.bench
 from dfsane.cli import dispatch
 from dfsane.core import SolverConfig
@@ -30,7 +32,8 @@ def test_solve_with_trace(capsys):
     assert "success!" in out
     # report block, in order
     fields = [ln.split(" = ")[0] for ln in out.splitlines() if " = " in ln and not ln.startswith("Iter")]
-    assert fields == ["x", "res", "normF", "iter", "fcnt", "istop"]
+    assert fields == ["x", "res", "normF", "iter", "fcnt", "istop", "reason"]
+    assert out.rstrip().endswith("reason = converged")
 
 
 def test_solve_json_roundtrip(capsys):
@@ -38,8 +41,9 @@ def test_solve_json_roundtrip(capsys):
     out = capsys.readouterr().out
     assert code == 0
     data = json.loads(out)
-    assert list(data) == ["x", "res", "normF", "iter", "fcnt", "istop", "wall_seconds"]
-    assert data["istop"] == 0
+    assert list(data) == ["x", "res", "normF", "iter", "fcnt", "istop", "reason",
+                          "wall_seconds"]
+    assert data["istop"] == 0 and data["reason"] == "converged"
     assert data["iter"] <= 10
 
     direct = solve(booth(), SolverConfig(epsf=1e-6 * math.sqrt(2))).to_json_dict()
@@ -125,6 +129,21 @@ def test_bench_budget_and_cap_reach_every_solve(capsys, tmp_path, monkeypatch):
     assert [cfg.mode for cfg in seen] == ["accelerated", "plain"]
     assert all(cfg.time_budget_seconds == 7.5 and cfg.max_feval == 1234
                for cfg in seen)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--budget", "0", "time_budget_seconds must be positive"),
+    ("--budget", "-1.5", "time_budget_seconds must be positive"),
+    ("--feval-cap", "0", "max_feval must be positive"),
+    ("--feval-cap", "-3", "max_feval must be positive"),
+])
+def test_bench_rejects_non_positive_caps(capsys, tmp_path, flag, value, message):
+    out_csv = tmp_path / "bench.csv"
+    code = dispatch(["bench", "--suite", flag, value, "--out", str(out_csv)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not out_csv.exists()
 
 
 def test_bench_fixture_dir_from_env(capsys, tmp_path, monkeypatch):

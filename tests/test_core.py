@@ -186,7 +186,10 @@ def test_config_rejects_invalid(kwargs):
 def test_report_json_dict_is_stable_keyed():
     from dfsane.core import SolveReport
     rep = SolveReport(x=np.array([1.0]), res=np.array([0.0]), normF=0.0,
-                      iter=3, fcnt=7, istop=0, wall_seconds=0.01)
+                      iter=3, fcnt=7, istop=0, reason="converged",
+                      wall_seconds=0.01)
     d = rep.to_json_dict()
-    assert list(d) == ["x", "res", "normF", "iter", "fcnt", "istop", "wall_seconds"]
+    assert list(d) == ["x", "res", "normF", "iter", "fcnt", "istop", "reason",
+                       "wall_seconds"]
     assert d["iter"] == 3 and d["fcnt"] == 7 and d["istop"] == 0
+    assert d["reason"] == "converged"

@@ -146,6 +146,7 @@ def test_failing_evaluator_maps_to_breakdown():
     rep = solve(p, SolverConfig())
     assert rep.istop == 3
     np.testing.assert_array_equal(rep.x, [0.0, 0.0])
+    assert rep.reason == "residual failed: sensor died (ValueError)"
 
 
 @pytest.mark.parametrize("residual, cfg, istop, fcnt", [
@@ -228,3 +229,29 @@ def test_non_finite_start_is_breakdown_after_one_evaluation():
             rep = solve(p, SolverConfig(mode=mode))
             assert rep.istop == 3
             assert rep.fcnt == 1 and rep.iter == 0
+
+
+@pytest.mark.parametrize("residual, cfg, istop, reason", [
+    (lambda x: x - 1.0, SolverConfig(), 0, "converged"),
+    (lambda x: x + 1.0, SolverConfig(maxit=0), 1, "iteration cap reached"),
+    (lambda x: x * x + 1.0, SolverConfig(max_feval=20), 2, "evaluation cap reached"),
+    (lambda x: x * x + 1.0, SolverConfig(time_budget_seconds=1e-9), 2,
+     "time budget exhausted"),
+    (lambda x: np.full(2, math.nan), SolverConfig(), 3,
+     "merit value at the start point is not finite"),
+    (lambda x: np.ones(3), SolverConfig(), 3,
+     "residual failed: expected a vector of length 2, got 3 (ValueError)"),
+])
+def test_report_names_its_stop(residual, cfg, istop, reason):
+    rep = solve(Problem("stop", 2, residual, np.zeros(2)), cfg)
+    assert (rep.istop, rep.reason) == (istop, reason)
+
+
+def test_step_underflow_reason_has_no_cause():
+    def spiky(x):
+        return np.array([1.0]) if x[0] == 0.0 else np.array([math.inf])
+
+    rep = solve(Problem("spiky", 1, spiky, np.zeros(1)), SolverConfig())
+    assert rep.istop == 3
+    assert rep.reason.startswith("line search step underflow after ")
+    assert not rep.reason.endswith(")")
