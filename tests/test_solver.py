@@ -241,17 +241,9 @@ def test_non_finite_start_is_breakdown_after_one_evaluation():
      "merit value at the start point is not finite"),
     (lambda x: np.ones(3), SolverConfig(), 3,
      "residual failed: expected a vector of length 2, got 3 (ValueError)"),
+    (lambda x: np.ones(2) if not x.any() else np.full(2, math.inf), SolverConfig(),
+     3, "line search step underflow after 106 evaluations"),
 ])
 def test_report_names_its_stop(residual, cfg, istop, reason):
     rep = solve(Problem("stop", 2, residual, np.zeros(2)), cfg)
     assert (rep.istop, rep.reason) == (istop, reason)
-
-
-def test_step_underflow_reason_has_no_cause():
-    def spiky(x):
-        return np.array([1.0]) if x[0] == 0.0 else np.array([math.inf])
-
-    rep = solve(Problem("spiky", 1, spiky, np.zeros(1)), SolverConfig())
-    assert rep.istop == 3
-    assert rep.reason.startswith("line search step underflow after ")
-    assert not rep.reason.endswith(")")
