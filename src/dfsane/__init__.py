@@ -2,7 +2,7 @@
 F(x) = 0, with sequential-secant acceleration, a built-in problem suite,
 and a benchmark harness with performance profiles."""
 
-from .accel import SecantWindow, accel_point, min_norm_ls, orthogonalize_columns
+from .accel import SecantWindow, accel_point, min_norm_ls
 from .bench import (
     BenchRecord,
     ProfileCurve,
@@ -41,7 +41,6 @@ __all__ = [
     "available",
     "make",
     "min_norm_ls",
-    "orthogonalize_columns",
     "perf_profile",
     "read_records_csv",
     "records_to_matrix",

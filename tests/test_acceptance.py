@@ -63,7 +63,7 @@ def test_criterion_3_pseudoinverse_oracle():
         else:
             Y = rng.standard_normal((n, m))
         b = rng.standard_normal(n)
-        nu = min_norm_ls(Y, b)
+        nu, _ = min_norm_ls(Y, b)
         nu_star = np.linalg.pinv(Y) @ b       # independent SVD oracle
         worst_res = max(worst_res, abs(np.linalg.norm(Y @ nu - b)
                                        - np.linalg.norm(Y @ nu_star - b)))

@@ -9,7 +9,7 @@ import pytest
 import dfsane.solver as solver_mod
 from dfsane.core import Problem, SolverConfig
 from dfsane.linesearch import armijo_ok
-from dfsane.problems import booth, broyden_tridiagonal, expfun2
+from dfsane.problems import booth, broyden_tridiagonal, expfun2, rosenbrock_ext
 from dfsane.solver import solve
 
 
@@ -59,6 +59,21 @@ def test_plain_mode_solves_expfun2():
     assert rep.istop == 0
     # regression record: plain needed 29 iterations vs 5 accelerated when
     # this suite was frozen; only convergence itself is asserted.
+
+
+def test_accelerated_rosenbrock_solves_every_perturbed_start():
+    # Start s is x0 + 1e-13 * max(|x0|, 1) * u with u ~ U(-1, 1) drawn from
+    # default_rng(s): a start set on which the kernel's round-off, not the
+    # problem, decides whether a run converges.
+    p = rosenbrock_ext(10)
+    cfg = SolverConfig(max_feval=100_000, epsf=1e-6 * math.sqrt(p.n))
+    unsolved = []
+    for s in range(1, 17):
+        u = np.random.default_rng(s).uniform(-1.0, 1.0, p.n)
+        rep = solve(p, cfg, x_start=p.x0 + 1e-13 * np.maximum(np.abs(p.x0), 1.0) * u)
+        if rep.istop != 0:
+            unsolved.append((s, rep.istop, rep.fcnt))
+    assert unsolved == []
 
 
 def test_accepted_point_never_worse_than_trial():
