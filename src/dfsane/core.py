@@ -70,7 +70,8 @@ class SolverConfig:
     solver uses 1e-6 * sqrt(n).  ``maxit`` / ``max_feval`` /
     ``time_budget_seconds`` are optional caps (absent means unbounded).
     The last two are hard caps, checked before every residual evaluation
-    (line-search probes included); istop 2 reports the last completed iterate.
+    (line-search probes included).  Every stop, caps included, reports the
+    best iterate seen.
     ``iprint`` controls console output, printed by ``solve`` from the
     per-iteration ``IterationRecord``: -1 silent, 0 one ``Iter:`` line per
     iterate, 1 adds one ``ls:`` line per iteration (accepted direction,

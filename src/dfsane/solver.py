@@ -41,8 +41,9 @@ class IterationRecord:
 
     ``direction`` is the accepted line-search direction (``"-"`` for
     -sigma F, ``"+"`` for +sigma F).  ``rank`` and ``nu_norm`` are the
-    numerical rank of the secant difference matrix and ||nu||_2 of the
-    acceleration step; both are None in plain mode.
+    numerical rank of the secant difference matrix, as ``np.linalg.lstsq``
+    counts it (singular values above eps * max(n, m) * sigma_max), and
+    ||nu||_2 of the acceleration step; both are None in plain mode.
     """
 
     k: int
@@ -80,10 +81,11 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
 
     Stops when ||F||_2 <= epsf (istop 0), at the iteration cap (istop 1),
     when the evaluation cap or time budget runs out (istop 2, hard caps
-    checked before every evaluation, reporting the last completed iterate),
-    or on breakdown (istop 3, reporting the best iterate seen): a step
+    checked before every evaluation), or on breakdown (istop 3): a step
     underflow, a non-finite residual at the start point, or a residual that
-    raises or returns a wrong shape.  ``SolveReport.reason`` names the stop
+    raises or returns a wrong shape.  Every stop reports the best iterate
+    seen: the start point or a completed iterate with the smallest merit
+    value, which on convergence is the current one.  ``SolveReport.reason`` names the stop
     in words; on breakdown it carries the error's message and the type of
     the residual's exception, if one caused it.  When ``trace`` is a list,
     it gets one IterationRecord per completed iteration, ``iter`` in all;
@@ -98,12 +100,12 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
     deadline = None if cfg.time_budget_seconds is None else start + cfg.time_budget_seconds
     ev = CountedEvaluator(problem, cfg.max_feval, deadline)
 
-    def report(xv: Array, Fv: Array | None, fv: float, k: int, istop: int,
-               reason: str) -> SolveReport:
-        # Fv is None when the first evaluation did not complete; building the
-        # NaN vector only then keeps it off the peak memory of large solves.
-        res = np.full(problem.n, math.nan) if Fv is None else Fv
-        return SolveReport(x=xv, res=res, normF=fv, iter=k, fcnt=ev.fcnt,
+    def report(k: int, istop: int, reason: str) -> SolveReport:
+        # Every exit reports the best iterate seen.  best_F is None when the
+        # first evaluation did not complete; building the NaN vector only
+        # then keeps it off the peak memory of large solves.
+        res = np.full(problem.n, math.nan) if best_F is None else best_F
+        return SolveReport(x=best_x, res=res, normF=best_f, iter=k, fcnt=ev.fcnt,
                            istop=istop, reason=reason,
                            wall_seconds=time.perf_counter() - start)
 
@@ -136,9 +138,9 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
             if math.sqrt(f) <= epsf:
                 if cfg.iprint >= 0:
                     print("success!")
-                return report(x, F, f, k, ISTOP_CONVERGED, "converged")
+                return report(k, ISTOP_CONVERGED, "converged")
             if cfg.maxit is not None and k >= cfg.maxit:
-                return report(x, F, f, k, ISTOP_MAXIT, "iteration cap reached")
+                return report(k, ISTOP_MAXIT, "iteration cap reached")
 
             sigma = sigma_k(prev_x, prev_F, x, F)
             fbar = fwindow.barfk()
@@ -177,8 +179,8 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
             fwindow.push(f)
             k += 1
     except BudgetExhausted as exc:
-        return report(x, F, f, k, ISTOP_BUDGET, str(exc))
+        return report(k, ISTOP_BUDGET, str(exc))
     except BreakdownError as exc:
         cause = exc.__cause__
         reason = str(exc) if cause is None else f"{exc} ({type(cause).__name__})"
-        return report(best_x, best_F, best_f, k, ISTOP_BREAKDOWN, reason)
+        return report(k, ISTOP_BREAKDOWN, reason)

@@ -5,7 +5,9 @@ modes: the cap is never exceeded and a budget stop uses it up exactly, the
 trace holds one record per completed iteration, every accepted line-search
 step passes the nonmonotone test, the report's residual is F at the
 reported point bit for bit with normF its squared norm, and a rerun
-repeats the trace exactly.
+repeats the trace exactly.  Under an iteration or an evaluation cap, every
+stop reports the best iterate: normF is the smallest merit value of the
+start point and the completed iterates.
 """
 
 import numpy as np
@@ -53,3 +55,16 @@ def test_solve_contract_under_evaluation_cap(name, mode, max_feval):
     assert (again.iter, again.fcnt, again.istop, again.normF) == \
         (rep.iter, rep.fcnt, rep.istop, rep.normF)
     assert np.array_equal(again.x, rep.x)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(PROBLEMS)),
+       mode=st.sampled_from(["accelerated", "plain"]),
+       cap=st.sampled_from(["maxit", "max_feval"]),
+       limit=st.integers(min_value=1, max_value=3000))
+def test_every_stop_reports_the_best_iterate(name, mode, cap, limit):
+    problem = PROBLEMS[name]
+    rep, trace = traced_solve(problem, SolverConfig(mode=mode, **{cap: limit}))
+
+    F0 = problem.residual(problem.x0)
+    assert rep.normF == min([float(F0 @ F0)] + [rec.f_next for rec in trace])
