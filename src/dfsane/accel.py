@@ -11,9 +11,9 @@ whose numerical rank counts the singular values above
 Layout.  The window keeps S and Y as preallocated row-major (p + 1) x n
 arrays, one row per pair, so nothing is restacked per call: pairs fill a
 ring of p rows and the trial pair goes into the row after them.  The n x m
-matrices are transposed views of the first m rows, Fortran-ordered, which
-LAPACK takes as they are.  Rows are in ring order, not in age order; the
-solution is invariant under a common column permutation of S and Y.
+matrices are transposed (Fortran-ordered) views of the first m rows.  Rows
+are in ring order, not in age order; the solution is invariant (in exact
+arithmetic) under a common column permutation of S and Y.
 """
 
 from __future__ import annotations
