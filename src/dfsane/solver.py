@@ -85,9 +85,9 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
     underflow, a non-finite residual at the start point, or a residual that
     raises or returns a wrong shape.  Every stop reports the best iterate
     seen: the start point or a completed iterate with the smallest merit
-    value, which on convergence is the current one.  ``SolveReport.reason`` names the stop
-    in words; on breakdown it carries the error's message and the type of
-    the residual's exception, if one caused it.  When ``trace`` is a list,
+    value, which on convergence is the current one.  ``SolveReport.reason``
+    names the stop in words; on breakdown it carries the error's message and
+    the type of the residual's exception, if one caused it.  When ``trace`` is a list,
     it gets one IterationRecord per completed iteration, ``iter`` in all;
     ``cfg.iprint`` prints from the same records.
     """
