@@ -112,12 +112,16 @@ class SolverConfig:
 class CountedEvaluator:
     """Wraps a problem's residual, counts every evaluation and enforces the caps.
 
-    ``evaluate`` returns both F(x) and the merit value f = ||F(x)||_2^2; any
-    non-finite residual component maps f to +inf so that downstream
-    comparisons reject the point without special cases.  It raises
-    BudgetExhausted, without evaluating, once ``max_feval`` evaluations are
-    made or ``perf_counter()`` is past ``deadline``.  A residual that raises
-    or returns a wrong shape raises BreakdownError chained to its error.
+    ``evaluate`` returns both F(x) and the merit value f = ||F(x)||_2^2.  A
+    residual that returns a float64 ndarray of shape (n,) is used as it is;
+    anything else goes through ``as_vector``.  Finiteness is tested on the
+    scalar f = F @ F alone: a non-finite component makes it inf or NaN, and
+    any non-finite f maps to +inf so that downstream comparisons reject the
+    point without special cases.  It raises BudgetExhausted, without
+    evaluating, once ``max_feval`` evaluations are made or ``perf_counter()``
+    is past ``deadline``.  A residual that raises or returns a wrong shape
+    raises BreakdownError chained to its error.  Floating-point warnings are
+    the caller's to silence (``solve`` runs under ``np.errstate``).
     """
 
     def __init__(self, problem: Problem, max_feval: int | None = None,
@@ -133,14 +137,15 @@ class CountedEvaluator:
         if self.deadline is not None and perf_counter() > self.deadline:
             raise BudgetExhausted("time budget exhausted")
         self.fcnt += 1
+        problem = self.problem
         try:
-            with np.errstate(all="ignore"):
-                F = as_vector(self.problem.residual(x), self.problem.n)
+            F = problem.residual(x)
+            if type(F) is not np.ndarray or F.dtype != np.float64 or F.shape != (problem.n,):
+                F = as_vector(F, problem.n)
         except Exception as exc:
             raise BreakdownError(f"residual failed: {exc}") from exc
-        if np.isfinite(F).all():
-            f = float(F @ F)
-        else:
+        f = float(F @ F)
+        if not math.isfinite(f):
             f = math.inf
         return F, f
 

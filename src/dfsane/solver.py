@@ -89,7 +89,11 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
     names the stop in words; on breakdown it carries the error's message and
     the type of the residual's exception, if one caused it.  When ``trace`` is a list,
     it gets one IterationRecord per completed iteration, ``iter`` in all;
-    ``cfg.iprint`` prints from the same records.
+    ``cfg.iprint`` prints from the same records.  The iteration, residual
+    calls included, runs under one ``np.errstate(all="ignore")``, so
+    overflow, invalid operations and division by zero raise no warning (a
+    non-finite merit value is +inf and fails the line search's test), and
+    the caller's error state is restored on return.
     """
     cfg = SolverConfig() if cfg is None else cfg
     accelerated = cfg.mode == "accelerated"
@@ -123,64 +127,65 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
     prev_F: Array | None = None
     window = SecantWindow(cfg.p) if accelerated else None
     k = 0
-    try:
-        F, f = ev.evaluate(x)
-        best_F, best_f = F, f
-        if not math.isfinite(f):
-            # No trial point can pass the nonmonotone test against fbar = inf.
-            raise BreakdownError("merit value at the start point is not finite")
-        schedule = EtaSchedule.from_initial_residual(math.sqrt(f))
-        fwindow.push(f)
+    with np.errstate(all="ignore"):
+        try:
+            F, f = ev.evaluate(x)
+            best_F, best_f = F, f
+            if not math.isfinite(f):
+                # No trial point can pass the nonmonotone test against fbar = inf.
+                raise BreakdownError("merit value at the start point is not finite")
+            schedule = EtaSchedule.from_initial_residual(math.sqrt(f))
+            fwindow.push(f)
 
-        while True:
-            if cfg.iprint >= 0:
-                print(f"Iter:  {k}  f =  {f!r}")
-            if math.sqrt(f) <= epsf:
+            while True:
                 if cfg.iprint >= 0:
-                    print("success!")
-                return report(k, ISTOP_CONVERGED, "converged")
-            if cfg.maxit is not None and k >= cfg.maxit:
-                return report(k, ISTOP_MAXIT, "iteration cap reached")
+                    print(f"Iter:  {k}  f =  {f!r}")
+                if math.sqrt(f) <= epsf:
+                    if cfg.iprint >= 0:
+                        print("success!")
+                    return report(k, ISTOP_CONVERGED, "converged")
+                if cfg.maxit is not None and k >= cfg.maxit:
+                    return report(k, ISTOP_MAXIT, "iteration cap reached")
 
-            sigma = sigma_k(prev_x, prev_F, x, F)
-            fbar = fwindow.barfk()
-            eta = schedule.eta(k)
-            ls = double_backtracking(ev, x, F, f, sigma, fbar, eta)
+                sigma = sigma_k(prev_x, prev_F, x, F)
+                fbar = fwindow.barfk()
+                eta = schedule.eta(k)
+                ls = double_backtracking(ev, x, F, f, sigma, fbar, eta)
 
-            f_accel: float | None = None
-            if accelerated:
-                x_accel = accel_point(window, ls.x_trial - x, ls.F_trial - F,
-                                      ls.x_trial, ls.F_trial,
-                                      on_info=on_info if recording else None)
-                F_accel, f_accel = ev.evaluate(x_accel)
-                if f_accel < ls.f_trial:
-                    x_new, F_new, f_new, accepted = x_accel, F_accel, f_accel, "accel"
+                f_accel: float | None = None
+                if accelerated:
+                    x_accel = accel_point(window, ls.x_trial - x, ls.F_trial - F,
+                                          ls.x_trial, ls.F_trial,
+                                          on_info=on_info if recording else None)
+                    F_accel, f_accel = ev.evaluate(x_accel)
+                    if f_accel < ls.f_trial:
+                        x_new, F_new, f_new, accepted = x_accel, F_accel, f_accel, "accel"
+                    else:
+                        x_new, F_new, f_new, accepted = ls.x_trial, ls.F_trial, ls.f_trial, "trial"
+                    window.push_pair(x_new - x, F_new - F)
                 else:
                     x_new, F_new, f_new, accepted = ls.x_trial, ls.F_trial, ls.f_trial, "trial"
-                window.push_pair(x_new - x, F_new - F)
-            else:
-                x_new, F_new, f_new, accepted = ls.x_trial, ls.F_trial, ls.f_trial, "trial"
 
-            if recording:
-                rec = IterationRecord(
-                    k=k, sigma=sigma, fbar=fbar, eta=eta, alpha=ls.alpha,
-                    ls_evals=ls.evals, f_current=f, f_trial=ls.f_trial,
-                    f_accel=f_accel, accepted=accepted, f_next=f_new,
-                    direction=ls.direction, rank=rank, nu_norm=nu_norm)
-                if trace is not None:
-                    trace.append(rec)
-                if cfg.iprint >= 1:
-                    _print_record(rec, cfg)
+                if recording:
+                    rec = IterationRecord(
+                        k=k, sigma=sigma, fbar=fbar, eta=eta, alpha=ls.alpha,
+                        ls_evals=ls.evals, f_current=f, f_trial=ls.f_trial,
+                        f_accel=f_accel, accepted=accepted, f_next=f_new,
+                        direction=ls.direction, rank=rank, nu_norm=nu_norm)
+                    if trace is not None:
+                        trace.append(rec)
+                    if cfg.iprint >= 1:
+                        _print_record(rec, cfg)
 
-            prev_x, prev_F = x, F
-            x, F, f = x_new, F_new, f_new
-            if f < best_f:
-                best_x, best_F, best_f = x, F, f
-            fwindow.push(f)
-            k += 1
-    except BudgetExhausted as exc:
-        return report(k, ISTOP_BUDGET, str(exc))
-    except BreakdownError as exc:
-        cause = exc.__cause__
-        reason = str(exc) if cause is None else f"{exc} ({type(cause).__name__})"
-        return report(k, ISTOP_BREAKDOWN, reason)
+                prev_x, prev_F = x, F
+                x, F, f = x_new, F_new, f_new
+                if f < best_f:
+                    best_x, best_F, best_f = x, F, f
+                fwindow.push(f)
+                k += 1
+        except BudgetExhausted as exc:
+            return report(k, ISTOP_BUDGET, str(exc))
+        except BreakdownError as exc:
+            cause = exc.__cause__
+            reason = str(exc) if cause is None else f"{exc} ({type(cause).__name__})"
+            return report(k, ISTOP_BREAKDOWN, reason)

@@ -110,12 +110,42 @@ def test_raising_residual_becomes_breakdown_with_cause():
     assert ev.fcnt == 1
 
 
-@pytest.mark.parametrize("shape", [(3,), (2, 2), (1,)])
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (1,), (2, 1)])
 def test_wrong_shape_residual_becomes_breakdown(shape):
     ev = CountedEvaluator(Problem("shape", 2, lambda x: np.ones(shape), np.zeros(2)))
     with pytest.raises(BreakdownError) as info:
         ev.evaluate(np.zeros(2))
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def reference_evaluate(raw, n):
+    """F and f as the evaluator computed them before its fast path: every
+    result through as_vector, then a finiteness test per component."""
+    F = as_vector(raw, n)
+    return F, float(F @ F) if np.isfinite(F).all() else math.inf
+
+
+@pytest.mark.parametrize("n, make", [
+    (3, lambda: np.array([1.0, -2.0, 3.0])),                     # the fast path
+    (3, lambda: [1.0, -2.0, 3.0]),                               # list
+    (3, lambda: np.array([1.5, -2.25, 3.0], dtype=np.float32)),  # float32
+    (3, lambda: np.array([1, -2, 3])),                           # int
+    (3, lambda: np.arange(6.0)[::2]),                            # strided float64 view
+    (3, lambda: np.arange(6.0)[::-2]),                           # reversed float64 view
+    (1, lambda: np.array(2.5)),                                  # 0-d array
+    (1, lambda: np.float64(-2.5)),                               # numpy scalar
+    (2, lambda: np.array([1.0, math.inf])),
+    (2, lambda: np.array([math.nan, 1.0])),
+    (2, lambda: np.array([1e200, 1e200])),                       # F @ F overflows
+])
+def test_evaluate_agrees_with_the_as_vector_reference(n, make):
+    ev = CountedEvaluator(Problem("r", n, lambda x: make(), np.zeros(n)))
+    with np.errstate(over="ignore"):
+        F, f = ev.evaluate(np.zeros(n))
+        F_ref, f_ref = reference_evaluate(make(), n)
+    assert type(F) is np.ndarray and F.dtype == np.float64 and F.shape == (n,)
+    assert F.tobytes() == F_ref.tobytes()
+    assert repr(f) == repr(f_ref)
 
 
 def test_f_agrees_with_norm_squared():

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -262,3 +263,31 @@ def test_non_finite_start_is_breakdown_after_one_evaluation():
 def test_report_names_its_stop(residual, cfg, istop, reason):
     rep = solve(Problem("stop", 2, residual, np.zeros(2)), cfg)
     assert (rep.istop, rep.reason) == (istop, reason)
+
+
+def noisy_shift(x):
+    """F(x) = x - 1, computed through an overflow and a division by zero."""
+    overflowed = x * 1e308 * 10.0          # +-inf wherever |x| > 0.18
+    divided = 1.0 / (x - x)                # inf everywhere
+    return x - 1.0 + 0.0 * np.tanh(overflowed) + np.minimum(divided, 0.0)
+
+
+@pytest.mark.parametrize("residual, cfg, istop", [
+    (noisy_shift, SolverConfig(), 0),
+    (noisy_shift, SolverConfig(max_feval=2), 2),
+    (lambda x: 1.0 / (x - x), SolverConfig(), 3),   # non-finite start
+    (lambda x: x * 1e200, SolverConfig(), 3),        # finite F, F @ F overflows
+])
+def test_solve_raises_no_floating_point_warning(residual, cfg, istop):
+    p = Problem("noisy", 2, residual, np.array([2.0, 3.0]))
+    with pytest.warns(RuntimeWarning):
+        F = residual(p.x0)
+        F @ F  # the last case warns here, not in the residual
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        before = np.geterr()
+        rep = solve(p, cfg)
+        assert np.geterr() == before
+    assert rep.istop == istop
+    if istop == 0:
+        np.testing.assert_allclose(rep.x, [1.0, 1.0])
