@@ -43,13 +43,12 @@ class FWindow:
 
 @dataclass(frozen=True, eq=False)
 class LineSearchOutcome:
-    """An accepted step: direction, step size, trial point and its residual.
+    """An accepted step: step size, trial point, its residual and direction.
 
     ``direction`` names the accepted direction, ``"-"`` for -sigma F and
     ``"+"`` for +sigma F.
     """
 
-    d: Array
     alpha: float
     x_trial: Array
     F_trial: Array
@@ -73,16 +72,20 @@ def quad_new_alpha(alpha: float, f_k: float, f_probe: float) -> float:
     Minimizes the quadratic through f(0) = f_k, f(alpha) = f_probe with slope
     -f_k at zero (unit-Jacobian model), clipped to
     [TAU_MIN * alpha, TAU_MAX * alpha].  Non-finite or non-positive
-    denominators take the mildest cut TAU_MAX * alpha.
+    denominators take the mildest cut TAU_MAX * alpha.  The clip is written
+    out as comparisons, the same as max(lo, min(raw, hi)) for every input
+    but without two builtin calls per probe.
     """
     hi = TAU_MAX * alpha
     denom = f_probe + (2.0 * alpha - 1.0) * f_k
-    if not math.isfinite(denom) or denom <= 0.0:
+    if not 0.0 < denom < math.inf:
         return hi
     raw = alpha * alpha * f_k / denom
     if not math.isfinite(raw):
         return hi
-    return max(TAU_MIN * alpha, min(raw, hi))
+    lo = TAU_MIN * alpha
+    capped = hi if hi < raw else raw
+    return capped if capped > lo else lo
 
 
 def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
@@ -97,7 +100,7 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
     below machine epsilon without acceptance.
     """
     d_minus = -sigma * F
-    d_plus = sigma * F
+    d_plus = -d_minus  # bitwise sigma * F: negation is exact
     alpha_plus = 1.0
     alpha_minus = 1.0
     evals = 0
@@ -106,7 +109,7 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_plus, f_k):
-            return LineSearchOutcome(d_minus, alpha_plus, x_probe, F_probe, f_probe,
+            return LineSearchOutcome(alpha_plus, x_probe, F_probe, f_probe,
                                      evals, "-")
         f_minus_dir = f_probe
 
@@ -114,7 +117,7 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_minus, f_k):
-            return LineSearchOutcome(d_plus, alpha_minus, x_probe, F_probe, f_probe,
+            return LineSearchOutcome(alpha_minus, x_probe, F_probe, f_probe,
                                      evals, "+")
 
         alpha_plus = quad_new_alpha(alpha_plus, f_k, f_minus_dir)

@@ -114,6 +114,32 @@ def test_quad_cut_stays_in_safeguard_interval():
         assert out < alpha  # strictly shrinking
 
 
+def min_max_quad_new_alpha(alpha, f_k, f_probe):
+    """The cut with its clip as max(lo, min(raw, hi))."""
+    hi = TAU_MAX * alpha
+    denom = f_probe + (2.0 * alpha - 1.0) * f_k
+    if not math.isfinite(denom) or denom <= 0.0:
+        return hi
+    raw = alpha * alpha * f_k / denom
+    if not math.isfinite(raw):
+        return hi
+    return max(TAU_MIN * alpha, min(raw, hi))
+
+
+def test_quad_cut_is_bitwise_the_min_max_form():
+    # Special values (signed zeros, infinities, NaN, subnormal and huge
+    # magnitudes) mixed with ordinary ones, in every argument.
+    rng = np.random.default_rng(11)
+    specials = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.inf, -math.inf, math.nan,
+                5e-324, 1e-300, 1e300, -1e300]
+    for _ in range(20_000):
+        args = [specials[rng.integers(len(specials))] if rng.random() < 0.3
+                else float(rng.uniform(-2.0, 5.0) * 10.0 ** rng.integers(-20, 20))
+                for _ in range(3)]
+        got, want = quad_new_alpha(*args), min_max_quad_new_alpha(*args)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), args
+
+
 # ---------------------------------------------------------------------------
 # double backtracking
 # ---------------------------------------------------------------------------
@@ -127,11 +153,12 @@ def test_first_probe_hits_root():
     ev = CountedEvaluator(p)
     x = np.array([1.0])
     F, f = ev.evaluate(x)
-    out = double_backtracking(ev, x, F, f, 1.0, 1.0, 0.5)
+    sigma = 1.0
+    out = double_backtracking(ev, x, F, f, sigma, 1.0, 0.5)
     assert out.alpha == 1.0
     assert out.evals == 1
-    np.testing.assert_array_equal(out.d, [-1.0])     # d = -sigma F
     assert out.direction == "-"
+    assert np.array_equal(out.x_trial, x + out.alpha * (-sigma * F))
     np.testing.assert_array_equal(out.x_trial, [0.0])
     assert out.f_trial == 0.0
 
@@ -142,12 +169,13 @@ def test_second_probe_accepts_reverse_direction():
     x = np.array([1.0])
     F, f = ev.evaluate(x)
     assert f == 1.0
-    out = double_backtracking(ev, x, F, f, 1.0, 1.0, 0.5)
+    sigma = 1.0
+    out = double_backtracking(ev, x, F, f, sigma, 1.0, 0.5)
     # forward probe x = 2 has f = 4 > 1.4999; reverse probe x = 0 is a root.
     assert out.alpha == 1.0
     assert out.evals == 2
-    np.testing.assert_array_equal(out.d, [-1.0])     # d = +sigma F = -1
     assert out.direction == "+"
+    assert np.array_equal(out.x_trial, x + out.alpha * (sigma * F))  # d = +sigma F = -1
     np.testing.assert_array_equal(out.x_trial, [0.0])
 
 
@@ -166,7 +194,8 @@ def test_first_accept_shape():
         out = double_backtracking(ev, x, F, f, sigma, f, 10.0 * f + 1.0)
         if out.evals == 1:
             np.testing.assert_allclose(out.x_trial, x - sigma * out.alpha * F)
-        np.testing.assert_allclose(out.x_trial, x + out.alpha * out.d)
+        d = {"-": -sigma * F, "+": sigma * F}[out.direction]
+        assert np.array_equal(out.x_trial, x + out.alpha * d)
 
 
 def test_outcome_always_satisfies_acceptance():
