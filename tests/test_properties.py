@@ -3,14 +3,15 @@
 For any cap, on problems that converge, stall or have no root, in both
 modes: the cap is never exceeded and a budget stop uses it up exactly, the
 trace holds one record per completed iteration, every accepted line-search
-step passes the nonmonotone test, the report's residual is F at the
-reported point bit for bit with normF its squared norm, and a rerun
-repeats the trace exactly.  Under an iteration or an evaluation cap, every
-stop reports the best iterate: normF is the smallest merit value of the
-start point and the completed iterates.  So does a breakdown on a
-residual that raises at its K-th call and a time-budget stop after K
-evaluations, each after exactly K evaluations and with the trace of the
-uninterrupted run up to that point.
+step passes the nonmonotone test against fbar, the largest of the last M
+merit values, and the forcing term eta_k = 2^-k min(r0/2, sqrt(r0)) with
+r0 = ||F(x0)||, the report's residual is F at the reported point bit for
+bit with normF its squared norm, and a rerun repeats the trace exactly.
+Under an iteration or an evaluation cap, every stop reports the best
+iterate: normF is the smallest merit value of the start point and the
+completed iterates.  So does a breakdown on a residual that raises at its
+K-th call and a time-budget stop after K evaluations, each after exactly K
+evaluations and with the trace of the uninterrupted run up to that point.
 """
 
 import math
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 import dfsane.core
 from dfsane.core import Problem, SolverConfig
-from dfsane.linesearch import armijo_ok
+from dfsane.linesearch import M, armijo_ok
 from dfsane.problems import discrete_bvp, powell_singular, rosenbrock_ext
 from dfsane.solver import solve
 
@@ -53,8 +54,15 @@ def test_solve_contract_under_evaluation_cap(name, mode, max_feval):
     if rep.istop == 2:
         assert rep.fcnt == max_feval
     assert len(trace) == rep.iter
+    F0 = problem.residual(problem.x0)
+    merits = [float(F0 @ F0)]
+    r0 = math.sqrt(merits[0])
     for rec in trace:
         assert armijo_ok(rec.f_trial, rec.fbar, rec.eta, rec.alpha, rec.f_current)
+        assert rec.f_current == merits[-1]
+        assert rec.fbar == max(merits[-M:])
+        assert rec.eta == math.ldexp(min(0.5 * r0, math.sqrt(r0)), -rec.k)
+        merits.append(rec.f_next)
     assert np.array_equal(problem.residual(rep.x), rep.res)
     assert rep.normF == float(rep.res @ rep.res)
 
