@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .core import EPS_MACH, Array, BreakdownError, CountedEvaluator
@@ -14,31 +13,6 @@ GAMMA = 1e-4
 TAU_MIN = 0.1
 TAU_MAX = 0.5
 M = 10
-
-
-class FWindow:
-    """Ring buffer of the last M merit values f(x^k).
-
-    The acceptance threshold of the nonmonotone test uses the maximum of the
-    stored values.
-    """
-
-    def __init__(self, m: int):
-        if m < 1:
-            raise ValueError("window length must be positive")
-        self._buf: deque[float] = deque(maxlen=m)
-
-    def push(self, f: float) -> None:
-        self._buf.append(f)
-
-    def barfk(self) -> float:
-        """Maximum of the stored merit values."""
-        if not self._buf:
-            raise ValueError("barfk of an empty window")
-        return max(self._buf)
-
-    def __len__(self) -> int:
-        return len(self._buf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +71,11 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
     start at step 1; each rejected round shrinks its own step via
     quad_new_alpha (the forward step from the forward probe, the reverse
     step from the reverse probe).  Raises BreakdownError once both steps fall
-    below machine epsilon without acceptance.
+    below machine epsilon without acceptance.  The +sigma F probe is
+    x - alpha d with d = -sigma F, bitwise x + alpha (sigma F) because IEEE
+    negation is exact, so one direction vector serves both.
     """
     d_minus = -sigma * F
-    d_plus = -d_minus  # bitwise sigma * F: negation is exact
     alpha_plus = 1.0
     alpha_minus = 1.0
     evals = 0
@@ -113,7 +88,7 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
                                      evals, "-")
         f_minus_dir = f_probe
 
-        x_probe = x + alpha_minus * d_plus
+        x_probe = x - alpha_minus * d_minus
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_minus, f_k):

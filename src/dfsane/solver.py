@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ from .core import (
     SolverConfig,
     as_vector,
 )
-from .linesearch import M, FWindow, double_backtracking
-from .steps import EtaSchedule, sigma_k
+from .linesearch import M, double_backtracking
+from .steps import sigma_k
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
 
     F, f = None, math.inf
     best_x, best_F, best_f = x, F, f
-    fwindow = FWindow(M)
+    fvals: deque[float] = deque(maxlen=M)
     prev_x: Array | None = None
     prev_F: Array | None = None
     window = SecantWindow(cfg.p) if accelerated else None
@@ -134,8 +135,9 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
             if not math.isfinite(f):
                 # No trial point can pass the nonmonotone test against fbar = inf.
                 raise BreakdownError("merit value at the start point is not finite")
-            schedule = EtaSchedule.from_initial_residual(math.sqrt(f))
-            fwindow.push(f)
+            r0 = math.sqrt(f)
+            eta0 = min(0.5 * r0, math.sqrt(r0))  # eta_k = 2^-k eta0
+            fvals.append(f)
 
             while True:
                 if cfg.iprint >= 0:
@@ -148,23 +150,19 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                     return report(k, ISTOP_MAXIT, "iteration cap reached")
 
                 sigma = sigma_k(prev_x, prev_F, x, F)
-                fbar = fwindow.barfk()
-                eta = schedule.eta(k)
+                fbar = max(fvals)
+                eta = math.ldexp(eta0, -k)
                 ls = double_backtracking(ev, x, F, f, sigma, fbar, eta)
+                x_new, F_new, f_new, accepted = ls.x_trial, ls.F_trial, ls.f_trial, "trial"
 
                 f_accel: float | None = None
                 if accelerated:
-                    x_accel = accel_point(window, ls.x_trial - x, ls.F_trial - F,
-                                          ls.x_trial, ls.F_trial,
+                    x_accel = accel_point(window, x_new - x, F_new - F, x_new, F_new,
                                           on_info=on_info if recording else None)
                     F_accel, f_accel = ev.evaluate(x_accel)
-                    if f_accel < ls.f_trial:
+                    if f_accel < f_new:
                         x_new, F_new, f_new, accepted = x_accel, F_accel, f_accel, "accel"
-                    else:
-                        x_new, F_new, f_new, accepted = ls.x_trial, ls.F_trial, ls.f_trial, "trial"
                     window.push_pair(x_new - x, F_new - F)
-                else:
-                    x_new, F_new, f_new, accepted = ls.x_trial, ls.F_trial, ls.f_trial, "trial"
 
                 if recording:
                     rec = IterationRecord(
@@ -177,11 +175,12 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                     if cfg.iprint >= 1:
                         _print_record(rec, cfg)
 
+                ls = x_accel = F_accel = None  # release the losing candidate
                 prev_x, prev_F = x, F
                 x, F, f = x_new, F_new, f_new
                 if f < best_f:
                     best_x, best_F, best_f = x, F, f
-                fwindow.push(f)
+                fvals.append(f)
                 k += 1
         except BudgetExhausted as exc:
             return report(k, ISTOP_BUDGET, str(exc))

@@ -1,9 +1,8 @@
-"""Per-iteration scalar schedules: the spectral coefficient and the forcing term."""
+"""The safeguarded spectral step coefficient."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,21 +11,6 @@ from .core import EPS_MACH, Array
 # Safeguards of the spectral coefficient (La Cruz, Martinez & Raydan, 2006).
 SIGMA_MIN = math.sqrt(EPS_MACH)
 SIGMA_MAX = 1.0 / math.sqrt(EPS_MACH)
-
-
-@dataclass(frozen=True)
-class EtaSchedule:
-    """Summable forcing sequence eta_k = 2^-k * eta0 with
-    eta0 = min(||F(x0)||/2, sqrt(||F(x0)||))."""
-
-    eta0: float
-
-    @classmethod
-    def from_initial_residual(cls, norm_f0: float) -> "EtaSchedule":
-        return cls(min(0.5 * norm_f0, math.sqrt(norm_f0)))
-
-    def eta(self, k: int) -> float:
-        return math.ldexp(self.eta0, -k)
 
 
 def sigma_k(prev_x: Array | None, prev_F: Array | None, x: Array,

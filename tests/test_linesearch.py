@@ -10,50 +10,10 @@ from dfsane.linesearch import (
     GAMMA,
     TAU_MAX,
     TAU_MIN,
-    FWindow,
     armijo_ok,
     double_backtracking,
     quad_new_alpha,
 )
-
-
-# ---------------------------------------------------------------------------
-# merit window
-# ---------------------------------------------------------------------------
-
-def test_barfk_is_max():
-    w = FWindow(10)
-    for v in (1.0, 5.0, 3.0):
-        w.push(v)
-    assert w.barfk() == 5.0
-
-
-def test_barfk_singleton():
-    w = FWindow(10)
-    w.push(7.0)
-    assert w.barfk() == 7.0
-
-
-def test_window_evicts_oldest():
-    w = FWindow(10)
-    for v in range(1, 13):
-        w.push(float(v))
-    assert len(w) == 10
-    assert w.barfk() == 12.0
-    # Refilled in descending order, the window drops its largest (oldest)
-    # value with each further push, so barfk walks down the stored values.
-    for v in range(12, 0, -1):
-        w.push(float(v))
-    maxima = []
-    for _ in range(10):
-        w.push(-1.0)
-        maxima.append(w.barfk())
-    assert maxima == [float(v) for v in range(9, 0, -1)] + [-1.0]
-
-
-def test_barfk_empty_rejected():
-    with pytest.raises(ValueError):
-        FWindow(3).barfk()
 
 
 # ---------------------------------------------------------------------------

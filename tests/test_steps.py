@@ -1,28 +1,8 @@
-"""Tests for the spectral coefficient and the forcing sequence."""
+"""Tests for the spectral coefficient."""
 
 import numpy as np
 
-from dfsane.steps import SIGMA_MAX, SIGMA_MIN, EtaSchedule, sigma_k
-
-
-def test_eta_from_norm_four():
-    sched = EtaSchedule.from_initial_residual(4.0)
-    assert sched.eta0 == 2.0  # min(2, 2)
-    assert sched.eta(0) == 2.0
-    assert sched.eta(3) == 0.25
-
-
-def test_eta_small_initial_residual():
-    sched = EtaSchedule.from_initial_residual(0.01)
-    assert sched.eta0 == 0.005  # min(0.005, 0.1)
-
-
-def test_eta_halves_exactly():
-    sched = EtaSchedule.from_initial_residual(3.7)
-    for k in range(60):
-        assert sched.eta(k) > 0.0
-        assert sched.eta(k) / sched.eta(k + 1) == 2.0
-        assert sched.eta(k + 1) < sched.eta(k)
+from dfsane.steps import SIGMA_MAX, SIGMA_MIN, sigma_k
 
 
 def test_sigma_spectral_value_passes_through():
