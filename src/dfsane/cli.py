@@ -106,7 +106,11 @@ def _cmd_solve(args) -> int:
         return 2
     x_start = None
     if args.x0_file is not None:
-        x_start = np.loadtxt(args.x0_file, dtype=np.float64).ravel()
+        try:
+            x_start = np.loadtxt(args.x0_file, dtype=np.float64).ravel()
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if x_start.size != problem.n:
             print(f"error: start point has {x_start.size} entries, "
                   f"need {problem.n}", file=sys.stderr)

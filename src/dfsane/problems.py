@@ -232,5 +232,14 @@ def load_linear_fixture(path) -> Problem:
 
 
 def fixtures_from_dir(path) -> list[Problem]:
-    """Load every ``*.txt`` linear fixture in a directory, sorted by name."""
-    return [load_linear_fixture(p) for p in sorted(Path(path).glob("*.txt"))]
+    """Load every ``*.txt`` linear fixture in a directory, sorted by name.
+
+    A missing path raises FileNotFoundError and any other non-directory
+    NotADirectoryError, so a mistyped path is not an empty suite.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"fixture directory {str(path)!r} does not exist")
+    if not path.is_dir():
+        raise NotADirectoryError(f"fixture path {str(path)!r} is not a directory")
+    return [load_linear_fixture(p) for p in sorted(path.glob("*.txt"))]

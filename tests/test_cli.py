@@ -96,6 +96,36 @@ def test_solve_x0_file_length_mismatch(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content", [None, "a b\n"], ids=["missing", "not-numeric"])
+def test_solve_x0_file_unreadable(capsys, tmp_path, content):
+    start = tmp_path / "x0.txt"
+    if content is not None:
+        start.write_text(content)
+    code = dispatch(["solve", "--problem", "booth", "--x0-file", str(start)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+@pytest.mark.parametrize("kind", ["missing", "regular-file"])
+def test_bench_fixture_path_not_a_directory(capsys, tmp_path, monkeypatch,
+                                            via_env, kind):
+    fdir = tmp_path / "fixtures"
+    if kind == "regular-file":
+        fdir.write_text(FIXTURE)
+    argv = ["bench", "--suite", "--out", str(tmp_path / "bench.csv")]
+    if via_env:
+        monkeypatch.setenv("DFSANE_FIXTURE_DIR", str(fdir))
+    else:
+        argv += ["--fixture-dir", str(fdir)]
+    code = dispatch(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(fdir) in err
+    assert not (tmp_path / "bench.csv").exists()
+
+
 def test_bench_fixture_dir(capsys, tmp_path):
     fdir = tmp_path / "fixtures"
     fdir.mkdir()

@@ -201,6 +201,14 @@ def test_fixture_dir_globs_txt(tmp_path):
     assert [p.name for p in problems] == ["a", "b"]
 
 
+def test_fixture_dir_rejects_a_path_that_is_not_a_directory(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        fixtures_from_dir(tmp_path / "missing")
+    (tmp_path / "a.txt").write_text(FIXTURE)
+    with pytest.raises(NotADirectoryError):
+        fixtures_from_dir(tmp_path / "a.txt")
+
+
 @pytest.mark.parametrize("text", ["", "x", "2\n1 2 3\n", "0\n"])
 def test_fixture_malformed_rejected(tmp_path, text):
     path = tmp_path / "bad.txt"
