@@ -9,7 +9,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import dfsane.bench
 from dfsane.accel import min_norm_ls
 from dfsane.bench import perf_profile, records_to_matrix, run_suite, BenchRecord
 from dfsane.core import Problem, SolverConfig
@@ -106,47 +108,45 @@ def test_criterion_4_linear_exactness():
             f"t={elapsed:.2f}s")
 
 
-def _suite_runs_with_traces():
-    configs = {
-        "accelerated": SolverConfig(mode="accelerated", max_feval=100_000,
-                                    time_budget_seconds=10.0),
-        "plain": SolverConfig(mode="plain", max_feval=100_000,
-                              time_budget_seconds=10.0),
-    }
-    runs = []
-    for problem in suite_builtin():
-        epsf = 1e-6 * math.sqrt(problem.n)
-        for name, cfg in configs.items():
-            trace = []
-            from dataclasses import replace
-            rep = solve(problem, replace(cfg, epsf=epsf), trace=trace)
-            runs.append((problem, name, cfg, rep, trace))
-    return runs
+@pytest.fixture(scope="module")
+def desk_suite_run():
+    """One ``run_suite`` of the desk suite in both modes, timed, with the
+    trace of each solve (criteria 5 and 6 share it)."""
+    configs = {mode: SolverConfig(mode=mode, max_feval=100_000,
+                                  time_budget_seconds=10.0)
+               for mode in ("accelerated", "plain")}
+    suite = suite_builtin()
+    traces = []
+    untraced_solve = dfsane.bench.solve
+
+    def traced_solve(problem, cfg):
+        trace = []
+        traces.append(trace)
+        return untraced_solve(problem, cfg, trace=trace)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dfsane.bench, "solve", traced_solve)
+        t0 = time.perf_counter()
+        records = run_suite(suite, configs)
+        elapsed = time.perf_counter() - t0
+    return suite, records, traces, elapsed
 
 
-def test_criterion_5_armijo_audit():
+def test_criterion_5_armijo_audit(desk_suite_run):
+    _, records, traces, _ = desk_suite_run
     violations = 0
     audited = 0
-    for problem, name, cfg, rep, trace in _suite_runs_with_traces():
+    for trace in traces:
         for rec in trace:
             audited += 1
             if not armijo_ok(rec.f_trial, rec.fbar, rec.eta, rec.alpha, rec.f_current):
                 violations += 1
-    ok = violations == 0 and audited > 0
+    ok = violations == 0 and audited > 0 and len(traces) == len(records)
     _report("5 armijo audit", ok, f"audited={audited} violations={violations}")
 
 
-def test_criterion_6_robustness_desk_scale():
-    t0 = time.perf_counter()
-    configs = {
-        "accelerated": SolverConfig(mode="accelerated", max_feval=100_000,
-                                    time_budget_seconds=10.0),
-        "plain": SolverConfig(mode="plain", max_feval=100_000,
-                              time_budget_seconds=10.0),
-    }
-    suite = suite_builtin()
-    records = run_suite(suite, configs)
-    elapsed = time.perf_counter() - t0
+def test_criterion_6_robustness_desk_scale(desk_suite_run):
+    suite, records, _, elapsed = desk_suite_run
     acc = {r.problem for r in records if r.solver == "accelerated" and r.solved}
     pla = {r.problem for r in records if r.solver == "plain" and r.solved}
     only_acc = acc - pla
