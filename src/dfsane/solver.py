@@ -136,7 +136,7 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                 # No trial point can pass the nonmonotone test against fbar = inf.
                 raise BreakdownError("merit value at the start point is not finite")
             r0 = math.sqrt(f)
-            eta0 = min(0.5 * r0, math.sqrt(r0))  # eta_k = 2^-k eta0
+            eta0 = min(0.5 * r0, math.sqrt(r0))
             fvals.append(f)
 
             while True:
