@@ -3,10 +3,15 @@ minimum-norm least-squares extrapolation step.
 
 The accelerated point is x_trial - S nu where nu is the minimum-norm
 least-squares solution of Y nu = F(x_trial), with S and Y collecting the
-recent iterate and residual differences plus the trial pair.  nu comes from
-one ``np.linalg.lstsq`` call (LAPACK's SVD-based solver, ``rcond=None``),
-whose numerical rank counts the singular values above
-``eps * max(n, m) * sigma_max``.
+recent iterate and residual differences plus the trial pair.  Up to
+``BLOCK_ROWS`` rows nu comes from one ``np.linalg.lstsq`` call (LAPACK's
+SVD-based solver, ``rcond=None``), whose numerical rank counts the singular
+values above ``eps * max(n, m) * sigma_max``.  Above that the augmented
+matrix [Y b] is reduced by a blocked tall-skinny QR in one pass over memory
+(Demmel et al., SIAM J. Sci. Comput. 34, 2012): each block of rows is
+factored on its own, and ``lstsq`` solves the small problem on the stacked
+R factors, whose first m columns have the singular values of Y, with the
+same rank rule.
 
 Layout.  The window keeps S and Y as preallocated row-major (p + 1) x n
 arrays, one row per pair, so nothing is restacked per call: pairs fill a
@@ -68,10 +73,34 @@ class SecantWindow:
         self._y_rows[row] = y
 
 
+# Rows per block of the tall-skinny QR.  A block of [Y b] is copied into one
+# Fortran-ordered BLOCK_ROWS x (m + 1) buffer, 0.9 MiB at m + 1 = 7, which
+# stays in L2 while the unblocked Householder QR sweeps it once per column;
+# a single n x m QR streams the whole matrix from memory per column instead.
+BLOCK_ROWS = 16_384
+
+
 def min_norm_ls(Y: Array, b: Array) -> tuple[Array, int]:
     """Minimum-norm least-squares solution of Y nu = b (rank-deficient safe)
     and the numerical rank of Y."""
-    nu, _, rank, _ = np.linalg.lstsq(Y, b, rcond=None)
+    n, m = Y.shape
+    if n <= BLOCK_ROWS:
+        nu, _, rank, _ = np.linalg.lstsq(Y, b, rcond=None)
+        return nu, int(rank)
+    # [Y b] = diag(Q_1, Q_2, ...) Rs with orthonormal Q_i, so Rs[:, :m] nu =
+    # Rs[:, m] is the same least-squares problem and Rs[:, :m] has the
+    # singular values of Y; the explicit rcond keeps lstsq's rank rule for Y.
+    k = m + 1
+    buf = np.empty((BLOCK_ROWS, k), order="F")
+    Rs = np.zeros((-(-n // BLOCK_ROWS) * k, k))
+    for i, j in enumerate(range(0, n, BLOCK_ROWS)):
+        c = min(BLOCK_ROWS, n - j)
+        buf[:c, :m] = Y[j:j + c]
+        buf[:c, m] = b[j:j + c]
+        R = np.linalg.qr(buf[:c], mode="r")
+        Rs[i * k:i * k + R.shape[0]] = R
+    rcond = np.finfo(np.float64).eps * max(n, m)
+    nu, _, rank, _ = np.linalg.lstsq(Rs[:, :m], Rs[:, m], rcond=rcond)
     return nu, int(rank)
 
 

@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -107,8 +108,11 @@ def _cmd_solve(args) -> int:
     x_start = None
     if args.x0_file is not None:
         try:
-            x_start = np.loadtxt(args.x0_file, dtype=np.float64).ravel()
-        except (OSError, ValueError) as exc:
+            with warnings.catch_warnings():
+                # numpy only warns on a file with no numbers; here it is an error
+                warnings.simplefilter("error", UserWarning)
+                x_start = np.loadtxt(args.x0_file, dtype=np.float64).ravel()
+        except (OSError, ValueError, UserWarning) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if x_start.size != problem.n:
@@ -148,6 +152,10 @@ def _cmd_bench(args) -> int:
     bad = [s for s in solvers if s not in SOLVER_MODES]
     if bad or not solvers:
         print(f"error: unknown solver modes {bad}", file=sys.stderr)
+        return 2
+    repeated = sorted({s for s in solvers if solvers.count(s) > 1})
+    if repeated:
+        print(f"error: repeated solver modes {repeated}", file=sys.stderr)
         return 2
     try:
         configs = {name: SolverConfig(mode=name, max_feval=args.feval_cap,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dfsane.accel import SecantWindow, accel_point, min_norm_ls
+from dfsane.accel import BLOCK_ROWS, SecantWindow, accel_point, min_norm_ls
 
 
 def pinv_solution(Y, b):
@@ -152,6 +152,56 @@ def test_rank_detection_on_constructed_cases():
     assert min_norm_ls(np.column_stack([c, 2.0 * c]), b)[1] == 1
     assert min_norm_ls(np.zeros((4, 3)), b)[1] == 0
     assert min_norm_ls(np.eye(4), b)[1] == 4
+
+
+def window_layout(rng, n, m):
+    """An n x m matrix laid out as the window stores Y: a transposed view of
+    C-ordered rows."""
+    return rng.standard_normal((m, n)).T
+
+
+def blocked_cases():
+    rng = np.random.default_rng(5)
+    full = window_layout(rng, BLOCK_ROWS + 1000, 6)
+    dup = window_layout(rng, 2 * BLOCK_ROWS + 7, 4)
+    dup[:, 3] = dup[:, 1]
+    zero = window_layout(rng, 3 * BLOCK_ROWS - 5, 3)
+    zero[:, 0] = 0.0
+    # sigma_min / sigma_max near 1e-13: below lstsq's cutoff eps * n at this
+    # n, above the cutoff eps * max(rows, m) of the small stacked-R problem.
+    near = window_layout(rng, 2 * BLOCK_ROWS + 7, 4)
+    near[:, 3] = near[:, 1] + 1e-13 * rng.standard_normal(near.shape[0])
+    return {
+        "full-rank": full,
+        "duplicated-column": dup,
+        "zero-column": zero,
+        "nearly-dependent-column": near,
+        "one-column": window_layout(rng, 2 * BLOCK_ROWS + 3, 1),
+        "multiple-of-block-rows": window_layout(rng, 2 * BLOCK_ROWS, 5),
+        "one-row-tail-block": window_layout(rng, BLOCK_ROWS + 1, 6),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(blocked_cases()))
+def test_blocked_kernel_matches_direct_lstsq(case):
+    Y = blocked_cases()[case]
+    b = np.random.default_rng(6).standard_normal(Y.shape[0])
+    assert Y.shape[0] > BLOCK_ROWS
+    nu, rank = min_norm_ls(Y, b)
+    want, _, want_rank, _ = np.linalg.lstsq(Y, b, rcond=None)
+    assert rank == want_rank
+    np.testing.assert_allclose(nu, want, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (10, 6), (BLOCK_ROWS, 1), (BLOCK_ROWS, 6)])
+def test_direct_path_up_to_block_rows_is_bitwise_lstsq(n, m):
+    rng = np.random.default_rng(n + m)
+    Y = window_layout(rng, n, m)
+    b = rng.standard_normal(n)
+    nu, rank = min_norm_ls(Y, b)
+    want, _, want_rank, _ = np.linalg.lstsq(Y, b, rcond=None)
+    assert rank == want_rank
+    assert nu.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,8 @@ def test_solve_x0_file_length_mismatch(capsys, tmp_path):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("content", [None, "a b\n"], ids=["missing", "not-numeric"])
+@pytest.mark.parametrize("content", [None, "a b\n", "", "# no numbers\n"],
+                         ids=["missing", "not-numeric", "empty", "comment-only"])
 def test_solve_x0_file_unreadable(capsys, tmp_path, content):
     start = tmp_path / "x0.txt"
     if content is not None:
@@ -105,6 +106,24 @@ def test_solve_x0_file_unreadable(capsys, tmp_path, content):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and captured.out == ""
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("warnings_flag", ["default", "error"])
+def test_solve_empty_x0_file_is_one_error_line(tmp_path, warnings_flag):
+    # numpy reports an empty file with a UserWarning: printed to stderr by
+    # default, raised under -W error.  Neither may reach the user.
+    start = tmp_path / "x0.txt"
+    start.write_text("")
+    src = str(Path(dfsane.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", warnings_flag, "-m", "dfsane", "solve",
+                           "--problem", "booth", "--x0-file", str(start)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
@@ -213,6 +232,16 @@ def test_bench_rejects_unknown_solver(capsys, tmp_path):
                      "--out", str(tmp_path / "x.csv")])
     assert code != 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("solvers", ["accelerated,accelerated", "plain, accelerated,plain"])
+def test_bench_rejects_repeated_solver(capsys, tmp_path, solvers):
+    out_csv = tmp_path / "x.csv"
+    code = dispatch(["bench", "--suite", "--solvers", solvers, "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: repeated solver modes")
+    assert captured.out == "" and not out_csv.exists()
 
 
 def test_profile_end_to_end(capsys, tmp_path):

@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
+import dfsane.accel as accel_mod
 import dfsane.solver as solver_mod
 from dfsane.core import Problem, SolverConfig
 from dfsane.linesearch import armijo_ok
-from dfsane.problems import booth, broyden_tridiagonal, expfun2, rosenbrock_ext
+from dfsane.problems import booth, broyden_tridiagonal, expfun2, make, rosenbrock_ext
 from dfsane.solver import solve
 
 
@@ -75,6 +76,35 @@ def test_accelerated_rosenbrock_solves_every_perturbed_start():
         if rep.istop != 0:
             unsolved.append((s, rep.istop, rep.fcnt))
     assert unsolved == []
+
+
+@pytest.mark.parametrize("name", ["broyden-tri", "trigexp"])
+def test_blocked_kernel_keeps_the_direct_lstsq_iterates(name, monkeypatch):
+    # n = 50,000 is above accel.BLOCK_ROWS, so the shipped kernel takes the
+    # blocked QR path; the golden traces (n <= 10,000) never reach it.
+    p = make(name, 50_000)
+    cfg = SolverConfig(epsf=1e-6 * math.sqrt(p.n))
+    assert p.n > accel_mod.BLOCK_ROWS
+
+    def run():
+        trace = []
+        rep = solve(p, cfg, trace=trace)
+        return rep, trace
+
+    blocked, blocked_trace = run()
+
+    def direct(Y, b):
+        nu, _, rank, _ = np.linalg.lstsq(Y, b, rcond=None)
+        return nu, int(rank)
+
+    monkeypatch.setattr(accel_mod, "min_norm_ls", direct)
+    ref, ref_trace = run()
+    assert (blocked.iter, blocked.fcnt, blocked.istop) == (ref.iter, ref.fcnt, ref.istop)
+    assert [r.accepted for r in blocked_trace] == [r.accepted for r in ref_trace]
+    assert [r.rank for r in blocked_trace] == [r.rank for r in ref_trace]
+    assert any(r.accepted == "accel" for r in ref_trace)
+    np.testing.assert_allclose([r.f_next for r in blocked_trace],
+                               [r.f_next for r in ref_trace], rtol=1e-7, atol=0.0)
 
 
 def test_accepted_point_never_worse_than_trial():
