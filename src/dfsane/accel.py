@@ -18,7 +18,9 @@ arrays, one row per pair, so nothing is restacked per call: pairs fill a
 ring of p rows and the trial pair goes into the row after them.  The n x m
 matrices are transposed (Fortran-ordered) views of the first m rows.  Rows
 are in ring order, not in age order; the solution is invariant (in exact
-arithmetic) under a common column permutation of S and Y.
+arithmetic) under a common column permutation of S and Y.  A kept trial
+pair is copied into its ring slot only once the window is full: until then
+the trial row is the next slot.
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ from .core import Array
 class SecantWindow:
     """Sliding buffer of up to ``capacity`` (s, y) difference pairs.
 
-    Pushing at capacity overwrites the oldest pair.
+    Pushing at capacity overwrites the oldest pair.  ``push_difference`` and
+    ``trial_difference`` subtract straight into the row a pair will occupy,
+    and ``push_pair`` and ``matrices_with`` copy nothing when handed the
+    views of that row, so each difference is written once.
     """
 
     def __init__(self, capacity: int):
@@ -44,33 +49,69 @@ class SecantWindow:
         self._pushes = 0
         self._s_rows: Array | None = None
         self._y_rows: Array | None = None
+        # (s, y) views of each row, made once so that identity tells a row apart
+        self._rows: list[tuple[Array, Array]] = []
 
     def push_pair(self, s: Array, y: Array) -> "SecantWindow":
-        s = np.asarray(s, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if s.shape != y.shape or s.ndim != 1:
-            raise ValueError("s and y must be vectors of equal length")
-        if self._s_rows is not None and s.shape[0] != self._s_rows.shape[1]:
-            raise ValueError("pair length does not match window contents")
-        self._write(self._pushes % self.capacity, s, y)
+        self._put(self._pushes % self.capacity, s, y)
         self._pushes += 1
         self.count = min(self._pushes, self.capacity)
         return self
+
+    def push_difference(self, x_new: Array, x: Array, F_new: Array,
+                        F: Array) -> "SecantWindow":
+        """Push the pair (x_new - x, F_new - F), computed in its slot."""
+        return self.push_pair(*self._subtract(self._pushes % self.capacity,
+                                              x_new, x, F_new, F))
+
+    def trial_difference(self, x_new: Array, x: Array, F_new: Array,
+                         F: Array) -> tuple[Array, Array]:
+        """Views of the spare row holding (x_new - x, F_new - F), to pass to
+        ``matrices_with`` and then, if the pair is kept, to ``push_pair``.
+        Until the window is full the spare row is the next slot, so that
+        push copies nothing."""
+        return self._subtract(self.count, x_new, x, F_new, F)
+
+    def newest(self) -> tuple[Array, Array] | tuple[None, None]:
+        """Views of the last pair pushed, or (None, None) before the first."""
+        if not self._pushes:
+            return None, None
+        return self._rows[(self._pushes - 1) % self.capacity]
 
     def matrices_with(self, s_extra: Array, y_extra: Array) -> tuple[Array, Array]:
         """The window contents plus one extra pair as n x (count+1) views
         (S, Y), columns in the same order in both.  The extra pair goes into
         the spare row, so the views are valid until the next push or call."""
         m = self.count + 1
-        self._write(m - 1, s_extra, y_extra)
+        self._put(m - 1, s_extra, y_extra)
         return self._s_rows[:m].T, self._y_rows[:m].T
 
-    def _write(self, row: int, s: Array, y: Array) -> None:
+    def _row(self, i: int, n: int) -> tuple[Array, Array]:
         if self._s_rows is None:
-            self._s_rows = np.empty((self.capacity + 1, np.shape(s)[0]))
+            self._s_rows = np.empty((self.capacity + 1, n))
             self._y_rows = np.empty_like(self._s_rows)
-        self._s_rows[row] = s
-        self._y_rows[row] = y
+            self._rows = list(zip(self._s_rows, self._y_rows))
+        elif n != self._s_rows.shape[1]:
+            raise ValueError("pair length does not match window contents")
+        return self._rows[i]
+
+    def _put(self, i: int, s: Array, y: Array) -> None:
+        if self._rows and s is self._rows[i][0] and y is self._rows[i][1]:
+            return
+        s = np.asarray(s, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if s.shape != y.shape or s.ndim != 1:
+            raise ValueError("s and y must be vectors of equal length")
+        s_row, y_row = self._row(i, s.shape[0])
+        s_row[:] = s
+        y_row[:] = y
+
+    def _subtract(self, i: int, x_new: Array, x: Array, F_new: Array,
+                  F: Array) -> tuple[Array, Array]:
+        s_row, y_row = self._row(i, x.shape[0])
+        np.subtract(x_new, x, out=s_row)
+        np.subtract(F_new, F, out=y_row)
+        return s_row, y_row
 
 
 # Rows per block of the tall-skinny QR.  A block of [Y b] is copied into one

@@ -99,6 +99,17 @@ def _print_report(rep: SolveReport) -> None:
     print(f"reason = {rep.reason}")
 
 
+def _missing_out_dir(*paths) -> str | None:
+    """The first directory that one of the output ``paths`` (None skipped)
+    would be written into and that does not exist."""
+    for path in paths:
+        if path is not None:
+            parent = os.path.dirname(os.path.abspath(path))
+            if not os.path.isdir(parent):
+                return parent
+    return None
+
+
 def _cmd_solve(args) -> int:
     try:
         problem = make(args.problem, args.n)
@@ -134,6 +145,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    missing = _missing_out_dir(args.out)
+    if missing is not None:
+        print(f"error: output directory {missing!r} does not exist", file=sys.stderr)
+        return 2
     problems = []
     if args.suite:
         problems.extend(suite_builtin())
@@ -175,6 +190,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    missing = _missing_out_dir(args.out_csv, args.out_svg)
+    if missing is not None:
+        print(f"error: output directory {missing!r} does not exist", file=sys.stderr)
+        return 2
     records = []
     try:
         for path in args.inputs:

@@ -172,13 +172,20 @@ class SolveReport:
     wall_seconds: float
 
     def to_json_dict(self) -> dict:
+        """The report as standard JSON values: a non-finite float (an
+        overflowed residual, say) becomes None, written as ``null``."""
         return {
-            "x": [float(v) for v in self.x],
-            "res": [float(v) for v in self.res],
-            "normF": float(self.normF),
+            "x": [_json_float(v) for v in self.x],
+            "res": [_json_float(v) for v in self.res],
+            "normF": _json_float(self.normF),
             "iter": int(self.iter),
             "fcnt": int(self.fcnt),
             "istop": int(self.istop),
             "reason": self.reason,
             "wall_seconds": float(self.wall_seconds),
         }
+
+
+def _json_float(v) -> float | None:
+    v = float(v)
+    return v if math.isfinite(v) else None

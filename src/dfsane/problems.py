@@ -128,7 +128,16 @@ def powell_singular() -> Problem:
 
 
 def trigexp(n: int = 50) -> Problem:
-    """Trigonometric-exponential tridiagonal system; root at all ones."""
+    """Trigonometric-exponential tridiagonal system; root at all ones.
+
+    The interior components
+    -x_{i-1} e^{x_{i-1} - x_i} + x_i (4 + 3 x_i^2) + 2 x_{i+1}
+    + sin(x_i - x_{i+1}) sin(x_i + x_{i+1}) - 8
+    are accumulated term by term into F with two scratch vectors, each
+    operation in the order of the expression above, so the bits are those
+    of the expression evaluated with numpy temporaries, while a call holds
+    only F and the two scratch vectors (3 n-vectors, not 5).
+    """
     if n < 2:
         raise ValueError("trigexp needs n >= 2")
 
@@ -137,9 +146,25 @@ def trigexp(n: int = 50) -> Problem:
         F[0] = 3.0 * x[0] ** 3 + 2.0 * x[1] - 5.0 \
             + np.sin(x[0] - x[1]) * np.sin(x[0] + x[1])
         if n > 2:
-            xl, xm, xr = x[:-2], x[1:-1], x[2:]
-            F[1:-1] = -xl * np.exp(xl - xm) + xm * (4.0 + 3.0 * xm * xm) \
-                + 2.0 * xr + np.sin(xm - xr) * np.sin(xm + xr) - 8.0
+            xl, xm, xr, Fm = x[:-2], x[1:-1], x[2:], F[1:-1]
+            a = np.subtract(xl, xm)
+            np.exp(a, out=a)
+            np.negative(xl, out=Fm)
+            np.multiply(Fm, a, out=Fm)
+            np.multiply(3.0, xm, out=a)
+            np.multiply(a, xm, out=a)
+            np.add(4.0, a, out=a)
+            np.multiply(xm, a, out=a)
+            np.add(Fm, a, out=Fm)
+            np.multiply(2.0, xr, out=a)
+            np.add(Fm, a, out=Fm)
+            np.subtract(xm, xr, out=a)
+            np.sin(a, out=a)
+            b = np.add(xm, xr)
+            np.sin(b, out=b)
+            np.multiply(a, b, out=a)
+            np.add(Fm, a, out=Fm)
+            np.subtract(Fm, 8.0, out=Fm)
         F[-1] = -x[-2] * np.exp(x[-2] - x[-1]) + 4.0 * x[-1] - 3.0
         return F
 

@@ -124,8 +124,10 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
     F, f = None, math.inf
     best_x, best_F, best_f = x, F, f
     fvals: deque[float] = deque(maxlen=M)
-    prev_x: Array | None = None
-    prev_F: Array | None = None
+    # The newest secant pair (x - previous x, F - previous F); in accelerated
+    # mode these are views of the window's newest row.
+    s: Array | None = None
+    y: Array | None = None
     window = SecantWindow(cfg.p) if accelerated else None
     k = 0
     with np.errstate(all="ignore"):
@@ -149,7 +151,8 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                 if cfg.maxit is not None and k >= cfg.maxit:
                     return report(k, ISTOP_MAXIT, "iteration cap reached")
 
-                sigma = sigma_k(prev_x, prev_F, x, F)
+                sigma = sigma_k(s, y, x, F)
+                s = y = None  # a plain-mode pair is not held through the line search
                 fbar = max(fvals)
                 eta = math.ldexp(eta0, -k)
                 ls = double_backtracking(ev, x, F, f, sigma, fbar, eta)
@@ -157,12 +160,18 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
 
                 f_accel: float | None = None
                 if accelerated:
-                    x_accel = accel_point(window, x_new - x, F_new - F, x_new, F_new,
+                    s_trial, y_trial = window.trial_difference(x_new, x, F_new, F)
+                    x_accel = accel_point(window, s_trial, y_trial, x_new, F_new,
                                           on_info=on_info if recording else None)
                     F_accel, f_accel = ev.evaluate(x_accel)
                     if f_accel < f_new:
                         x_new, F_new, f_new, accepted = x_accel, F_accel, f_accel, "accel"
-                    window.push_pair(x_new - x, F_new - F)
+                        window.push_difference(x_new, x, F_new, F)
+                    else:
+                        window.push_pair(s_trial, y_trial)
+                    s, y = window.newest()
+                else:
+                    s, y = x_new - x, F_new - F
 
                 if recording:
                     rec = IterationRecord(
@@ -176,7 +185,6 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                         _print_record(rec, cfg)
 
                 ls = x_accel = F_accel = None  # release the losing candidate
-                prev_x, prev_F = x, F
                 x, F, f = x_new, F_new, f_new
                 if f < best_f:
                     best_x, best_F, best_f = x, F, f

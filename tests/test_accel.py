@@ -89,6 +89,46 @@ def test_push_rejects_mismatched_pair():
         w.push_pair(np.zeros(3), np.zeros(3))
 
 
+def test_matrices_with_rejects_mismatched_extra_pair():
+    w = SecantWindow(2)
+    w.push_pair(np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError):
+        w.matrices_with(np.array([9.0]), np.array([7.0]))
+    with pytest.raises(ValueError):
+        accel_point(w, np.array([9.0]), np.array([7.0]), np.zeros(2), np.ones(2))
+    with pytest.raises(ValueError):
+        w.matrices_with(np.zeros(2), np.zeros(3))
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3])
+def test_differences_written_in_place_match_pushed_copies(capacity):
+    # The solver's path (trial_difference, push_pair of the trial rows or
+    # push_difference, newest) against push_pair of fresh differences.
+    rng = np.random.default_rng(capacity)
+    n = 5
+    w, ref = SecantWindow(capacity), SecantWindow(capacity)
+    x, F = rng.standard_normal(n), rng.standard_normal(n)
+    assert w.newest() == (None, None)
+    for step in range(3 * capacity + 2):
+        x_trial, F_trial = rng.standard_normal(n), rng.standard_normal(n)
+        s, y = w.trial_difference(x_trial, x, F_trial, F)
+        S, Y = w.matrices_with(s, y)
+        S_ref, Y_ref = ref.matrices_with(x_trial - x, F_trial - F)
+        assert S.tobytes() == S_ref.tobytes() and Y.tobytes() == Y_ref.tobytes()
+        if step % 2:
+            x_new, F_new = rng.standard_normal(n), rng.standard_normal(n)
+            w.push_difference(x_new, x, F_new, F)
+        else:
+            x_new, F_new = x_trial, F_trial
+            w.push_pair(s, y)
+        ref.push_pair(x_new - x, F_new - F)
+        s_new, y_new = w.newest()
+        assert s_new.tobytes() == (x_new - x).tobytes()
+        assert y_new.tobytes() == (F_new - F).tobytes()
+        x, F = x_new, F_new
+    assert w.count == ref.count == capacity
+
+
 # ---------------------------------------------------------------------------
 # minimum-norm least squares
 # ---------------------------------------------------------------------------

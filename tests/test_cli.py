@@ -51,6 +51,22 @@ def test_solve_json_roundtrip(capsys):
     assert data == direct
 
 
+def test_solve_json_writes_non_finite_values_as_null(capsys, tmp_path):
+    start = tmp_path / "x0.txt"
+    start.write_text("1000 1000 1000\n")  # e^1000 overflows every component
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    code = dispatch(["solve", "--problem", "expfun2", "--x0-file", str(start), "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    data = json.loads(out, parse_constant=reject)
+    assert data["res"] == [None, None, None] and data["normF"] is None
+    assert data["x"] == [1000.0, 1000.0, 1000.0]
+    assert data["istop"] == 3
+
+
 def test_solve_unknown_problem(capsys):
     code = dispatch(["solve", "--problem", "nope"])
     err = capsys.readouterr().err
@@ -143,6 +159,36 @@ def test_bench_fixture_path_not_a_directory(capsys, tmp_path, monkeypatch,
     assert code == 2
     assert err.startswith("error: ") and str(fdir) in err
     assert not (tmp_path / "bench.csv").exists()
+
+
+def test_bench_out_in_missing_directory_fails_before_the_suite(capsys, tmp_path,
+                                                              monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr("dfsane.cli.run_suite", no_run)
+    missing = tmp_path / "missing"
+    code = dispatch(["bench", "--suite", "--out", str(missing / "bench.csv")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: output directory {str(missing)!r} does not exist\n"
+    assert captured.out == "" and not missing.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out-csv", "--out-svg"])
+def test_profile_out_in_missing_directory(capsys, tmp_path, flag):
+    records_csv = tmp_path / "records.csv"
+    dfsane.bench.write_records_csv(
+        [dfsane.bench.BenchRecord("p1", 2, "m1", 0.0, 1, 1, 0.1, True)], records_csv)
+    missing = tmp_path / "missing"
+    out_csv = tmp_path / "profile.csv"
+    # a repeated --out-csv overrides the first one
+    code = dispatch(["profile", "--inputs", str(records_csv), "--out-csv", str(out_csv),
+                     flag, str(missing / "profile.out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: output directory {str(missing)!r} does not exist\n"
+    assert captured.out == "" and not out_csv.exists()
 
 
 def test_bench_fixture_dir(capsys, tmp_path):

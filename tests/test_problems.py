@@ -14,6 +14,7 @@ from dfsane.problems import (
     load_linear_fixture,
     make,
     suite_builtin,
+    trigexp,
 )
 
 # Documented reference roots for suite problems that have a closed form.
@@ -89,6 +90,28 @@ def test_expfun2_component_formula():
 def test_expfun2_rejects_small_n():
     with pytest.raises(ValueError):
         expfun2(1)
+
+
+def trigexp_expression(x):
+    """Reference: trigexp's residual as numpy expressions with temporaries."""
+    F = np.empty_like(x)
+    F[0] = 3.0 * x[0] ** 3 + 2.0 * x[1] - 5.0 \
+        + np.sin(x[0] - x[1]) * np.sin(x[0] + x[1])
+    if x.size > 2:
+        xl, xm, xr = x[:-2], x[1:-1], x[2:]
+        F[1:-1] = -xl * np.exp(xl - xm) + xm * (4.0 + 3.0 * xm * xm) \
+            + 2.0 * xr + np.sin(xm - xr) * np.sin(xm + xr) - 8.0
+    F[-1] = -x[-2] * np.exp(x[-2] - x[-1]) + 4.0 * x[-1] - 3.0
+    return F
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 50, 100_000])
+def test_trigexp_in_place_matches_the_expression_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    residual = trigexp(n).residual
+    for scale in (1e-3, 1.0, 4.0):
+        x = scale * rng.standard_normal(n)
+        assert residual(x).tobytes() == trigexp_expression(x).tobytes()
 
 
 def test_booth_values():

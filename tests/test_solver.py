@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,14 @@ import dfsane.accel as accel_mod
 import dfsane.solver as solver_mod
 from dfsane.core import Problem, SolverConfig
 from dfsane.linesearch import armijo_ok
-from dfsane.problems import booth, broyden_tridiagonal, expfun2, make, rosenbrock_ext
+from dfsane.problems import (
+    booth,
+    broyden_tridiagonal,
+    expfun2,
+    make,
+    rosenbrock_ext,
+    trigexp,
+)
 from dfsane.solver import solve
 
 
@@ -105,6 +113,43 @@ def test_blocked_kernel_keeps_the_direct_lstsq_iterates(name, monkeypatch):
     assert any(r.accepted == "accel" for r in ref_trace)
     np.testing.assert_allclose([r.f_next for r in blocked_trace],
                                [r.f_next for r in ref_trace], rtol=1e-7, atol=0.0)
+
+
+def peak_vectors(fn, n):
+    """tracemalloc peak of fn() above the memory traced before it, in
+    float64 n-vectors."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (8 * n)
+
+
+def test_trigexp_call_holds_at_most_three_vectors():
+    # F and two scratch vectors; the expression with temporaries held 5.
+    n = 100_000
+    residual = trigexp(n).residual
+    x = np.random.default_rng(0).standard_normal(n)
+    assert peak_vectors(lambda: residual(x), n) <= 3.05
+
+
+# Per-solve peaks at n = 1e5 (the window alone holds 2 (p + 1) = 12 vectors);
+# the earlier loop, which subtracted each secant pair into temporaries and
+# kept the previous iterate, peaked at 22.3, 24, 10 and 12.
+@pytest.mark.parametrize("name, mode, vectors", [
+    ("broyden-tri", "accelerated", 19),
+    ("trigexp", "accelerated", 20),
+    ("broyden-tri", "plain", 9),
+    ("trigexp", "plain", 9),
+])
+def test_large_solve_peak_memory(name, mode, vectors):
+    n = 100_000
+    p = make(name, n)
+    cfg = SolverConfig(mode=mode)
+    assert peak_vectors(lambda: solve(p, cfg), n) <= vectors + 0.05
 
 
 def test_accepted_point_never_worse_than_trial():

@@ -6,14 +6,16 @@ from dfsane.steps import SIGMA_MAX, SIGMA_MIN, sigma_k
 
 
 def test_sigma_spectral_value_passes_through():
-    prev = (np.zeros(2), np.zeros(2))
-    sigma = sigma_k(*prev, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+    # s = x - 0, y = F - 0
+    sigma = sigma_k(np.array([1.0, 0.0]), np.array([2.0, 0.0]),
+                    np.array([1.0, 0.0]), np.array([2.0, 0.0]))
     assert sigma == 0.5  # s's / s'y = 1 / 2, bit for bit
 
 
 def test_sigma_negative_value_is_kept():
-    prev = (np.zeros(2), np.array([1.0, 0.0]))
-    sigma = sigma_k(*prev, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+    # s = (1, 0) - 0, y = (-1, 0) - (1, 0)
+    sigma = sigma_k(np.array([1.0, 0.0]), np.array([-2.0, 0.0]),
+                    np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
     assert sigma == -0.5  # |sigma| in range, sign preserved
 
 
@@ -21,18 +23,18 @@ def test_sigma_orthogonal_sy_uses_fallback():
     # s = 0 makes s'y = 0; fallback is max(sig_min, min(|x|/|F|, sig_max)).
     x = np.array([3.0, 4.0])
     F = np.array([0.0, 5.0])
-    prev = (x.copy(), np.array([1.0, 1.0]))
-    assert sigma_k(*prev, x, F) == 1.0
+    pair = (x - x, F - np.array([1.0, 1.0]))
+    assert sigma_k(*pair, x, F) == 1.0
 
 
 def test_sigma_out_of_range_spectral_falls_back():
     # s = (1,0), y = (0.1,0) gives sigma_spg = 10 > min(1, SIGMA_MAX).
     x = np.array([1.0, 0.0])
     F = np.array([0.1, 5.0])
-    prev = (np.zeros(2), np.array([0.0, 5.0]))
+    pair = (x - np.zeros(2), F - np.array([0.0, 5.0]))
     expected = max(SIGMA_MIN,
                    min(np.linalg.norm(x) / np.linalg.norm(F), SIGMA_MAX))
-    assert sigma_k(*prev, x, F) == expected
+    assert sigma_k(*pair, x, F) == expected
 
 
 def test_sigma_first_iteration_uses_fallback():
@@ -56,10 +58,10 @@ def test_sigma_always_within_safeguards():
         if np.linalg.norm(F) == 0.0:
             continue
         if rng.random() < 0.5:
-            prev = (None, None)
+            pair = (None, None)
         else:
-            prev = (x - rng.standard_normal(n), F - rng.standard_normal(n))
-        sigma = sigma_k(*prev, x, F)
+            pair = (rng.standard_normal(n), rng.standard_normal(n))
+        sigma = sigma_k(*pair, x, F)
         assert SIGMA_MIN <= abs(sigma) <= SIGMA_MAX
 
 
@@ -81,5 +83,5 @@ def test_sigma_in_range_is_bit_identical():
         if not (SIGMA_MIN <= abs(spg) <= min(1.0, SIGMA_MAX)):
             continue
         hits += 1
-        assert sigma_k(prev_x, prev_F, x, F) == spg
+        assert sigma_k(s, y, x, F) == spg
     assert hits > 20  # the sample must actually exercise the pass-through arm
