@@ -1,5 +1,8 @@
 """Command-line front end: solve a named problem, benchmark the suite, and
-render performance profiles."""
+render performance profiles.
+
+A bad argument, input file or output path raises ``_UsageError`` before any
+solve runs or any file is written; ``dispatch`` alone prints it."""
 
 from __future__ import annotations
 
@@ -8,6 +11,7 @@ import json
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -19,12 +23,11 @@ from .bench import (
     write_profile,
     write_records_csv,
 )
-from .core import SolveReport, SolverConfig
+from .core import SOLVER_MODES, SolveReport, SolverConfig
 from .problems import REGISTRY, fixtures_from_dir, make, suite_builtin
 from .solver import solve
 
 FIXTURE_DIR_ENV = "DFSANE_FIXTURE_DIR"
-SOLVER_MODES = ("accelerated", "plain")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,43 +102,49 @@ def _print_report(rep: SolveReport) -> None:
     print(f"reason = {rep.reason}")
 
 
-def _missing_out_dir(*paths) -> str | None:
-    """The first directory that one of the output ``paths`` (None skipped)
-    would be written into and that does not exist."""
+class _UsageError(Exception):
+    """A bad argument, input file or output path.  ``dispatch`` reports it
+    as one ``error:`` line on stderr and exit code 2."""
+
+
+@contextmanager
+def _bad_input(*errors):
+    """Report ``errors`` raised in the block as a _UsageError."""
+    try:
+        yield
+    except errors as exc:
+        raise _UsageError(exc) from exc
+
+
+def _check_outputs(*paths) -> None:
+    """Reject an output path (None skipped) that is empty, is a directory or
+    lies in a directory that does not exist, before any work is done."""
     for path in paths:
-        if path is not None:
-            parent = os.path.dirname(os.path.abspath(path))
-            if not os.path.isdir(parent):
-                return parent
-    return None
+        if path is None:
+            continue
+        if not path:
+            raise _UsageError("empty output path")
+        if os.path.isdir(path):
+            raise _UsageError(f"output path {path!r} is a directory")
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise _UsageError(f"output directory {parent!r} does not exist")
 
 
 def _cmd_solve(args) -> int:
-    try:
+    with _bad_input(KeyError, ValueError):
         problem = make(args.problem, args.n)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     x_start = None
     if args.x0_file is not None:
-        try:
-            with warnings.catch_warnings():
-                # numpy only warns on a file with no numbers; here it is an error
-                warnings.simplefilter("error", UserWarning)
-                x_start = np.loadtxt(args.x0_file, dtype=np.float64).ravel()
-        except (OSError, ValueError, UserWarning) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with _bad_input(OSError, ValueError, UserWarning), warnings.catch_warnings():
+            # numpy only warns on a file with no numbers; here it is an error
+            warnings.simplefilter("error", UserWarning)
+            x_start = np.loadtxt(args.x0_file, dtype=np.float64).ravel()
         if x_start.size != problem.n:
-            print(f"error: start point has {x_start.size} entries, "
-                  f"need {problem.n}", file=sys.stderr)
-            return 2
-    try:
+            raise _UsageError(f"start point has {x_start.size} entries, need {problem.n}")
+    with _bad_input(ValueError):
         cfg = SolverConfig(nhlim=args.nhlim, epsf=args.epsf, maxit=args.maxit,
                            iprint=args.iprint, mode=args.mode)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     rep = solve(problem, cfg, x_start)
     if args.json:
         print(json.dumps(rep.to_json_dict()))
@@ -145,40 +154,29 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    missing = _missing_out_dir(args.out)
-    if missing is not None:
-        print(f"error: output directory {missing!r} does not exist", file=sys.stderr)
-        return 2
+    _check_outputs(args.out)
     problems = []
     if args.suite:
         problems.extend(suite_builtin())
     fixture_dir = args.fixture_dir or os.environ.get(FIXTURE_DIR_ENV)
     if fixture_dir:
-        try:
+        with _bad_input(OSError, ValueError):
             problems.extend(fixtures_from_dir(fixture_dir))
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     if not problems:
-        print("error: nothing to run (pass --suite and/or --fixture-dir)",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("nothing to run (pass --suite and/or --fixture-dir)")
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    if not solvers:
+        raise _UsageError("no solver mode given")
     bad = [s for s in solvers if s not in SOLVER_MODES]
-    if bad or not solvers:
-        print(f"error: unknown solver modes {bad}", file=sys.stderr)
-        return 2
+    if bad:
+        raise _UsageError(f"unknown solver modes {bad}")
     repeated = sorted({s for s in solvers if solvers.count(s) > 1})
     if repeated:
-        print(f"error: repeated solver modes {repeated}", file=sys.stderr)
-        return 2
-    try:
+        raise _UsageError(f"repeated solver modes {repeated}")
+    with _bad_input(ValueError):
         configs = {name: SolverConfig(mode=name, max_feval=args.feval_cap,
                                       time_budget_seconds=args.budget)
                    for name in solvers}
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     records = run_suite(problems, configs)
     write_records_csv(records, args.out)
     for name in solvers:
@@ -190,27 +188,17 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    missing = _missing_out_dir(args.out_csv, args.out_svg)
-    if missing is not None:
-        print(f"error: output directory {missing!r} does not exist", file=sys.stderr)
-        return 2
+    _check_outputs(args.out_csv, args.out_svg)
     records = []
-    try:
+    with _bad_input(OSError, KeyError, ValueError):
         for path in args.inputs:
             records.extend(read_records_csv(path))
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if not records:
-        print("error: no records in inputs", file=sys.stderr)
-        return 2
+        raise _UsageError("no records in inputs")
     methods, _, t = records_to_matrix(records, metric=args.metric)
-    try:
+    with _bad_input(ValueError):
         curves = perf_profile(t, restrict_to_solved_by_all=args.restrict,
                               methods=methods)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     write_profile(curves, args.out_csv, args.out_svg)
     print(f"wrote {args.out_csv}" + (f" and {args.out_svg}" if args.out_svg else ""))
     return 0
@@ -228,7 +216,11 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

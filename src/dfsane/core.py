@@ -19,6 +19,8 @@ ISTOP_MAXIT = 1
 ISTOP_BUDGET = 2
 ISTOP_BREAKDOWN = 3
 
+SOLVER_MODES = ("accelerated", "plain")
+
 
 class BreakdownError(RuntimeError):
     """The line search cannot take a representable step any more, or the
@@ -98,7 +100,7 @@ class SolverConfig:
             raise ValueError("max_feval must be positive")
         if self.time_budget_seconds is not None and not self.time_budget_seconds > 0.0:
             raise ValueError("time_budget_seconds must be positive")
-        if self.mode not in ("accelerated", "plain"):
+        if self.mode not in SOLVER_MODES:
             raise ValueError("mode must be 'accelerated' or 'plain'")
         if self.iprint not in (-1, 0, 1, 2):
             raise ValueError("iprint must be one of -1, 0, 1, 2")

@@ -87,8 +87,10 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
     raises or returns a wrong shape.  Every stop reports the best iterate
     seen: the start point or a completed iterate with the smallest merit
     value, which on convergence is the current one.  ``SolveReport.reason``
-    names the stop in words; on breakdown it carries the error's message and
-    the type of the residual's exception, if one caused it.  When ``trace`` is a list,
+    names the stop in words; on breakdown it carries the error's message.  A
+    faulty residual is reported, not re-raised: its reason reads ``residual
+    failed: <message> (<type>)``, which names the residual as the cause, so
+    it cannot pass for a step underflow.  When ``trace`` is a list,
     it gets one IterationRecord per completed iteration, ``iter`` in all;
     ``cfg.iprint`` prints from the same records.  The iteration, residual
     calls included, runs under one ``np.errstate(all="ignore")``, so

@@ -191,6 +191,60 @@ def test_profile_out_in_missing_directory(capsys, tmp_path, flag):
     assert captured.out == "" and not out_csv.exists()
 
 
+@pytest.mark.parametrize("kind", ["directory", "empty"])
+def test_bench_bad_out_path_fails_before_the_suite(capsys, tmp_path, monkeypatch, kind):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr("dfsane.cli.run_suite", no_run)
+    out = str(tmp_path) if kind == "directory" else ""
+    code = dispatch(["bench", "--suite", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, kind", [("--out-svg", "directory"), ("--out-csv", "empty"),
+                                        ("--out-csv", "directory"), ("--out-svg", "empty")])
+def test_profile_bad_out_path_writes_nothing(capsys, tmp_path, monkeypatch, flag, kind):
+    records_csv = tmp_path / "records.csv"
+    dfsane.bench.write_records_csv(
+        [dfsane.bench.BenchRecord("p1", 2, "m1", 0.0, 1, 1, 0.1, True)], records_csv)
+    monkeypatch.chdir(tmp_path)
+    bad = str(tmp_path) if kind == "directory" else ""
+    # for --out-csv, the second one overrides the first
+    code = dispatch(["profile", "--inputs", str(records_csv), "--out-csv", "profile.csv",
+                     flag, bad])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
+
+
+@pytest.mark.parametrize("solvers", [",", "", " , "])
+def test_bench_rejects_empty_solver_list(capsys, tmp_path, solvers):
+    out_csv = tmp_path / "x.csv"
+    code = dispatch(["bench", "--suite", "--solvers", solvers, "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: no solver mode given\n"
+    assert captured.out == "" and not out_csv.exists()
+
+
+def test_package_error_is_not_reported_as_bad_input(capsys, monkeypatch):
+    # Only bad user input becomes an error line; a fault in the package
+    # keeps its traceback.
+    def broken(*args, **kwargs):
+        raise ValueError("bug in the solver")
+
+    monkeypatch.setattr("dfsane.cli.solve", broken)
+    with pytest.raises(ValueError, match="bug in the solver"):
+        dispatch(["solve", "--problem", "booth"])
+    assert capsys.readouterr().err == ""
+
+
 def test_bench_fixture_dir(capsys, tmp_path):
     fdir = tmp_path / "fixtures"
     fdir.mkdir()

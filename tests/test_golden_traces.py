@@ -7,6 +7,32 @@ value f_next of the new iterate.  Counts must match exactly; f_next must
 match to a relative 1e-12, which absorbs only last-digit changes in the
 order of floating-point operations.
 
+Which pins rest on last bits.  Some counts move when only the order of
+floating-point operations changes, for instance under another LAPACK build.
+Two measurements show which; every pin stays as it is.
+
+- Kernel order.  A window that keeps its pairs in a (p + 1)-row ring solves
+  the same least-squares problem with its columns in another order.  Tried
+  on a copy and not adopted, it moved three accelerated cases.
+  bvp-50/accelerated and trigexp-1e4/accelerated kept their counts but
+  moved f_next by up to 8.2e-11 and 4.8e-11 relative, past the tolerance.
+  powell-singular/accelerated moved its counts, from 55 iterations and 267
+  evaluations to 62 and 285.  broyden-tri-1e4/accelerated moved f_next by
+  9e-14, inside the tolerance.  Every plain case kept its bits, since plain
+  mode never calls the kernel.
+- Start-point ensemble.  Start s is x0 + 1e-13 max(|x0|, 1) u, with
+  u ~ U(-1, 1) drawn from default_rng(s), for s = 1..16, under this file's
+  settings.  expfun2-3 and broyden-tri-1e4 in both modes, booth/accelerated
+  and bvp-50/accelerated keep their counts on all 16 starts.
+  powell-singular/accelerated keeps them on 2 of 16 (41-67 iterations,
+  178-315 evaluations, all solved); it is the case a kernel change is most
+  likely to move.  booth/plain (116-127 iterations) and bvp-50/plain
+  (2,029-2,149) solve every start with other counts than the pin.
+  powell-singular/plain reaches the evaluation cap on every start after
+  2,032-2,044 iterations.  trigexp-1e4 starts at x0 = 0, so every perturbed
+  start leaves that point: all 16 take 11 iterations and 27 evaluations
+  accelerated and 14 and 19 plain, against the pinned 10/23 and 14/17.
+
 Run ``PYTHONPATH=src python tests/test_golden_traces.py`` to rewrite the
 data file, and only for a change that is meant to alter the iterates.
 """
