@@ -115,9 +115,10 @@ class SecantWindow:
 
 
 # Rows per block of the tall-skinny QR.  A block of [Y b] is copied into one
-# Fortran-ordered BLOCK_ROWS x (m + 1) buffer, 0.9 MiB at m + 1 = 7, which
-# stays in L2 while the unblocked Householder QR sweeps it once per column;
-# a single n x m QR streams the whole matrix from memory per column instead.
+# Fortran-ordered BLOCK_ROWS x (m + 1) buffer, 0.9 MiB at m + 1 = 7, and
+# np.linalg.qr copies it twice more (about 2.7 MB in all, above a 2 MiB L2);
+# the unblocked Householder QR sweeps that block once per column, where a
+# single n x m QR streams the whole matrix from memory per column.
 BLOCK_ROWS = 16_384
 
 

@@ -229,7 +229,8 @@ def load_linear_fixture(path) -> Problem:
 
     Format: first token n, then n rows of n+1 numbers (a row of A followed
     by the entry of b), then n numbers for the start point.  Tokens may be
-    separated by any whitespace.
+    separated by any whitespace.  A non-finite entry (``nan``, ``inf``) in
+    A, b or the start point is an error, as a missing number is.
     """
     path = Path(path)
     tokens = path.read_text().split()
@@ -249,6 +250,9 @@ def load_linear_fixture(path) -> Problem:
     A = rows[:, :n].copy()
     b = rows[:, n].copy()
     x0 = values[n * (n + 1):].copy()
+    for label, part in (("A", A), ("b", b), ("start point", x0)):
+        if not np.isfinite(part).all():
+            raise ValueError(f"{path}: non-finite entry in {label}")
 
     def residual(x: Array) -> Array:
         return A @ x - b

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import EPS_MACH, Array
 
 # Safeguards of the spectral coefficient (La Cruz, Martinez & Raydan, 2006).
@@ -23,14 +21,20 @@ def sigma_k(s: Array | None, y: Array | None, x: Array, F: Array) -> float:
     (SIGMA_MAX > 1).  Otherwise, and always at the first iteration, the
     fallback max(SIGMA_MIN, min(||x|| / ||F||, SIGMA_MAX)) is used, with
     ||x|| replaced by 1 when the current point is the origin.
+
+    All four arguments that are given are 1-D float64 ndarrays of one
+    length.  Each norm is ``math.sqrt(v.dot(v))``: for a contiguous vector
+    that is what ``np.linalg.norm`` computes, bit for bit, at less cost per
+    call.  (``np.linalg.norm`` first copies a strided vector into contiguous
+    memory, and BLAS may then sum in another order.)
     """
     if s is not None:
-        sty = float(s @ y)
+        sty = float(s.dot(y))
         if sty != 0.0:
-            sigma_spg = float(s @ s) / sty
+            sigma_spg = float(s.dot(s)) / sty
             if SIGMA_MIN <= abs(sigma_spg) <= 1.0:
                 return sigma_spg
-    rho = float(np.linalg.norm(x))
+    rho = math.sqrt(x.dot(x))
     if rho == 0.0:
         rho = 1.0
-    return max(SIGMA_MIN, min(rho / float(np.linalg.norm(F)), SIGMA_MAX))
+    return max(SIGMA_MIN, min(rho / math.sqrt(F.dot(F)), SIGMA_MAX))

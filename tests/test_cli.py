@@ -259,6 +259,21 @@ def test_bench_fixture_dir(capsys, tmp_path):
     assert "plain: solved 1/1" in out
 
 
+def test_bench_fixture_with_nan_is_an_input_error(capsys, tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr("dfsane.cli.run_suite", no_run)
+    fdir = tmp_path / "fixtures"
+    fdir.mkdir()
+    (fdir / "diag.txt").write_text(FIXTURE.replace("-10", "nan"))
+    code = dispatch(["bench", "--fixture-dir", str(fdir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {fdir / 'diag.txt'}: non-finite entry in b\n"
+
+
 def test_bench_budget_and_cap_reach_every_solve(capsys, tmp_path, monkeypatch):
     fdir = tmp_path / "fixtures"
     fdir.mkdir()

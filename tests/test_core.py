@@ -137,6 +137,12 @@ def reference_evaluate(raw, n):
     (2, lambda: np.array([1.0, math.inf])),
     (2, lambda: np.array([math.nan, 1.0])),
     (2, lambda: np.array([1e200, 1e200])),                       # F @ F overflows
+    (3, lambda: np.array([1.0, -2.0, 3.0], dtype=">f8")),        # byte-swapped float64
+    (3, lambda: np.array([1.0, -2.0, 3.0],                       # float64, not the
+                         dtype=np.dtype(np.float64, metadata={"u": "m"}))),  # singleton dtype
+    (1_000, lambda: np.random.default_rng(1).standard_normal(1_000)),
+    (100_000, lambda: np.random.default_rng(2).standard_normal(100_000)),
+    (1_000, lambda: np.random.default_rng(3).standard_normal(2_000)[::2]),  # strided
 ])
 def test_evaluate_agrees_with_the_as_vector_reference(n, make):
     ev = CountedEvaluator(Problem("r", n, lambda x: make(), np.zeros(n)))

@@ -232,9 +232,18 @@ def test_fixture_dir_rejects_a_path_that_is_not_a_directory(tmp_path):
         fixtures_from_dir(tmp_path / "a.txt")
 
 
-@pytest.mark.parametrize("text", ["", "x", "2\n1 2 3\n", "0\n"])
-def test_fixture_malformed_rejected(tmp_path, text):
+@pytest.mark.parametrize("text, message", [
+    ("", "empty fixture"),
+    ("x", "first token must be the dimension"),
+    ("2\n1 2 3\n", "expected 9 numbers, found 4"),
+    ("0\n", "dimension must be positive"),
+    ("2\n2 nan 4\n0 4 -8\n1 1\n", "non-finite entry in A"),
+    ("2\n2 0 4\n0 4 inf\n1 1\n", "non-finite entry in b"),
+    ("2\n2 0 4\n0 4 -8\n1 nan\n", "non-finite entry in start point"),
+], ids=["", "x", "2\n1 2 3\n", "0\n", "nan-in-A", "inf-in-b", "nan-in-x0"])
+def test_fixture_malformed_rejected(tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         load_linear_fixture(path)
+    assert str(info.value) == f"{path}: {message}"

@@ -1,6 +1,7 @@
 """Tests for the spectral coefficient."""
 
 import numpy as np
+import pytest
 
 from dfsane.steps import SIGMA_MAX, SIGMA_MIN, sigma_k
 
@@ -85,3 +86,34 @@ def test_sigma_in_range_is_bit_identical():
         hits += 1
         assert sigma_k(s, y, x, F) == spg
     assert hits > 20  # the sample must actually exercise the pass-through arm
+
+
+def norm_reference(s, y, x, F):
+    """sigma_k as written with np.linalg.norm, the reference for its bits."""
+    if s is not None:
+        sty = float(s @ y)
+        if sty != 0.0:
+            spg = float(s @ s) / sty
+            if SIGMA_MIN <= abs(spg) <= 1.0:
+                return spg
+    rho = float(np.linalg.norm(x))
+    if rho == 0.0:
+        rho = 1.0
+    return max(SIGMA_MIN, min(rho / float(np.linalg.norm(F)), SIGMA_MAX))
+
+
+@pytest.mark.parametrize("n", [2, 50, 100_000])
+def test_sigma_matches_the_norm_formula_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    spectral = []
+    for _ in range(40 if n < 100_000 else 6):
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        F = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        s = rng.standard_normal(n)
+        # y near s / c makes s's / s'y near c in (0.5, 2): the spectral value
+        # is kept about half the time, and the fallback is taken otherwise.
+        y = s / rng.uniform(0.5, 2.0) + 1e-3 * rng.standard_normal(n)
+        spectral.append(SIGMA_MIN <= abs(float(s @ s) / float(s @ y)) <= 1.0)
+        for pair in ((s, y), (None, None)):
+            assert repr(sigma_k(*pair, x, F)) == repr(norm_reference(*pair, x, F))
+    assert any(spectral) and not all(spectral)  # both branches with a pair
