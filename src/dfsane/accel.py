@@ -3,34 +3,66 @@ minimum-norm least-squares extrapolation step.
 
 The accelerated point is x_trial - S nu where nu is the minimum-norm
 least-squares solution of Y nu = F(x_trial), with S and Y collecting the
-recent iterate and residual differences plus the trial pair.  Up to
-``BLOCK_ROWS`` rows nu comes from one ``np.linalg.lstsq`` call (LAPACK's
-SVD-based solver, ``rcond=None``), whose numerical rank counts the singular
-values above ``eps * max(n, m) * sigma_max``.  Above that the augmented
-matrix [Y b] is reduced by a blocked tall-skinny QR in one pass over memory
-(Demmel et al., SIAM J. Sci. Comput. 34, 2012): each block of rows is
-factored on its own, and ``lstsq`` solves the small problem on the stacked
-R factors, whose first m columns have the singular values of Y, with the
-same rank rule.
+recent iterate and residual differences plus the trial pair.  Both layouts
+below use the rank rule of ``np.linalg.lstsq`` (LAPACK's SVD-based solver):
+the numerical rank counts the singular values of Y above
+``eps * max(n, m) * sigma_max``.
 
-Layout.  The window keeps S and Y as preallocated row-major (p + 1) x n
-arrays, one row per pair, so nothing is restacked per call: pairs fill a
-ring of p rows and the trial pair goes into the row after them.  The n x m
-matrices are transposed (Fortran-ordered) views of the first m rows.  Rows
-are in ring order, not in age order; the solution is invariant (in exact
-arithmetic) under a common column permutation of S and Y.  A kept trial
-pair is copied into its ring slot only once the window is full: until then
-the trial row is the next slot.
+Direct layout (n <= ``BLOCK_ROWS``).  The window keeps S and Y as
+preallocated row-major (p + 1) x n arrays, one row per pair, so nothing is
+restacked per call: pairs fill a ring of p rows and the trial pair goes into
+the row after them.  The n x m matrices are transposed (Fortran-ordered)
+views of the first m rows, and nu comes from one ``lstsq`` call on them
+(``min_norm_ls``, ``rcond=None``).  Rows are in ring order, not in age order;
+the solution is invariant (in exact arithmetic) under a common column
+permutation of S and Y.  A kept trial pair is copied into its ring slot only
+once the window is full: until then the trial row is the next slot.
+
+Factored layout (n > ``BLOCK_ROWS``).  S is kept as above, but Y is not
+stored.  Its rows array holds thin QR factors instead, kept per block of at
+most ``BLOCK_ROWS`` rows: Y_i = Q_i R_i with Q_i (c x m) orthonormal and R_i
+(m x m) upper triangular, the columns in age order, oldest first, and the
+trial column last.  Row j of the array holds column j of every Q_i.  The
+factors change one column at a time, and each change is made by the next
+pass over the blocks (one per iteration: the ``accel_point`` call), while
+each block is in cache:
+
+- a column is appended by classical Gram-Schmidt, reorthogonalized once
+  when the first pass cancels (Daniel, Gragg, Kaufman & Stewart, Math.
+  Comp. 30, 1976).  A column that is numerically dependent within a block
+  gets a zero diagonal entry and a unit vector orthogonal to the block's
+  other columns;
+- the oldest column is dropped by re-triangularizing each R_i[:, 1:] with a
+  small QR, R_i[:, 1:] = G_i T_i, and rotating Q_i by the same G_i, as
+  sliding-window Anderson acceleration codes do (Walker & Ni, SIAM J. Numer.
+  Anal. 49, 2011);
+- a rejected trial column is dropped by truncation.
+
+A pushed pair's y waits in the row after the factored columns until that
+pass, and meanwhile is the y that ``newest()`` gives; a kept trial pair's y
+is written instead into S's spare row, which the next trial's s overwrites.
+
+Y = diag(Q_1, Q_2, ...) [R_1; R_2; ...] with orthonormal columns, so nu is
+the ``lstsq`` solution of the stacked R against the stacked Q_i^T F(x_trial),
+and the stacked R has the singular values of Y; the explicit
+``rcond = eps * max(n, m)`` keeps the direct call's rank rule.  nu comes out
+in age order and is permuted into S's ring order before x_trial - S nu.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import Callable
 
 import numpy as np
 
-from .core import Array
+from .core import EPS_MACH, Array
 
+# Rows per block of the factored layout, and the largest n that keeps the
+# direct layout.  A block of Q at m = 7 columns is 0.9 MiB, so it stays in a
+# 2 MiB L2 cache while each update works on it.
+BLOCK_ROWS = 16_384
 
 class SecantWindow:
     """Sliding buffer of up to ``capacity`` (s, y) difference pairs.
@@ -38,7 +70,17 @@ class SecantWindow:
     Pushing at capacity overwrites the oldest pair.  ``push_difference`` and
     ``trial_difference`` subtract straight into the row a pair will occupy,
     and ``push_pair`` and ``matrices_with`` copy nothing when handed the
-    views of that row, so each difference is written once.
+    views of that row, so each difference is written once.  The layout
+    (module docstring) depends on the pair length alone; a window wider
+    than half a block keeps the direct layout.
+
+    In the factored layout ``trial_difference`` returns None for y: passed
+    on as None, it stands for the trial's y = F_new - F, which
+    ``accel_point`` writes straight into the factors (and ``matrices_with``
+    forms).  A kept trial pair joins the window through ``push_difference``
+    with the same four arrays, which keeps its factor column.  ``newest()``
+    is valid until the next ``trial_difference``, ``accel_point`` or
+    ``matrices_with``.
     """
 
     def __init__(self, capacity: int):
@@ -51,58 +93,191 @@ class SecantWindow:
         self._y_rows: Array | None = None
         # (s, y) views of each row, made once so that identity tells a row apart
         self._rows: list[tuple[Array, Array]] = []
+        self._qr: _BlockQR | None = None
+        # (x_new, x, F_new, F) of the last trial_difference
+        self._trial: tuple[Array, Array, Array, Array] | None = None
+        self._newest_y: Array | None = None
 
     def push_pair(self, s: Array, y: Array) -> "SecantWindow":
-        self._put(self._pushes % self.capacity, s, y)
-        self._pushes += 1
-        self.count = min(self._pushes, self.capacity)
-        return self
+        i = self._pushes % self.capacity
+        qr = self._layout(s)
+        if qr is None:
+            self._put(i, s, y)
+            return self._advance()
+        s, y = self._vectors(s, y)
+        if s is not self._rows[i][0]:
+            self._rows[i][0][:] = s
+        qr.truncate_trial()
+        held = self._rows[qr.hold()][1]
+        if y is not held:
+            held[:] = y
+        return self._push_factored(held)
 
     def push_difference(self, x_new: Array, x: Array, F_new: Array,
                         F: Array) -> "SecantWindow":
-        """Push the pair (x_new - x, F_new - F), computed in its slot."""
-        return self.push_pair(*self._subtract(self._pushes % self.capacity,
-                                              x_new, x, F_new, F))
+        """Push the pair (x_new - x, F_new - F), computed in its slot.  In
+        the factored layout the four arrays last given to
+        ``trial_difference`` push the trial pair, whose factor column is
+        kept as it is."""
+        trial, self._trial = self._trial, None
+        i = self._pushes % self.capacity
+        qr = self._layout(x)
+        if qr is None:
+            return self.push_pair(*self._subtract(i, x_new, x, F_new, F))
+        s_row = self._row(i, x.shape[0])[0]
+        if qr.trial and trial is not None and all(
+                map(operator.is_, trial, (x_new, x, F_new, F))):
+            if s_row is not self._rows[self.count][0]:
+                s_row[:] = self._rows[self.count][0]
+            qr.trial = False
+            # S's row after the pairs, free until the next trial_difference
+            y = self._rows[min(self._pushes + 1, self.capacity)][0]
+        else:
+            np.subtract(x_new, x, out=s_row)
+            qr.truncate_trial()
+            y = self._rows[qr.hold()][1]
+        np.subtract(F_new, F, out=y)
+        return self._push_factored(y)
 
     def trial_difference(self, x_new: Array, x: Array, F_new: Array,
-                         F: Array) -> tuple[Array, Array]:
+                         F: Array) -> tuple[Array, Array | None]:
         """Views of the spare row holding (x_new - x, F_new - F), to pass to
-        ``matrices_with`` and then, if the pair is kept, to ``push_pair``.
-        Until the window is full the spare row is the next slot, so that
-        push copies nothing."""
-        return self._subtract(self.count, x_new, x, F_new, F)
+        ``accel_point`` or ``matrices_with`` and then, if the pair is kept,
+        to ``push_pair``; or pass the same four arrays to
+        ``push_difference``.  Until the window is full the spare row is the
+        next slot, so that push copies nothing.  y is None in the factored
+        layout (see the class docstring)."""
+        self._trial = (x_new, x, F_new, F)
+        qr = self._layout(x)
+        if qr is None:
+            return self._subtract(self.count, x_new, x, F_new, F)
+        qr.truncate_trial()
+        s_row = self._row(self.count, x.shape[0])[0]
+        np.subtract(x_new, x, out=s_row)
+        return s_row, None
 
     def newest(self) -> tuple[Array, Array] | tuple[None, None]:
         """Views of the last pair pushed, or (None, None) before the first."""
         if not self._pushes:
             return None, None
-        return self._rows[(self._pushes - 1) % self.capacity]
+        s, y = self._rows[(self._pushes - 1) % self.capacity]
+        return s, (y if self._qr is None else self._newest_y)
 
-    def matrices_with(self, s_extra: Array, y_extra: Array) -> tuple[Array, Array]:
-        """The window contents plus one extra pair as n x (count+1) views
-        (S, Y), columns in the same order in both.  The extra pair goes into
-        the spare row, so the views are valid until the next push or call."""
+    def matrices_with(self, s_extra: Array, y_extra: Array | None) -> tuple[Array, Array]:
+        """The window contents plus one extra pair as n x (count+1) matrices
+        (S, Y), columns in the same order in both.  The extra s goes into the
+        spare row and S is a view, valid until the next push or call.  Y is a
+        view of the stored rows in the direct layout; in the factored layout
+        it is formed from the factors on demand, as a new array, and
+        ``y_extra`` None stands for the trial's y."""
         m = self.count + 1
-        self._put(m - 1, s_extra, y_extra)
-        return self._s_rows[:m].T, self._y_rows[:m].T
+        qr = self._layout(s_extra)
+        if qr is None:
+            self._put(m - 1, s_extra, y_extra)
+            return self._s_rows[:m].T, self._y_rows[:m].T
+        if y_extra is None:
+            _, _, F_new, F = self._checked_trial()
+            y_extra = F_new - F
+        s_extra, y_extra = self._vectors(s_extra, y_extra)
+        S = self._s_rows[:m].T
+        S[:, m - 1] = s_extra
+        Y = np.empty((m, S.shape[0]))
+        Y[self._order()] = qr.columns()
+        Y[m - 1] = y_extra
+        return S, Y.T
+
+    def least_squares(self, s_extra: Array, y_extra: Array | None,
+                      b: Array) -> tuple[Array, Array, int]:
+        """(S, nu, rank) of the minimum-norm least-squares solve Y nu = b,
+        with S and Y as ``matrices_with`` gives them.  In the factored layout
+        the extra y is appended to the factors as the trial column.  It
+        stays there when it is the trial's (y_extra None) and is dropped
+        again otherwise, which leaves the window's factors as they were."""
+        m = self.count + 1
+        qr = self._layout(s_extra)
+        if qr is None:
+            self._put(m - 1, s_extra, y_extra)
+            nu, rank = min_norm_ls(self._y_rows[:m].T, b)
+            return self._s_rows[:m].T, nu, rank
+        own = y_extra is None
+        if own:
+            _, _, F_new, F = self._checked_trial()
+            s_extra = self._vectors(s_extra, F)[0]
+        else:
+            s_extra, y_extra = self._vectors(s_extra, y_extra)
+        s_row = self._rows[m - 1][0]
+        if s_extra is not s_row:
+            s_row[:] = s_extra
+        qr.truncate_trial()
+        if own:
+            Qb = qr.update(self._rows[qr.next_row()][1], (F_new, F), b)
+        else:
+            Qb = qr.update(y_extra, None, b)
+        nu_age, _, rank, _ = np.linalg.lstsq(
+            qr.R[:, :m, :m].reshape(-1, m), Qb.reshape(-1),
+            rcond=EPS_MACH * max(s_row.shape[0], m))
+        nu = np.empty(m)
+        nu[self._order() + [m - 1]] = nu_age
+        qr.trial = True
+        if not own:
+            qr.truncate_trial()
+        return self._s_rows[:m].T, nu, int(rank)
+
+    def _push_factored(self, y: Array) -> "SecantWindow":
+        """Make y the newest y and drop the oldest column if the window was
+        full."""
+        self._newest_y = y
+        if self.count == self.capacity:
+            self._qr.drop_oldest()
+        return self._advance()
+
+    def _checked_trial(self) -> tuple[Array, Array, Array, Array]:
+        if self._trial is None:
+            raise ValueError("y is None but trial_difference has not run")
+        return self._trial
+
+    def _advance(self) -> "SecantWindow":
+        self._pushes += 1
+        self.count = min(self._pushes, self.capacity)
+        return self
+
+    def _order(self) -> list[int]:
+        """The row of S of each pair, oldest first."""
+        first = self._pushes - self.count
+        return [(first + j) % self.capacity for j in range(self.count)]
+
+    def _layout(self, v: Array) -> _BlockQR | None:
+        """The factors, or None in the direct layout; the length of the
+        first vector stored fixes the layout."""
+        if self._s_rows is None:
+            self._row(0, np.size(v))
+        return self._qr
 
     def _row(self, i: int, n: int) -> tuple[Array, Array]:
         if self._s_rows is None:
             self._s_rows = np.empty((self.capacity + 1, n))
             self._y_rows = np.empty_like(self._s_rows)
             self._rows = list(zip(self._s_rows, self._y_rows))
+            if n > BLOCK_ROWS and 2 * (self.capacity + 1) <= BLOCK_ROWS:
+                self._qr = _BlockQR(self._y_rows)
         elif n != self._s_rows.shape[1]:
             raise ValueError("pair length does not match window contents")
         return self._rows[i]
 
-    def _put(self, i: int, s: Array, y: Array) -> None:
-        if self._rows and s is self._rows[i][0] and y is self._rows[i][1]:
-            return
+    def _vectors(self, s: Array, y: Array) -> tuple[Array, Array]:
+        """s and y as float64 vectors of the window's length."""
         s = np.asarray(s, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if s.shape != y.shape or s.ndim != 1:
             raise ValueError("s and y must be vectors of equal length")
-        s_row, y_row = self._row(i, s.shape[0])
+        self._row(0, s.shape[0])
+        return s, y
+
+    def _put(self, i: int, s: Array, y: Array) -> None:
+        if self._rows and s is self._rows[i][0] and y is self._rows[i][1]:
+            return
+        s, y = self._vectors(s, y)
+        s_row, y_row = self._rows[i]
         s_row[:] = s
         y_row[:] = y
 
@@ -114,35 +289,152 @@ class SecantWindow:
         return s_row, y_row
 
 
-# Rows per block of the tall-skinny QR.  A block of [Y b] is copied into one
-# Fortran-ordered BLOCK_ROWS x (m + 1) buffer, 0.9 MiB at m + 1 = 7, and
-# np.linalg.qr copies it twice more (about 2.7 MB in all, above a 2 MiB L2);
-# the unblocked Householder QR sweeps that block once per column, where a
-# single n x m QR streams the whole matrix from memory per column.
-BLOCK_ROWS = 16_384
+class _BlockQR:
+    """Per-block thin QR factors of a window's Y (see the module docstring).
+
+    ``rows`` is the window's (p + 1) x n y-rows array.  Its rows [0, k)
+    hold the Q columns, every block's side by side, and ``R[i, :k, :m]`` is
+    block i's factor for the m factored columns.  Updates are applied by
+    the next pass over the blocks: k is m + 1 after the oldest column was
+    dropped (R[:, 1:] is Hessenberg until the pass re-triangularizes it and
+    rotates Q), and a pushed column waits unfactored in row ``held``.
+    ``trial`` tells whether the last factored column is the trial column.
+    """
+
+    def __init__(self, rows: Array):
+        self.rows = rows
+        k, n = rows.shape
+        nb = -(-n // BLOCK_ROWS)
+        edges = [n * i // nb for i in range(nb + 1)]
+        self.blocks = list(zip(edges[:-1], edges[1:]))
+        self.width = -(-n // nb)
+        self.R = np.zeros((nb, k, k))
+        self.m = self.k = 0
+        self.held: int | None = None
+        self.trial = False
+
+    def truncate_trial(self) -> None:
+        if self.trial:
+            self.m -= 1
+            self.k -= 1
+            self.trial = False
+
+    def next_row(self) -> int:
+        """The row the next column appended by ``update`` lands in."""
+        return self.m + (self.held is not None)
+
+    def hold(self) -> int:
+        """The free row for a pushed column, to be factored by the next
+        pass; a pending column or a full array is dealt with first."""
+        if self.held is not None or self.k == self.rows.shape[0]:
+            self.update()
+        self.held = self.k
+        return self.k
+
+    def drop_oldest(self) -> None:
+        """Drop the first factored column; Q is rotated by the next pass."""
+        m = self.m - 1
+        self.R[:, :, :m] = self.R[:, :, 1:m + 1]
+        self.m = m
+        if not m:
+            self.k = 0
+
+    def update(self, y: Array | None = None,
+               diff: tuple[Array, Array] | None = None,
+               b: Array | None = None) -> Array | None:
+        """One pass over the blocks.  In each block: rotate Q for a pending
+        drop, factor the held column, then append y (written first as
+        diff[0] - diff[1] when ``diff`` is given), and with ``b`` return the
+        stacked Q_i^T b over all columns."""
+        Q, R = self.rows, self.R
+        m, k = self.m, self.k
+        rotate = k > m
+        if rotate:
+            G, T = np.linalg.qr(R[:, :k, :m], mode="complete")
+            R[:, :m, :m] = T[:, :m]
+            Gt = G[:, :, :m].transpose(0, 2, 1)
+            rotated = np.empty(m * self.width)
+        new = [] if self.held is None else [Q[self.held]]
+        if y is not None:
+            new.append(y)
+        for j in range(m, m + len(new)):
+            R[:, j, :j] = 0.0
+        work = np.empty(self.width)
+        Qb = None if b is None else np.empty((len(self.blocks), m + len(new)))
+        for i, (j0, j1) in enumerate(self.blocks):
+            if rotate:
+                out = rotated[:m * (j1 - j0)].reshape(m, j1 - j0)
+                np.matmul(Gt[i], Q[:k, j0:j1], out=out)
+                Q[:m, j0:j1] = out
+            for j, v in enumerate(new, start=m):
+                if v is y and diff is not None:
+                    np.subtract(diff[0][j0:j1], diff[1][j0:j1], out=y[j0:j1])
+                _orthonormalize(Q[:j, j0:j1], v[j0:j1], Q[j, j0:j1], R[i, :j + 1, j],
+                                work[:j1 - j0])
+            if Qb is not None:
+                Qb[i] = Q[:Qb.shape[1], j0:j1] @ b[j0:j1]
+        self.m = self.k = m + len(new)
+        self.held = None
+        return Qb
+
+    def columns(self) -> Array:
+        """The window's columns of Y (the held one included, the trial
+        column not), as the rows of a new array."""
+        m, k = self.m - self.trial, self.k
+        Y = np.empty((m + (self.held is not None), self.rows.shape[1]))
+        for i, (j0, j1) in enumerate(self.blocks):
+            Y[:m, j0:j1] = self.R[i, :k, :m].T @ self.rows[:k, j0:j1]
+        if self.held is not None:
+            Y[m] = self.rows[self.held]
+        return Y
+
+
+def _orthonormalize(Q: Array, y: Array, q: Array, r: Array, work: Array) -> None:
+    """Write into q the unit vector along y's component orthogonal to the
+    rows of Q, and into r y's coordinates in the extended basis.
+
+    Classical Gram-Schmidt, with a second pass when the first leaves less
+    than 1/sqrt(2) of the norm (DGKS; q may be y itself).  y lies
+    numerically in the span of Q when the first pass leaves no more than
+    eps * c of its norm (c rows; a component that small is below the rank
+    cutoff eps * max(n, m) * sigma_max) or the second pass cancels as much
+    again.  Its last coordinate is then 0, and q is a coordinate vector e_t
+    orthogonalized against Q, for a t on which Q has little weight.
+    """
+    j, c = Q.shape
+    h = Q @ y
+    np.matmul(h, Q, out=work)
+    np.subtract(y, work, out=q)
+    rr = q.dot(q)
+    # ||y||^2 = ||h||^2 + ||q||^2, so ||q|| <= ||y|| / sqrt(2) iff rr <= h.h
+    hh = h.dot(h)
+    if not rr > hh:
+        dependent = not rr > (EPS_MACH * c) ** 2 * (hh + rr)
+        if not dependent:
+            scale = rr
+            h2 = Q @ q
+            np.matmul(h2, Q, out=work)
+            np.subtract(q, work, out=q)
+            h += h2
+            rr = q.dot(q)
+            dependent = not rr > 0.5 * scale
+        if dependent:
+            rr = 0.0
+            t = j * 7919 % c
+            if not Q[:, t].dot(Q[:, t]) < 0.5:
+                t = int(np.argmin(np.einsum("ij,ij->j", Q, Q)))
+            np.matmul(Q[:, t], Q, out=q)
+            np.negative(q, out=q)
+            q[t] += 1.0
+    r[:j] = h
+    r[j] = math.sqrt(rr)
+    np.divide(q, r[j] or math.sqrt(q.dot(q)), out=q)
 
 
 def min_norm_ls(Y: Array, b: Array) -> tuple[Array, int]:
     """Minimum-norm least-squares solution of Y nu = b (rank-deficient safe)
-    and the numerical rank of Y."""
-    n, m = Y.shape
-    if n <= BLOCK_ROWS:
-        nu, _, rank, _ = np.linalg.lstsq(Y, b, rcond=None)
-        return nu, int(rank)
-    # [Y b] = diag(Q_1, Q_2, ...) Rs with orthonormal Q_i, so Rs[:, :m] nu =
-    # Rs[:, m] is the same least-squares problem and Rs[:, :m] has the
-    # singular values of Y; the explicit rcond keeps lstsq's rank rule for Y.
-    k = m + 1
-    buf = np.empty((BLOCK_ROWS, k), order="F")
-    Rs = np.zeros((-(-n // BLOCK_ROWS) * k, k))
-    for i, j in enumerate(range(0, n, BLOCK_ROWS)):
-        c = min(BLOCK_ROWS, n - j)
-        buf[:c, :m] = Y[j:j + c]
-        buf[:c, m] = b[j:j + c]
-        R = np.linalg.qr(buf[:c], mode="r")
-        Rs[i * k:i * k + R.shape[0]] = R
-    rcond = np.finfo(np.float64).eps * max(n, m)
-    nu, _, rank, _ = np.linalg.lstsq(Rs[:, :m], Rs[:, m], rcond=rcond)
+    and the numerical rank of Y: one ``np.linalg.lstsq`` call."""
+    nu, _, rank, _ = np.linalg.lstsq(Y, b, rcond=None)
     return nu, int(rank)
 
 
@@ -154,8 +446,9 @@ def accel_point(window: SecantWindow, s_k: Array, y_k: Array,
     Performs no residual evaluation.  ``on_info`` (if given) receives the
     column count, the numerical rank, and ||nu||_2.
     """
-    S, Y = window.matrices_with(s_k, y_k)
-    nu, rank = min_norm_ls(Y, F_trial)
+    S, nu, rank = window.least_squares(s_k, y_k, F_trial)
     if on_info is not None:
         on_info(S.shape[1], rank, float(np.linalg.norm(nu)))
-    return x_trial - S @ nu
+    step = S @ nu
+    np.subtract(x_trial, step, out=step)
+    return step

@@ -72,8 +72,10 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
     quad_new_alpha (the forward step from the forward probe, the reverse
     step from the reverse probe).  Raises BreakdownError once both steps fall
     below machine epsilon without acceptance.  The +sigma F probe is
-    x - alpha d with d = -sigma F, bitwise x + alpha (sigma F) because IEEE
-    negation is exact, so one direction vector serves both.
+    (-alpha) d + x with d = -sigma F, bitwise x + alpha (sigma F) because IEEE
+    negation is exact and addition commutes, so one direction vector serves
+    both; written with the product first, numpy reuses the product's
+    temporary for the sum, so a probe allocates one n-vector, not two.
     """
     d_minus = -sigma * F
     alpha_plus = 1.0
@@ -88,7 +90,7 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
                                      evals, "-")
         f_minus_dir = f_probe
 
-        x_probe = x - alpha_minus * d_minus
+        x_probe = (-alpha_minus) * d_minus + x
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_minus, f_k):

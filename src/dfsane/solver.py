@@ -168,10 +168,6 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                     F_accel, f_accel = ev.evaluate(x_accel)
                     if f_accel < f_new:
                         x_new, F_new, f_new, accepted = x_accel, F_accel, f_accel, "accel"
-                        window.push_difference(x_new, x, F_new, F)
-                    else:
-                        window.push_pair(s_trial, y_trial)
-                    s, y = window.newest()
                 else:
                     s, y = x_new - x, F_new - F
 
@@ -187,6 +183,11 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                         _print_record(rec, cfg)
 
                 ls = x_accel = F_accel = None  # release the losing candidate
+                if accelerated:
+                    # The kept point's pair joins the window: the trial pair
+                    # (the same four arrays as trial_difference got) keeps
+                    # the row and factor column it has.
+                    s, y = window.push_difference(x_new, x, F_new, F).newest()
                 x, F, f = x_new, F_new, f_new
                 if f < best_f:
                     best_x, best_F, best_f = x, F, f

@@ -222,15 +222,108 @@ def blocked_cases():
     }
 
 
+def factored_solve(Y, b):
+    """(nu, rank) from a window holding all but Y's last column as pairs and
+    the last one as the extra pair, the way accel_point solves."""
+    n, m = Y.shape
+    rng = np.random.default_rng(m)
+    w = SecantWindow(max(m - 1, 1))
+    for j in range(m - 1):
+        w.push_pair(rng.standard_normal(n), Y[:, j])
+    _, nu, rank = w.least_squares(rng.standard_normal(n), Y[:, -1], b)
+    return nu, rank
+
+
 @pytest.mark.parametrize("case", sorted(blocked_cases()))
 def test_blocked_kernel_matches_direct_lstsq(case):
+    # Above BLOCK_ROWS the window keeps per-block QR factors of Y and solves
+    # on the stacked R; nu is in column order, as no pair has wrapped.
     Y = blocked_cases()[case]
     b = np.random.default_rng(6).standard_normal(Y.shape[0])
     assert Y.shape[0] > BLOCK_ROWS
-    nu, rank = min_norm_ls(Y, b)
+    nu, rank = factored_solve(Y, b)
     want, _, want_rank, _ = np.linalg.lstsq(Y, b, rcond=None)
     assert rank == want_rank
     np.testing.assert_allclose(nu, want, rtol=1e-10, atol=0.0)
+
+
+def factor_orthogonality(w):
+    """max over blocks of |Q_i^T Q_i - I| for the window's factored columns."""
+    qr = w._qr
+    worst = 0.0
+    for j0, j1 in qr.blocks:
+        Q = qr.rows[:qr.m, j0:j1]
+        worst = max(worst, float(np.abs(Q @ Q.T - np.eye(qr.m)).max(initial=0.0)))
+    return worst
+
+
+def reference_step(pairs, s, y, x_trial, F_trial):
+    """x_trial - S nu by lstsq on the columns stacked from scratch."""
+    S = np.column_stack([p[0] for p in pairs] + [s])
+    Y = np.column_stack([p[1] for p in pairs] + [y])
+    nu, _, rank, _ = np.linalg.lstsq(Y, F_trial, rcond=None)
+    return x_trial - S @ nu, rank
+
+
+@pytest.mark.parametrize("capacity", [1, 3])
+def test_factored_window_follows_the_solver_steps(capacity):
+    # The solver's steps above BLOCK_ROWS, more than capacity pushes: the
+    # trial pair is kept (push_difference with the trial's arrays) or
+    # replaced by an accepted extrapolated pair, and the window's oldest
+    # pair is dropped once it is full.
+    n = 2 * BLOCK_ROWS + 123
+    rng = np.random.default_rng(capacity)
+    w, pairs = SecantWindow(capacity), []
+    x, F = rng.standard_normal(n), rng.standard_normal(n)
+    for step in range(3 * capacity + 3):
+        x_trial, F_trial = rng.standard_normal(n), rng.standard_normal(n)
+        s, y = w.trial_difference(x_trial, x, F_trial, F)
+        assert y is None
+        S, Y = w.matrices_with(s, y)
+        assert Y[:, -1].tobytes() == (F_trial - F).tobytes()
+        want, want_rank = reference_step(pairs, x_trial - x, F_trial - F, x_trial, F_trial)
+        seen = {}
+        got = accel_point(w, s, y, x_trial, F_trial,
+                          on_info=lambda m, r, nn: seen.update(m=m, r=r))
+        assert seen == {"m": len(pairs) + 1, "r": want_rank}
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+        if step % 2:
+            x_new, F_new = got, rng.standard_normal(n)
+        else:
+            x_new, F_new = x_trial, F_trial
+        w.push_difference(x_new, x, F_new, F)
+        pairs = (pairs + [(x_new - x, F_new - F)])[-capacity:]
+        s_new, y_new = w.newest()
+        assert s_new.tobytes() == (x_new - x).tobytes()
+        assert y_new.tobytes() == (F_new - F).tobytes()
+        assert factor_orthogonality(w) <= 1e-13
+        x, F = x_new, F_new
+    assert w.count == capacity
+
+
+def test_factored_window_slides_over_pushed_pairs():
+    # Outside pairs, more than capacity of them: matrices_with forms Y from
+    # the factors, and an accel_point with an outside pair leaves them as
+    # they were.
+    n, capacity = BLOCK_ROWS + 4_000, 3
+    rng = np.random.default_rng(12)
+    w, pushed = SecantWindow(capacity), []
+    for _ in range(2 * capacity + 2):
+        pair = (rng.standard_normal(n), rng.standard_normal(n))
+        w.push_pair(*pair)
+        pushed.append(pair)
+        s_k, y_k, x_trial, F_trial = (rng.standard_normal(n) for _ in range(4))
+        want, _ = reference_step(pushed[-capacity:], s_k, y_k, x_trial, F_trial)
+        for _ in range(2):
+            got = accel_point(w, s_k, y_k, x_trial, F_trial)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+        S, Y = w.matrices_with(s_k, y_k)
+        want_S = np.column_stack([p[0] for p in pushed[-capacity:]] + [s_k])
+        want_Y = np.column_stack([p[1] for p in pushed[-capacity:]] + [y_k])
+        order = w._order() + [w.count]             # ring rows, oldest first
+        np.testing.assert_array_equal(S[:, order], want_S)
+        np.testing.assert_allclose(Y[:, order], want_Y, rtol=0.0, atol=1e-12)
+        assert factor_orthogonality(w) <= 1e-13
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (10, 6), (BLOCK_ROWS, 1), (BLOCK_ROWS, 6)])

@@ -1,6 +1,7 @@
 """Tests for the nonmonotone double-backtracking line search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,3 +224,50 @@ def test_underflow_raises_breakdown():
     # TAU_MAX = 0.5 halves both steps each round until they pass eps_mach
     rounds = math.ceil(-math.log2(EPS_MACH)) + 1
     assert ev.fcnt - 1 == 2 * rounds
+
+
+# ---------------------------------------------------------------------------
+# reverse probe
+# ---------------------------------------------------------------------------
+
+def special_vector(rng, n):
+    """Random values mixed with zeros of both signs, subnormals and
+    infinities."""
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                         math.inf, -math.inf])
+    pick = rng.random(n) < 0.3
+    v[pick] = rng.choice(specials, int(pick.sum()))
+    return v
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000, 100_000])
+def test_reverse_probe_is_bitwise_the_subtraction(n):
+    # double_backtracking writes the +sigma F probe x - alpha d as
+    # (-alpha) d + x: negation is exact and addition commutes.
+    rng = np.random.default_rng(n)
+    alphas = [0.0, -0.0, 1.0, 5e-324, 1e-300, 1e300, math.inf,
+              *rng.random(5), *10.0 ** rng.uniform(-300, 300, 5)]
+    for alpha in alphas:
+        d, x = special_vector(rng, n), special_vector(rng, n)
+        with np.errstate(all="ignore"):   # as in solve: 0 * inf and inf - inf
+            probe, want = (-alpha) * d + x, x - alpha * d
+        assert probe.tobytes() == want.tobytes(), alpha
+
+
+def test_reverse_probe_allocates_one_vector():
+    # numpy reuses the product's temporary for the sum; x - alpha * d
+    # allocates the product and then the result.
+    n = 100_000
+    rng = np.random.default_rng(0)
+    d, x = rng.standard_normal(n), rng.standard_normal(n)
+    alpha = 0.5
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        probe = (-alpha) * d + x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probe.shape == (n,)
+    assert (peak - base) / (8 * n) <= 1.05

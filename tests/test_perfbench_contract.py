@@ -54,3 +54,16 @@ def test_kernel_microbench_runs_at_small_n(monkeypatch):
     assert sorted(metrics) == ["accel.kernel.n10.m2.ms_per_call",
                                "accel.kernel.n10.m6.computed_GBps",
                                "accel.kernel.n10.m6.ms_per_call"]
+
+
+def test_kernel_microbench_runs_above_block_rows(monkeypatch):
+    # n = 1e5 takes the window's factored layout, so the microbench's lstsq
+    # reference check (matrices_with after accel_point) covers it.
+    kernelbench = load("kernelbench", monkeypatch)
+    monkeypatch.setattr(kernelbench, "SIZES", {"n1e5": 100_000})
+    monkeypatch.setattr(kernelbench, "SECONDS_PER_CASE", 0.0)
+    metrics, failures = kernelbench.run(seed=0)
+    assert failures == []
+    assert sorted(metrics) == ["accel.kernel.n1e5.m2.ms_per_call",
+                               "accel.kernel.n1e5.m6.computed_GBps",
+                               "accel.kernel.n1e5.m6.ms_per_call"]
