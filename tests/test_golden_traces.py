@@ -3,9 +3,11 @@
 ``golden_traces.json`` holds, for six problems in both modes, the final
 iteration count, evaluation count and stop code plus, per iteration, which
 point was accepted, how many line-search evaluations it took and the merit
-value f_next of the new iterate.  Counts must match exactly; f_next must
-match to a relative 1e-12, which absorbs only last-digit changes in the
-order of floating-point operations.
+value f_next of the new iterate; accelerated cases also hold the numerical
+rank of the secant matrix and ||nu||_2 of each acceleration step.  Counts
+and ranks must match exactly; f_next and nu_norm must match to a relative
+1e-12, which absorbs only last-digit changes in the order of floating-point
+operations.
 
 Which pins rest on last bits.  Some counts move when only the order of
 floating-point operations changes, for instance under another LAPACK build.
@@ -68,7 +70,7 @@ def run_case(case: str) -> dict:
     trace = []
     rep = solve(PROBLEMS[name](), SolverConfig(mode=mode, max_feval=MAX_FEVAL),
                 trace=trace)
-    return {
+    got = {
         "iter": rep.iter,
         "fcnt": rep.fcnt,
         "istop": rep.istop,
@@ -76,6 +78,10 @@ def run_case(case: str) -> dict:
         "ls_evals": [r.ls_evals for r in trace],
         "f_next": [r.f_next for r in trace],
     }
+    if mode == "accelerated":
+        got["rank"] = [r.rank for r in trace]
+        got["nu_norm"] = [r.nu_norm for r in trace]
+    return got
 
 
 @pytest.fixture(scope="module")
@@ -87,11 +93,14 @@ def golden():
 def test_trace_matches_golden(golden, case):
     want = golden[case]
     got = run_case(case)
-    for key in ("iter", "fcnt", "istop", "accepted", "ls_evals"):
-        assert got[key] == want[key], key
-    assert len(got["f_next"]) == len(want["f_next"])
-    for k, (a, b) in enumerate(zip(got["f_next"], want["f_next"])):
-        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0), (k, a, b)
+    assert got.keys() == want.keys()
+    for key in ("iter", "fcnt", "istop", "accepted", "ls_evals", "rank"):
+        assert got.get(key) == want.get(key), key
+    for key in ("f_next", "nu_norm"):
+        if key in want:
+            assert len(got[key]) == len(want[key]), key
+            for k, (a, b) in enumerate(zip(got[key], want[key])):
+                assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0), (key, k, a, b)
 
 
 if __name__ == "__main__":
