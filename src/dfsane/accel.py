@@ -8,6 +8,13 @@ below use the rank rule of ``np.linalg.lstsq`` (LAPACK's SVD-based solver):
 the numerical rank counts the singular values of Y above
 ``eps * max(n, m) * sigma_max``.
 
+One solver iteration: ``trial_difference`` writes the trial pair,
+``accel_point(window, None, None, x_trial, F(x_trial))`` solves with it
+(s, y = None, None stands for the trial pair), and ``keep_trial()`` or
+``push_difference`` pushes the pair of the point that won.  Pairs from
+outside (``push_pair``, or an extra pair given to ``accel_point`` or
+``matrices_with``) are copied in and discard the trial pair.
+
 Direct layout (n <= ``BLOCK_ROWS``).  The window keeps S and Y as
 preallocated row-major (p + 1) x n arrays, one row per pair, so nothing is
 restacked per call: pairs fill a ring of p rows and the trial pair goes into
@@ -52,8 +59,6 @@ in age order and is permuted into S's ring order before x_trial - S nu.
 from __future__ import annotations
 
 import math
-import operator
-from typing import Callable
 
 import numpy as np
 
@@ -67,20 +72,15 @@ BLOCK_ROWS = 16_384
 class SecantWindow:
     """Sliding buffer of up to ``capacity`` (s, y) difference pairs.
 
-    Pushing at capacity overwrites the oldest pair.  ``push_difference`` and
-    ``trial_difference`` subtract straight into the row a pair will occupy,
-    and ``push_pair`` and ``matrices_with`` copy nothing when handed the
-    views of that row, so each difference is written once.  The layout
+    Pushing at capacity overwrites the oldest pair.  ``trial_difference``
+    and ``push_difference`` subtract straight into the row a pair will
+    occupy, so each difference the solver forms is written once;
+    ``push_pair`` and an outside extra pair are copied in.  The layout
     (module docstring) depends on the pair length alone; a window wider
-    than half a block keeps the direct layout.
-
-    In the factored layout ``trial_difference`` returns None for y: passed
-    on as None, it stands for the trial's y = F_new - F, which
-    ``accel_point`` writes straight into the factors (and ``matrices_with``
-    forms).  A kept trial pair joins the window through ``push_difference``
-    with the same four arrays, which keeps its factor column.  ``newest()``
-    is valid until the next ``trial_difference``, ``accel_point`` or
-    ``matrices_with``.
+    than half a block keeps the direct layout.  ``rank`` and ``nu`` are
+    those of the last ``least_squares`` solve (None before the first).
+    ``newest()`` is valid until the next ``trial_difference``,
+    ``accel_point`` or ``matrices_with``.
     """
 
     def __init__(self, capacity: int):
@@ -88,155 +88,156 @@ class SecantWindow:
             raise ValueError("window capacity must be at least 1")
         self.capacity = capacity
         self.count = 0
+        self.rank: int | None = None
+        self.nu: Array | None = None
         self._pushes = 0
         self._s_rows: Array | None = None
         self._y_rows: Array | None = None
-        # (s, y) views of each row, made once so that identity tells a row apart
-        self._rows: list[tuple[Array, Array]] = []
         self._qr: _BlockQR | None = None
-        # (x_new, x, F_new, F) of the last trial_difference
-        self._trial: tuple[Array, Array, Array, Array] | None = None
+        # (F_new, F) of the trial pair, until it is kept or discarded
+        self._trial: tuple[Array, Array] | None = None
         self._newest_y: Array | None = None
 
     def push_pair(self, s: Array, y: Array) -> "SecantWindow":
-        i = self._pushes % self.capacity
-        qr = self._layout(s)
-        if qr is None:
-            self._put(i, s, y)
-            return self._advance()
+        """Push a copy of the pair (s, y)."""
         s, y = self._vectors(s, y)
-        if s is not self._rows[i][0]:
-            self._rows[i][0][:] = s
-        qr.truncate_trial()
-        held = self._rows[qr.hold()][1]
-        if y is not held:
-            held[:] = y
-        return self._push_factored(held)
+        i, y_row = self._slot()
+        self._s_rows[i] = s
+        y_row[:] = y
+        return self._advance(y_row)
 
     def push_difference(self, x_new: Array, x: Array, F_new: Array,
                         F: Array) -> "SecantWindow":
-        """Push the pair (x_new - x, F_new - F), computed in its slot.  In
-        the factored layout the four arrays last given to
-        ``trial_difference`` push the trial pair, whose factor column is
-        kept as it is."""
-        trial, self._trial = self._trial, None
-        i = self._pushes % self.capacity
-        qr = self._layout(x)
-        if qr is None:
-            return self.push_pair(*self._subtract(i, x_new, x, F_new, F))
-        s_row = self._row(i, x.shape[0])[0]
-        if qr.trial and trial is not None and all(
-                map(operator.is_, trial, (x_new, x, F_new, F))):
-            if s_row is not self._rows[self.count][0]:
-                s_row[:] = self._rows[self.count][0]
-            qr.trial = False
-            # S's row after the pairs, free until the next trial_difference
-            y = self._rows[min(self._pushes + 1, self.capacity)][0]
-        else:
-            np.subtract(x_new, x, out=s_row)
-            qr.truncate_trial()
-            y = self._rows[qr.hold()][1]
-        np.subtract(F_new, F, out=y)
-        return self._push_factored(y)
+        """Push the pair (x_new - x, F_new - F), computed in its slot."""
+        self._check(x.shape[0])
+        i, y_row = self._slot()
+        np.subtract(x_new, x, out=self._s_rows[i])
+        np.subtract(F_new, F, out=y_row)
+        return self._advance(y_row)
 
     def trial_difference(self, x_new: Array, x: Array, F_new: Array,
-                         F: Array) -> tuple[Array, Array | None]:
-        """Views of the spare row holding (x_new - x, F_new - F), to pass to
-        ``accel_point`` or ``matrices_with`` and then, if the pair is kept,
-        to ``push_pair``; or pass the same four arrays to
-        ``push_difference``.  Until the window is full the spare row is the
-        next slot, so that push copies nothing.  y is None in the factored
-        layout (see the class docstring)."""
-        self._trial = (x_new, x, F_new, F)
-        qr = self._layout(x)
+                         F: Array) -> None:
+        """Write the trial pair (x_new - x, F_new - F) into the row after the
+        pairs (its s alone in the factored layout, where a solve forms its y
+        block by block).  It is the extra pair that None, None stands for
+        until ``keep_trial`` pushes it, or a push or outside pair discards it."""
+        self._check(x.shape[0])
+        np.subtract(x_new, x, out=self._s_rows[self.count])
+        if self._qr is None:
+            np.subtract(F_new, F, out=self._y_rows[self.count])
+        else:
+            self._qr.truncate_trial()
+        self._trial = (F_new, F)
+
+    def keep_trial(self) -> "SecantWindow":
+        """Push the trial pair as it stands, with the factor column that a
+        solve gave it (module docstring)."""
+        if self._trial is None:
+            raise ValueError("no trial pair to keep")
+        (F_new, F), self._trial = self._trial, None
+        i, t, qr = self._pushes % self.capacity, self.count, self._qr
+        if i != t:
+            self._s_rows[i] = self._s_rows[t]
+            if qr is None:
+                self._y_rows[i] = self._y_rows[t]
         if qr is None:
-            return self._subtract(self.count, x_new, x, F_new, F)
-        qr.truncate_trial()
-        s_row = self._row(self.count, x.shape[0])[0]
-        np.subtract(x_new, x, out=s_row)
-        return s_row, None
+            return self._advance(self._y_rows[i])
+        if qr.trial:
+            qr.trial = False
+            # S's row after the pairs, free until the next trial_difference
+            y_row = self._s_rows[min(self._pushes + 1, self.capacity)]
+        else:
+            y_row = self._y_rows[qr.hold()]
+        np.subtract(F_new, F, out=y_row)
+        return self._advance(y_row)
 
     def newest(self) -> tuple[Array, Array] | tuple[None, None]:
         """Views of the last pair pushed, or (None, None) before the first."""
         if not self._pushes:
             return None, None
-        s, y = self._rows[(self._pushes - 1) % self.capacity]
-        return s, (y if self._qr is None else self._newest_y)
+        return self._s_rows[(self._pushes - 1) % self.capacity], self._newest_y
 
-    def matrices_with(self, s_extra: Array, y_extra: Array | None) -> tuple[Array, Array]:
+    def matrices_with(self, s_extra: Array | None,
+                      y_extra: Array | None) -> tuple[Array, Array]:
         """The window contents plus one extra pair as n x (count+1) matrices
-        (S, Y), columns in the same order in both.  The extra s goes into the
-        spare row and S is a view, valid until the next push or call.  Y is a
-        view of the stored rows in the direct layout; in the factored layout
-        it is formed from the factors on demand, as a new array, and
-        ``y_extra`` None stands for the trial's y."""
+        (S, Y), columns in the same order in both; s_extra, y_extra None
+        stands for the trial pair.  S is a view of the rows, valid until the
+        next push or call.  Y is a view of the stored rows in the direct
+        layout; in the factored layout it is formed from the factors on
+        demand, as a new array."""
+        y_extra = self._extra(s_extra, y_extra)
         m = self.count + 1
-        qr = self._layout(s_extra)
-        if qr is None:
-            self._put(m - 1, s_extra, y_extra)
-            return self._s_rows[:m].T, self._y_rows[:m].T
-        if y_extra is None:
-            _, _, F_new, F = self._checked_trial()
-            y_extra = F_new - F
-        s_extra, y_extra = self._vectors(s_extra, y_extra)
         S = self._s_rows[:m].T
-        S[:, m - 1] = s_extra
+        if self._qr is None:
+            return S, self._y_rows[:m].T
         Y = np.empty((m, S.shape[0]))
-        Y[self._order()] = qr.columns()
-        Y[m - 1] = y_extra
+        Y[self._order()] = self._qr.columns()
+        Y[m - 1] = np.subtract(*self._trial) if y_extra is None else y_extra
         return S, Y.T
 
-    def least_squares(self, s_extra: Array, y_extra: Array | None,
+    def least_squares(self, s_extra: Array | None, y_extra: Array | None,
                       b: Array) -> tuple[Array, Array, int]:
         """(S, nu, rank) of the minimum-norm least-squares solve Y nu = b,
-        with S and Y as ``matrices_with`` gives them.  In the factored layout
-        the extra y is appended to the factors as the trial column.  It
-        stays there when it is the trial's (y_extra None) and is dropped
-        again otherwise, which leaves the window's factors as they were."""
+        with S and Y as ``matrices_with`` gives them; the window keeps nu
+        and rank.  In the factored layout the extra y is appended to the
+        factors as the trial column.  It stays there for the trial pair and
+        is dropped again for an outside pair, which leaves the window's
+        factors as they were."""
+        y_extra = self._extra(s_extra, y_extra)
         m = self.count + 1
-        qr = self._layout(s_extra)
+        qr = self._qr
         if qr is None:
-            self._put(m - 1, s_extra, y_extra)
-            nu, rank = min_norm_ls(self._y_rows[:m].T, b)
-            return self._s_rows[:m].T, nu, rank
-        own = y_extra is None
-        if own:
-            _, _, F_new, F = self._checked_trial()
-            s_extra = self._vectors(s_extra, F)[0]
-        else:
-            s_extra, y_extra = self._vectors(s_extra, y_extra)
-        s_row = self._rows[m - 1][0]
-        if s_extra is not s_row:
-            s_row[:] = s_extra
+            self.nu, self.rank = min_norm_ls(self._y_rows[:m].T, b)
+            return self._s_rows[:m].T, self.nu, self.rank
         qr.truncate_trial()
-        if own:
-            Qb = qr.update(self._rows[qr.next_row()][1], (F_new, F), b)
+        if y_extra is None:
+            Qb = qr.update(self._y_rows[qr.next_row()], self._trial, b)
         else:
             Qb = qr.update(y_extra, None, b)
         nu_age, _, rank, _ = np.linalg.lstsq(
             qr.R[:, :m, :m].reshape(-1, m), Qb.reshape(-1),
-            rcond=EPS_MACH * max(s_row.shape[0], m))
-        nu = np.empty(m)
-        nu[self._order() + [m - 1]] = nu_age
+            rcond=EPS_MACH * max(self._s_rows.shape[1], m))
+        self.nu = np.empty(m)
+        self.nu[self._order() + [m - 1]] = nu_age
+        self.rank = int(rank)
         qr.trial = True
-        if not own:
+        if y_extra is not None:
             qr.truncate_trial()
-        return self._s_rows[:m].T, nu, int(rank)
+        return self._s_rows[:m].T, self.nu, self.rank
 
-    def _push_factored(self, y: Array) -> "SecantWindow":
-        """Make y the newest y and drop the oldest column if the window was
-        full."""
-        self._newest_y = y
-        if self.count == self.capacity:
+    def _extra(self, s: Array | None, y: Array | None) -> Array | None:
+        """Make (s, y) the extra pair of a solve and return y as a vector.
+        An outside pair goes into the row after the pairs (its s alone in
+        the factored layout) and discards the trial pair; s, y = None, None
+        stands for the trial pair and gives None."""
+        if s is None and y is None:
+            if self._trial is None:
+                raise ValueError("s and y are None but there is no trial pair")
+            return None
+        s, y = self._vectors(s, y)
+        self._trial = None
+        self._s_rows[self.count] = s
+        if self._qr is None:
+            self._y_rows[self.count] = y
+        return y
+
+    def _slot(self) -> tuple[int, Array]:
+        """The ring slot of the next push and the row its y goes into (in
+        the factored layout a free row, factored by the next pass); the
+        trial pair is discarded."""
+        self._trial = None
+        i = self._pushes % self.capacity
+        if self._qr is None:
+            return i, self._y_rows[i]
+        self._qr.truncate_trial()
+        return i, self._y_rows[self._qr.hold()]
+
+    def _advance(self, y_row: Array) -> "SecantWindow":
+        """Count a push whose y is in ``y_row``; in the factored layout a
+        full window drops its oldest column."""
+        self._newest_y = y_row
+        if self._qr is not None and self.count == self.capacity:
             self._qr.drop_oldest()
-        return self._advance()
-
-    def _checked_trial(self) -> tuple[Array, Array, Array, Array]:
-        if self._trial is None:
-            raise ValueError("y is None but trial_difference has not run")
-        return self._trial
-
-    def _advance(self) -> "SecantWindow":
         self._pushes += 1
         self.count = min(self._pushes, self.capacity)
         return self
@@ -246,23 +247,16 @@ class SecantWindow:
         first = self._pushes - self.count
         return [(first + j) % self.capacity for j in range(self.count)]
 
-    def _layout(self, v: Array) -> _BlockQR | None:
-        """The factors, or None in the direct layout; the length of the
-        first vector stored fixes the layout."""
-        if self._s_rows is None:
-            self._row(0, np.size(v))
-        return self._qr
-
-    def _row(self, i: int, n: int) -> tuple[Array, Array]:
+    def _check(self, n: int) -> None:
+        """Check the pair length n; the first one allocates the rows and
+        fixes the layout."""
         if self._s_rows is None:
             self._s_rows = np.empty((self.capacity + 1, n))
             self._y_rows = np.empty_like(self._s_rows)
-            self._rows = list(zip(self._s_rows, self._y_rows))
             if n > BLOCK_ROWS and 2 * (self.capacity + 1) <= BLOCK_ROWS:
                 self._qr = _BlockQR(self._y_rows)
         elif n != self._s_rows.shape[1]:
             raise ValueError("pair length does not match window contents")
-        return self._rows[i]
 
     def _vectors(self, s: Array, y: Array) -> tuple[Array, Array]:
         """s and y as float64 vectors of the window's length."""
@@ -270,23 +264,8 @@ class SecantWindow:
         y = np.asarray(y, dtype=np.float64)
         if s.shape != y.shape or s.ndim != 1:
             raise ValueError("s and y must be vectors of equal length")
-        self._row(0, s.shape[0])
+        self._check(s.shape[0])
         return s, y
-
-    def _put(self, i: int, s: Array, y: Array) -> None:
-        if self._rows and s is self._rows[i][0] and y is self._rows[i][1]:
-            return
-        s, y = self._vectors(s, y)
-        s_row, y_row = self._rows[i]
-        s_row[:] = s
-        y_row[:] = y
-
-    def _subtract(self, i: int, x_new: Array, x: Array, F_new: Array,
-                  F: Array) -> tuple[Array, Array]:
-        s_row, y_row = self._row(i, x.shape[0])
-        np.subtract(x_new, x, out=s_row)
-        np.subtract(F_new, F, out=y_row)
-        return s_row, y_row
 
 
 class _BlockQR:
@@ -438,17 +417,15 @@ def min_norm_ls(Y: Array, b: Array) -> tuple[Array, int]:
     return nu, int(rank)
 
 
-def accel_point(window: SecantWindow, s_k: Array, y_k: Array,
-                x_trial: Array, F_trial: Array,
-                on_info: Callable[[int, int, float], None] | None = None) -> Array:
-    """Extrapolated point x_trial - S nu from the window plus the trial pair.
+def accel_point(window: SecantWindow, s_k: Array | None, y_k: Array | None,
+                x_trial: Array, F_trial: Array) -> Array:
+    """Extrapolated point x_trial - S nu from the window plus the extra pair
+    (s_k, y_k); s_k, y_k = None, None stands for the window's trial pair.
 
-    Performs no residual evaluation.  ``on_info`` (if given) receives the
-    column count, the numerical rank, and ||nu||_2.
+    Performs no residual evaluation.  The window keeps the solve's numerical
+    rank and nu (``window.rank``, ``window.nu``).
     """
-    S, nu, rank = window.least_squares(s_k, y_k, F_trial)
-    if on_info is not None:
-        on_info(S.shape[1], rank, float(np.linalg.norm(nu)))
+    S, nu, _ = window.least_squares(s_k, y_k, F_trial)
     step = S @ nu
     np.subtract(x_trial, step, out=step)
     return step

@@ -86,13 +86,18 @@ def records_to_matrix(records: Sequence[BenchRecord],
 
     Unsolved (or missing) runs get +inf.  Time entries below
     TIME_FLOOR_SECONDS are floored before profiling; feval entries are used
-    as-is.
+    as-is.  A (problem, n, solver) that appears twice is a ValueError.
     """
     if metric not in ("feval", "time"):
         raise ValueError("metric must be 'feval' or 'time'")
     methods: list[str] = []
     keys: list[tuple[str, int]] = []
+    seen = set()
     for r in records:
+        if (r.problem, r.n, r.solver) in seen:
+            raise ValueError(f"repeated record: problem {r.problem!r}, n = {r.n}, "
+                             f"solver {r.solver!r}")
+        seen.add((r.problem, r.n, r.solver))
         if r.solver not in methods:
             methods.append(r.solver)
         key = (r.problem, r.n)

@@ -195,8 +195,8 @@ def _cmd_profile(args) -> int:
             records.extend(read_records_csv(path))
     if not records:
         raise _UsageError("no records in inputs")
-    methods, _, t = records_to_matrix(records, metric=args.metric)
     with _bad_input(ValueError):
+        methods, _, t = records_to_matrix(records, metric=args.metric)
         curves = perf_profile(t, restrict_to_solved_by_all=args.restrict,
                               methods=methods)
     write_profile(curves, args.out_csv, args.out_svg)

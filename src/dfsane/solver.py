@@ -116,13 +116,6 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                            istop=istop, reason=reason,
                            wall_seconds=time.perf_counter() - start)
 
-    rank: int | None = None
-    nu_norm: float | None = None
-
-    def on_info(_columns: int, r: int, nu: float) -> None:
-        nonlocal rank, nu_norm
-        rank, nu_norm = r, nu
-
     F, f = None, math.inf
     best_x, best_F, best_f = x, F, f
     fvals: deque[float] = deque(maxlen=M)
@@ -162,9 +155,8 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
 
                 f_accel: float | None = None
                 if accelerated:
-                    s_trial, y_trial = window.trial_difference(x_new, x, F_new, F)
-                    x_accel = accel_point(window, s_trial, y_trial, x_new, F_new,
-                                          on_info=on_info if recording else None)
+                    window.trial_difference(x_new, x, F_new, F)
+                    x_accel = accel_point(window, None, None, x_new, F_new)
                     F_accel, f_accel = ev.evaluate(x_accel)
                     if f_accel < f_new:
                         x_new, F_new, f_new, accepted = x_accel, F_accel, f_accel, "accel"
@@ -176,7 +168,9 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                         k=k, sigma=sigma, fbar=fbar, eta=eta, alpha=ls.alpha,
                         ls_evals=ls.evals, f_current=f, f_trial=ls.f_trial,
                         f_accel=f_accel, accepted=accepted, f_next=f_new,
-                        direction=ls.direction, rank=rank, nu_norm=nu_norm)
+                        direction=ls.direction,
+                        rank=window.rank if accelerated else None,
+                        nu_norm=float(np.linalg.norm(window.nu)) if accelerated else None)
                     if trace is not None:
                         trace.append(rec)
                     if cfg.iprint >= 1:
@@ -184,10 +178,13 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
 
                 ls = x_accel = F_accel = None  # release the losing candidate
                 if accelerated:
-                    # The kept point's pair joins the window: the trial pair
-                    # (the same four arrays as trial_difference got) keeps
-                    # the row and factor column it has.
-                    s, y = window.push_difference(x_new, x, F_new, F).newest()
+                    # The kept point's pair joins the window; the trial pair
+                    # keeps the row and factor column it has.
+                    if accepted == "trial":
+                        window.keep_trial()
+                    else:
+                        window.push_difference(x_new, x, F_new, F)
+                    s, y = window.newest()
                 x, F, f = x_new, F_new, f_new
                 if f < best_f:
                     best_x, best_F, best_f = x, F, f

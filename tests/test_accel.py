@@ -102,8 +102,8 @@ def test_matrices_with_rejects_mismatched_extra_pair():
 
 @pytest.mark.parametrize("capacity", [1, 2, 3])
 def test_differences_written_in_place_match_pushed_copies(capacity):
-    # The solver's path (trial_difference, push_pair of the trial rows or
-    # push_difference, newest) against push_pair of fresh differences.
+    # The solver's path (trial_difference, keep_trial or push_difference,
+    # newest) against push_pair of fresh differences.
     rng = np.random.default_rng(capacity)
     n = 5
     w, ref = SecantWindow(capacity), SecantWindow(capacity)
@@ -111,8 +111,8 @@ def test_differences_written_in_place_match_pushed_copies(capacity):
     assert w.newest() == (None, None)
     for step in range(3 * capacity + 2):
         x_trial, F_trial = rng.standard_normal(n), rng.standard_normal(n)
-        s, y = w.trial_difference(x_trial, x, F_trial, F)
-        S, Y = w.matrices_with(s, y)
+        w.trial_difference(x_trial, x, F_trial, F)
+        S, Y = w.matrices_with(None, None)
         S_ref, Y_ref = ref.matrices_with(x_trial - x, F_trial - F)
         assert S.tobytes() == S_ref.tobytes() and Y.tobytes() == Y_ref.tobytes()
         if step % 2:
@@ -120,7 +120,7 @@ def test_differences_written_in_place_match_pushed_copies(capacity):
             w.push_difference(x_new, x, F_new, F)
         else:
             x_new, F_new = x_trial, F_trial
-            w.push_pair(s, y)
+            w.keep_trial()
         ref.push_pair(x_new - x, F_new - F)
         s_new, y_new = w.newest()
         assert s_new.tobytes() == (x_new - x).tobytes()
@@ -268,30 +268,28 @@ def reference_step(pairs, s, y, x_trial, F_trial):
 @pytest.mark.parametrize("capacity", [1, 3])
 def test_factored_window_follows_the_solver_steps(capacity):
     # The solver's steps above BLOCK_ROWS, more than capacity pushes: the
-    # trial pair is kept (push_difference with the trial's arrays) or
-    # replaced by an accepted extrapolated pair, and the window's oldest
-    # pair is dropped once it is full.
+    # trial pair is kept (keep_trial) or replaced by an accepted
+    # extrapolated pair (push_difference), and the window's oldest pair is
+    # dropped once it is full.
     n = 2 * BLOCK_ROWS + 123
     rng = np.random.default_rng(capacity)
     w, pairs = SecantWindow(capacity), []
     x, F = rng.standard_normal(n), rng.standard_normal(n)
     for step in range(3 * capacity + 3):
         x_trial, F_trial = rng.standard_normal(n), rng.standard_normal(n)
-        s, y = w.trial_difference(x_trial, x, F_trial, F)
-        assert y is None
-        S, Y = w.matrices_with(s, y)
+        assert w.trial_difference(x_trial, x, F_trial, F) is None
+        S, Y = w.matrices_with(None, None)
         assert Y[:, -1].tobytes() == (F_trial - F).tobytes()
         want, want_rank = reference_step(pairs, x_trial - x, F_trial - F, x_trial, F_trial)
-        seen = {}
-        got = accel_point(w, s, y, x_trial, F_trial,
-                          on_info=lambda m, r, nn: seen.update(m=m, r=r))
-        assert seen == {"m": len(pairs) + 1, "r": want_rank}
+        got = accel_point(w, None, None, x_trial, F_trial)
+        assert (len(w.nu), w.rank) == (len(pairs) + 1, want_rank)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
         if step % 2:
             x_new, F_new = got, rng.standard_normal(n)
+            w.push_difference(x_new, x, F_new, F)
         else:
             x_new, F_new = x_trial, F_trial
-        w.push_difference(x_new, x, F_new, F)
+            w.keep_trial()
         pairs = (pairs + [(x_new - x, F_new - F)])[-capacity:]
         s_new, y_new = w.newest()
         assert s_new.tobytes() == (x_new - x).tobytes()
@@ -324,6 +322,66 @@ def test_factored_window_slides_over_pushed_pairs():
         np.testing.assert_array_equal(S[:, order], want_S)
         np.testing.assert_allclose(Y[:, order], want_Y, rtol=0.0, atol=1e-12)
         assert factor_orthogonality(w) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [5, 2 * BLOCK_ROWS + 123])
+def test_keep_trial_pushes_only_a_pending_trial_pair(n):
+    # keep_trial needs a trial pair that no push and no outside extra pair
+    # has discarded since trial_difference; with or without a solve in
+    # between, it pushes the same pair.
+    capacity = 3
+    rng = np.random.default_rng(n)
+    pairs = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(capacity + 1)]
+    x, F, x_trial, F_trial, x_next, F_next, s_out, y_out = (
+        rng.standard_normal(n) for _ in range(8))
+
+    def window():
+        w = SecantWindow(capacity)
+        for pair in pairs:
+            w.push_pair(*pair)
+        return w
+
+    with pytest.raises(ValueError, match="no trial pair"):
+        SecantWindow(capacity).keep_trial()
+    with pytest.raises(ValueError, match="no trial pair"):
+        window().keep_trial()
+    discards = {
+        "push_pair": lambda w: w.push_pair(s_out, y_out),
+        "push_difference": lambda w: w.push_difference(x_next, x, F_next, F),
+        "outside accel_point": lambda w: accel_point(w, s_out, y_out, x_trial, F_trial),
+        "outside matrices_with": lambda w: w.matrices_with(s_out, y_out),
+        # after a solve that gave the trial pair its factor column
+        "outside least_squares": lambda w: (accel_point(w, None, None, x_trial, F_trial),
+                                            w.least_squares(s_out, y_out, F_trial)),
+    }
+    for name, discard in discards.items():
+        w = window()
+        w.trial_difference(x_trial, x, F_trial, F)
+        discard(w)
+        with pytest.raises(ValueError, match="no trial pair"):
+            w.keep_trial()
+        with pytest.raises(ValueError, match="no trial pair"):
+            accel_point(w, None, None, x_trial, F_trial)
+
+    kept = (pairs + [(x_trial - x, F_trial - F)])[-capacity:]
+    want, want_rank = reference_step(kept, x_next - x_trial, F_next - F_trial, x_next, F_next)
+    newest = []
+    for solve_first in (True, False):
+        w = window()
+        w.trial_difference(x_trial, x, F_trial, F)
+        if solve_first:
+            accel_point(w, None, None, x_trial, F_trial)
+        w.keep_trial()
+        with pytest.raises(ValueError, match="no trial pair"):
+            w.keep_trial()
+        newest.append(tuple(v.tobytes() for v in w.newest()))
+        w.trial_difference(x_next, x_trial, F_next, F_trial)
+        got = accel_point(w, None, None, x_next, F_next)
+        assert w.rank == want_rank
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+        if w._qr is not None:
+            assert factor_orthogonality(w) <= 1e-13
+    assert newest[0] == newest[1] == ((x_trial - x).tobytes(), (F_trial - F).tobytes())
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (10, 6), (BLOCK_ROWS, 1), (BLOCK_ROWS, 6)])
@@ -391,12 +449,11 @@ def test_zero_rank_returns_trial_point():
     np.testing.assert_array_equal(out, x_trial)
 
 
-def test_info_callback_reports_shape():
-    seen = {}
+def test_window_keeps_rank_and_nu_of_its_solve():
     w = SecantWindow(5)
+    assert w.rank is None and w.nu is None
     w.push_pair(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     accel_point(w, np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                np.zeros(2), np.array([1.0, 1.0]),
-                on_info=lambda m, r, nn: seen.update(m=m, r=r, nn=nn))
-    assert seen["m"] == 2 and seen["r"] == 2
-    assert seen["nn"] == pytest.approx(np.sqrt(2.0))
+                np.zeros(2), np.array([1.0, 1.0]))
+    assert len(w.nu) == 2 and w.rank == 2
+    assert np.linalg.norm(w.nu) == pytest.approx(np.sqrt(2.0))

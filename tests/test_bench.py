@@ -180,6 +180,16 @@ def test_records_to_matrix_unsolved_is_inf():
     assert math.isinf(t[0, 1])
 
 
+@pytest.mark.parametrize("fevals", [(10, 50), (50, 10)])
+def test_records_to_matrix_rejects_a_repeated_record(fevals):
+    recs = records_fixture()
+    for feval in fevals:
+        recs.append(BenchRecord(problem="p3", n=4, solver="m2", normF_final=0.0,
+                                iter=1, feval=feval, time_seconds=0.1, solved=True))
+    with pytest.raises(ValueError, match="problem 'p3', n = 4, solver 'm2'"):
+        records_to_matrix(recs, "feval")
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -384,6 +384,19 @@ def test_profile_end_to_end(capsys, tmp_path):
     assert out_svg.read_text().startswith("<svg")
 
 
+def test_profile_rejects_a_repeated_input(capsys, tmp_path):
+    records_csv = tmp_path / "records.csv"
+    dfsane.bench.write_records_csv(
+        [dfsane.bench.BenchRecord("p1", 2, "m1", 0.0, 1, 1, 0.1, True)], records_csv)
+    out_csv = tmp_path / "profile.csv"
+    code = dispatch(["profile", "--inputs", str(records_csv), str(records_csv),
+                     "--out-csv", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: repeated record: problem 'p1', n = 2, solver 'm1'\n"
+    assert captured.out == "" and not out_csv.exists()
+
+
 def test_list_prints_registry(capsys):
     code = dispatch(["list"])
     out = capsys.readouterr().out
