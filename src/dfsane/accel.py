@@ -11,9 +11,10 @@ the numerical rank counts the singular values of Y above
 One solver iteration: ``trial_difference`` writes the trial pair,
 ``accel_point(window, None, None, x_trial, F(x_trial))`` solves with it
 (s, y = None, None stands for the trial pair), and ``keep_trial()`` or
-``push_difference`` pushes the pair of the point that won.  Pairs from
-outside (``push_pair``, or an extra pair given to ``accel_point`` or
-``matrices_with``) are copied in and discard the trial pair.
+``push_difference`` pushes the pair of the point that won.  A pair from
+outside is written the same way, as the difference (s - 0, y - 0), which is
+(s, y) bit for bit: ``push_pair`` pushes it, and an extra pair given to
+``accel_point`` or ``matrices_with`` becomes the trial pair.
 
 Direct layout (n <= ``BLOCK_ROWS``).  The window keeps S and Y as
 preallocated row-major (p + 1) x n arrays, one row per pair, so nothing is
@@ -43,7 +44,7 @@ each block is in cache:
   small QR, R_i[:, 1:] = G_i T_i, and rotating Q_i by the same G_i, as
   sliding-window Anderson acceleration codes do (Walker & Ni, SIAM J. Numer.
   Anal. 49, 2011);
-- a rejected trial column is dropped by truncation.
+- a trial column that is not kept is dropped by truncation.
 
 A pushed pair's y waits in the row after the factored columns until that
 pass, and meanwhile is the y that ``newest()`` gives; a kept trial pair's y
@@ -72,15 +73,14 @@ BLOCK_ROWS = 16_384
 class SecantWindow:
     """Sliding buffer of up to ``capacity`` (s, y) difference pairs.
 
-    Pushing at capacity overwrites the oldest pair.  ``trial_difference``
-    and ``push_difference`` subtract straight into the row a pair will
-    occupy, so each difference the solver forms is written once;
-    ``push_pair`` and an outside extra pair are copied in.  The layout
-    (module docstring) depends on the pair length alone; a window wider
-    than half a block keeps the direct layout.  ``rank`` and ``nu`` are
-    those of the last ``least_squares`` solve (None before the first).
-    ``newest()`` is valid until the next ``trial_difference``,
-    ``accel_point`` or ``matrices_with``.
+    Pushing at capacity overwrites the oldest pair.  Every pair is
+    subtracted straight into the row it will occupy, so each difference is
+    written once (an outside pair as (s - 0, y - 0)).  The layout (module
+    docstring) depends on the pair length alone; a window wider than half
+    a block keeps the direct layout.  ``rank`` and ``nu`` are those of the
+    last ``least_squares`` solve (None before the first).  ``newest()`` is
+    valid until the next ``trial_difference``, ``accel_point`` or
+    ``matrices_with``.
     """
 
     def __init__(self, capacity: int):
@@ -99,18 +99,17 @@ class SecantWindow:
         self._newest_y: Array | None = None
 
     def push_pair(self, s: Array, y: Array) -> "SecantWindow":
-        """Push a copy of the pair (s, y)."""
-        s, y = self._vectors(s, y)
-        i, y_row = self._slot()
-        self._s_rows[i] = s
-        y_row[:] = y
-        return self._advance(y_row)
+        """Push the pair (s, y), written as the difference (s - 0, y - 0)."""
+        return self.push_difference(*self._outside(s, y))
 
     def push_difference(self, x_new: Array, x: Array, F_new: Array,
                         F: Array) -> "SecantWindow":
-        """Push the pair (x_new - x, F_new - F), computed in its slot."""
+        """Push the pair (x_new - x, F_new - F), computed in its slot; the
+        trial pair is discarded."""
         self._check(x.shape[0])
-        i, y_row = self._slot()
+        self._trial = None
+        i = self._pushes % self.capacity
+        y_row = self._y_rows[i if self._qr is None else self._qr.hold()]
         np.subtract(x_new, x, out=self._s_rows[i])
         np.subtract(F_new, F, out=y_row)
         return self._advance(y_row)
@@ -120,7 +119,8 @@ class SecantWindow:
         """Write the trial pair (x_new - x, F_new - F) into the row after the
         pairs (its s alone in the factored layout, where a solve forms its y
         block by block).  It is the extra pair that None, None stands for
-        until ``keep_trial`` pushes it, or a push or outside pair discards it."""
+        until ``keep_trial`` pushes it, a push discards it or a new trial
+        pair (an outside extra pair too) replaces it."""
         self._check(x.shape[0])
         np.subtract(x_new, x, out=self._s_rows[self.count])
         if self._qr is None:
@@ -161,39 +161,34 @@ class SecantWindow:
                       y_extra: Array | None) -> tuple[Array, Array]:
         """The window contents plus one extra pair as n x (count+1) matrices
         (S, Y), columns in the same order in both; s_extra, y_extra None
-        stands for the trial pair.  S is a view of the rows, valid until the
-        next push or call.  Y is a view of the stored rows in the direct
-        layout; in the factored layout it is formed from the factors on
-        demand, as a new array."""
-        y_extra = self._extra(s_extra, y_extra)
+        stands for the trial pair, and an outside pair becomes it.  S is a
+        view of the rows, valid until the next push or call.  Y is a view of
+        the stored rows in the direct layout; in the factored layout it is
+        formed from the factors on demand, as a new array."""
+        self._extra(s_extra, y_extra)
         m = self.count + 1
         S = self._s_rows[:m].T
         if self._qr is None:
             return S, self._y_rows[:m].T
         Y = np.empty((m, S.shape[0]))
         Y[self._order()] = self._qr.columns()
-        Y[m - 1] = np.subtract(*self._trial) if y_extra is None else y_extra
+        np.subtract(*self._trial, out=Y[m - 1])
         return S, Y.T
 
     def least_squares(self, s_extra: Array | None, y_extra: Array | None,
                       b: Array) -> tuple[Array, Array, int]:
         """(S, nu, rank) of the minimum-norm least-squares solve Y nu = b,
         with S and Y as ``matrices_with`` gives them; the window keeps nu
-        and rank.  In the factored layout the extra y is appended to the
-        factors as the trial column.  It stays there for the trial pair and
-        is dropped again for an outside pair, which leaves the window's
-        factors as they were."""
-        y_extra = self._extra(s_extra, y_extra)
+        and rank.  In the factored layout the trial pair's y joins the
+        factors as the trial column (module docstring)."""
+        self._extra(s_extra, y_extra)
         m = self.count + 1
         qr = self._qr
         if qr is None:
             self.nu, self.rank = min_norm_ls(self._y_rows[:m].T, b)
             return self._s_rows[:m].T, self.nu, self.rank
         qr.truncate_trial()
-        if y_extra is None:
-            Qb = qr.update(self._y_rows[qr.next_row()], self._trial, b)
-        else:
-            Qb = qr.update(y_extra, None, b)
+        Qb = qr.update(self._trial, b)
         nu_age, _, rank, _ = np.linalg.lstsq(
             qr.R[:, :m, :m].reshape(-1, m), Qb.reshape(-1),
             rcond=EPS_MACH * max(self._s_rows.shape[1], m))
@@ -201,36 +196,15 @@ class SecantWindow:
         self.nu[self._order() + [m - 1]] = nu_age
         self.rank = int(rank)
         qr.trial = True
-        if y_extra is not None:
-            qr.truncate_trial()
         return self._s_rows[:m].T, self.nu, self.rank
 
-    def _extra(self, s: Array | None, y: Array | None) -> Array | None:
-        """Make (s, y) the extra pair of a solve and return y as a vector.
-        An outside pair goes into the row after the pairs (its s alone in
-        the factored layout) and discards the trial pair; s, y = None, None
-        stands for the trial pair and gives None."""
-        if s is None and y is None:
-            if self._trial is None:
-                raise ValueError("s and y are None but there is no trial pair")
-            return None
-        s, y = self._vectors(s, y)
-        self._trial = None
-        self._s_rows[self.count] = s
-        if self._qr is None:
-            self._y_rows[self.count] = y
-        return y
-
-    def _slot(self) -> tuple[int, Array]:
-        """The ring slot of the next push and the row its y goes into (in
-        the factored layout a free row, factored by the next pass); the
-        trial pair is discarded."""
-        self._trial = None
-        i = self._pushes % self.capacity
-        if self._qr is None:
-            return i, self._y_rows[i]
-        self._qr.truncate_trial()
-        return i, self._y_rows[self._qr.hold()]
+    def _extra(self, s: Array | None, y: Array | None) -> None:
+        """Make (s, y) the extra pair of a solve: s, y = None, None stands
+        for the trial pair, and an outside pair becomes the trial pair."""
+        if s is not None or y is not None:
+            self.trial_difference(*self._outside(s, y))
+        elif self._trial is None:
+            raise ValueError("s and y are None but there is no trial pair")
 
     def _advance(self, y_row: Array) -> "SecantWindow":
         """Count a push whose y is in ``y_row``; in the factored layout a
@@ -258,14 +232,15 @@ class SecantWindow:
         elif n != self._s_rows.shape[1]:
             raise ValueError("pair length does not match window contents")
 
-    def _vectors(self, s: Array, y: Array) -> tuple[Array, Array]:
-        """s and y as float64 vectors of the window's length."""
+    def _outside(self, s: Array, y: Array) -> tuple[Array, Array, Array, Array]:
+        """The outside pair (s, y) as the difference (s - 0, y - 0), in
+        float64 with a zero-stride zero; the method it feeds checks the length."""
         s = np.asarray(s, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if s.shape != y.shape or s.ndim != 1:
             raise ValueError("s and y must be vectors of equal length")
-        self._check(s.shape[0])
-        return s, y
+        zero = np.broadcast_to(0.0, s.shape)
+        return s, zero, y, zero
 
 
 class _BlockQR:
@@ -298,13 +273,10 @@ class _BlockQR:
             self.k -= 1
             self.trial = False
 
-    def next_row(self) -> int:
-        """The row the next column appended by ``update`` lands in."""
-        return self.m + (self.held is not None)
-
     def hold(self) -> int:
         """The free row for a pushed column, to be factored by the next
-        pass; a pending column or a full array is dealt with first."""
+        pass; a trial column, a pending column or a full array is handled first."""
+        self.truncate_trial()
         if self.held is not None or self.k == self.rows.shape[0]:
             self.update()
         self.held = self.k
@@ -318,13 +290,12 @@ class _BlockQR:
         if not m:
             self.k = 0
 
-    def update(self, y: Array | None = None,
-               diff: tuple[Array, Array] | None = None,
+    def update(self, diff: tuple[Array, Array] | None = None,
                b: Array | None = None) -> Array | None:
         """One pass over the blocks.  In each block: rotate Q for a pending
-        drop, factor the held column, then append y (written first as
-        diff[0] - diff[1] when ``diff`` is given), and with ``b`` return the
-        stacked Q_i^T b over all columns."""
+        drop, factor the held column, then with ``diff`` append the column
+        diff[0] - diff[1] (formed in the row it is factored into), and with
+        ``b`` return the stacked Q_i^T b over all columns."""
         Q, R = self.rows, self.R
         m, k = self.m, self.k
         rotate = k > m
@@ -334,8 +305,9 @@ class _BlockQR:
             Gt = G[:, :, :m].transpose(0, 2, 1)
             rotated = np.empty(m * self.width)
         new = [] if self.held is None else [Q[self.held]]
-        if y is not None:
-            new.append(y)
+        t = m + len(new)
+        if diff:
+            new.append(Q[t])
         for j in range(m, m + len(new)):
             R[:, j, :j] = 0.0
         work = np.empty(self.width)
@@ -346,8 +318,8 @@ class _BlockQR:
                 np.matmul(Gt[i], Q[:k, j0:j1], out=out)
                 Q[:m, j0:j1] = out
             for j, v in enumerate(new, start=m):
-                if v is y and diff is not None:
-                    np.subtract(diff[0][j0:j1], diff[1][j0:j1], out=y[j0:j1])
+                if j == t:
+                    np.subtract(diff[0][j0:j1], diff[1][j0:j1], out=v[j0:j1])
                 _orthonormalize(Q[:j, j0:j1], v[j0:j1], Q[j, j0:j1], R[i, :j + 1, j],
                                 work[:j1 - j0])
             if Qb is not None:
@@ -359,7 +331,7 @@ class _BlockQR:
     def columns(self) -> Array:
         """The window's columns of Y (the held one included, the trial
         column not), as the rows of a new array."""
-        m, k = self.m - self.trial, self.k
+        m, k = self.m - self.trial, self.k - self.trial
         Y = np.empty((m + (self.held is not None), self.rows.shape[1]))
         for i, (j0, j1) in enumerate(self.blocks):
             Y[:m, j0:j1] = self.R[i, :k, :m].T @ self.rows[:k, j0:j1]

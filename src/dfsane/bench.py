@@ -178,6 +178,9 @@ def read_records_csv(path) -> list[BenchRecord]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
+            if str(row["solved"]).strip().lower() not in ("true", "false"):
+                raise ValueError(f"{path}, line {reader.line_num}: solved is "
+                                 f"{row['solved']!r}, not true or false")
             records.append(BenchRecord(
                 problem=row["problem"], n=int(row["n"]), solver=row["solver"],
                 normF_final=float(row["normF"]), iter=int(row["iter"]),

@@ -164,6 +164,10 @@ def _cmd_bench(args) -> int:
             problems.extend(fixtures_from_dir(fixture_dir))
     if not problems:
         raise _UsageError("nothing to run (pass --suite and/or --fixture-dir)")
+    keys = [(p.name, p.n) for p in problems]
+    clashes = sorted({key for key in keys if keys.count(key) > 1})
+    if clashes:
+        raise _UsageError(f"repeated problems (name, n) {clashes}")
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     if not solvers:
         raise _UsageError("no solver mode given")

@@ -80,6 +80,17 @@ def test_wraparound_matches_pinv_over_the_last_pairs():
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
+def test_push_pair_copies_signed_zero_nan_and_inf_bit_for_bit():
+    # push_pair and an outside extra pair are written as (s - 0, y - 0)
+    s = np.array([-0.0, np.nan, np.inf, -np.inf, 1.5])
+    y = np.array([np.nan, -0.0, -np.inf, np.inf, -2.5])
+    w = SecantWindow(2)
+    w.push_pair(s, y)
+    assert tuple(v.tobytes() for v in w.newest()) == (s.tobytes(), y.tobytes())
+    S, Y = w.matrices_with(y, s)
+    assert (S[:, -1].tobytes(), Y[:, -1].tobytes()) == (y.tobytes(), s.tobytes())
+
+
 def test_push_rejects_mismatched_pair():
     w = SecantWindow(2)
     with pytest.raises(ValueError):
@@ -301,8 +312,8 @@ def test_factored_window_follows_the_solver_steps(capacity):
 
 def test_factored_window_slides_over_pushed_pairs():
     # Outside pairs, more than capacity of them: matrices_with forms Y from
-    # the factors, and an accel_point with an outside pair leaves them as
-    # they were.
+    # the factors, and an accel_point with an outside pair makes it the
+    # trial pair, whose factor column the next solve or push drops again.
     n, capacity = BLOCK_ROWS + 4_000, 3
     rng = np.random.default_rng(12)
     w, pushed = SecantWindow(capacity), []
@@ -326,14 +337,16 @@ def test_factored_window_slides_over_pushed_pairs():
 
 @pytest.mark.parametrize("n", [5, 2 * BLOCK_ROWS + 123])
 def test_keep_trial_pushes_only_a_pending_trial_pair(n):
-    # keep_trial needs a trial pair that no push and no outside extra pair
-    # has discarded since trial_difference; with or without a solve in
-    # between, it pushes the same pair.
+    # keep_trial needs a trial pair that no push has discarded since
+    # trial_difference; with or without a solve in between, it pushes the
+    # same pair.  An outside extra pair replaces the trial pair, so
+    # keep_trial then pushes the outside pair.
     capacity = 3
     rng = np.random.default_rng(n)
     pairs = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(capacity + 1)]
     x, F, x_trial, F_trial, x_next, F_next, s_out, y_out = (
         rng.standard_normal(n) for _ in range(8))
+    s_out[1], y_out[2] = -0.0, -0.0
 
     def window():
         w = SecantWindow(capacity)
@@ -348,11 +361,6 @@ def test_keep_trial_pushes_only_a_pending_trial_pair(n):
     discards = {
         "push_pair": lambda w: w.push_pair(s_out, y_out),
         "push_difference": lambda w: w.push_difference(x_next, x, F_next, F),
-        "outside accel_point": lambda w: accel_point(w, s_out, y_out, x_trial, F_trial),
-        "outside matrices_with": lambda w: w.matrices_with(s_out, y_out),
-        # after a solve that gave the trial pair its factor column
-        "outside least_squares": lambda w: (accel_point(w, None, None, x_trial, F_trial),
-                                            w.least_squares(s_out, y_out, F_trial)),
     }
     for name, discard in discards.items():
         w = window()
@@ -363,25 +371,36 @@ def test_keep_trial_pushes_only_a_pending_trial_pair(n):
         with pytest.raises(ValueError, match="no trial pair"):
             accel_point(w, None, None, x_trial, F_trial)
 
-    kept = (pairs + [(x_trial - x, F_trial - F)])[-capacity:]
-    want, want_rank = reference_step(kept, x_next - x_trial, F_next - F_trial, x_next, F_next)
-    newest = []
-    for solve_first in (True, False):
+    def outside_after_solve(w):
+        # the trial pair has its factor column when the outside pair comes
+        accel_point(w, None, None, x_trial, F_trial)
+        w.least_squares(s_out, y_out, F_trial)
+
+    trial, outside = (x_trial - x, F_trial - F), (s_out, y_out)
+    keeps = {
+        "trial pair": (lambda w: None, trial),
+        "solved trial pair": (lambda w: accel_point(w, None, None, x_trial, F_trial), trial),
+        "outside accel_point": (lambda w: accel_point(w, s_out, y_out, x_trial, F_trial),
+                                outside),
+        "outside matrices_with": (lambda w: w.matrices_with(s_out, y_out), outside),
+        "outside least_squares": (outside_after_solve, outside),
+    }
+    for name, (before_keep, pair) in keeps.items():
         w = window()
         w.trial_difference(x_trial, x, F_trial, F)
-        if solve_first:
-            accel_point(w, None, None, x_trial, F_trial)
+        before_keep(w)
         w.keep_trial()
         with pytest.raises(ValueError, match="no trial pair"):
             w.keep_trial()
-        newest.append(tuple(v.tobytes() for v in w.newest()))
+        assert [v.tobytes() for v in w.newest()] == [v.tobytes() for v in pair], name
+        want, want_rank = reference_step((pairs + [pair])[-capacity:], x_next - x_trial,
+                                         F_next - F_trial, x_next, F_next)
         w.trial_difference(x_next, x_trial, F_next, F_trial)
         got = accel_point(w, None, None, x_next, F_next)
-        assert w.rank == want_rank
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+        assert w.rank == want_rank, name
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10, err_msg=name)
         if w._qr is not None:
-            assert factor_orthogonality(w) <= 1e-13
-    assert newest[0] == newest[1] == ((x_trial - x).tobytes(), (F_trial - F).tobytes())
+            assert factor_orthogonality(w) <= 1e-13, name
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (10, 6), (BLOCK_ROWS, 1), (BLOCK_ROWS, 6)])

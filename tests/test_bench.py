@@ -205,6 +205,22 @@ def test_records_csv_roundtrip(tmp_path):
     assert back == records
 
 
+@pytest.mark.parametrize("field, solved", [(" TRUE ", True), ("False", False), ("yes", None),
+                                           ("1", None), ("", None), (None, None)])
+def test_read_records_csv_reads_solved_as_true_or_false_only(tmp_path, field, solved):
+    # field None: a short row, with no solved field at all
+    path = tmp_path / "records.csv"
+    write_records_csv(records_fixture(), path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ("" if field is None else "," + field)
+    path.write_text("\n".join(lines) + "\n")
+    if solved is None:
+        with pytest.raises(ValueError, match=f"line 3: solved is {field!r}, not true or false"):
+            read_records_csv(path)
+    else:
+        assert read_records_csv(path)[1].solved is solved
+
+
 def test_profile_csv_contents_and_roundtrip(tmp_path):
     curves = perf_profile([[1.0, 2.0], [2.0, 1.0]], methods=["m1", "m2"])
     csv_path = tmp_path / "profile.csv"

@@ -274,6 +274,22 @@ def test_bench_fixture_with_nan_is_an_input_error(capsys, tmp_path, monkeypatch)
     assert captured.err == f"error: {fdir / 'diag.txt'}: non-finite entry in b\n"
 
 
+def test_bench_rejects_a_fixture_that_repeats_a_suite_problem(capsys, tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr("dfsane.cli.run_suite", no_run)
+    fdir = tmp_path / "fixtures"
+    fdir.mkdir()
+    (fdir / "booth.txt").write_text(FIXTURE)            # 2 x 2, as the suite's booth
+    out_csv = tmp_path / "bench.csv"
+    code = dispatch(["bench", "--suite", "--fixture-dir", str(fdir), "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: repeated problems (name, n) [('booth', 2)]\n"
+    assert captured.out == "" and not out_csv.exists()
+
+
 def test_bench_budget_and_cap_reach_every_solve(capsys, tmp_path, monkeypatch):
     fdir = tmp_path / "fixtures"
     fdir.mkdir()
@@ -394,6 +410,19 @@ def test_profile_rejects_a_repeated_input(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: repeated record: problem 'p1', n = 2, solver 'm1'\n"
+    assert captured.out == "" and not out_csv.exists()
+
+
+def test_profile_rejects_a_solved_value_other_than_true_or_false(capsys, tmp_path):
+    records_csv = tmp_path / "records.csv"
+    records_csv.write_text("problem,n,solver,normF,iter,feval,time,solved\n"
+                           "p1,2,m1,0.0,1,1,0.1,true\n"
+                           "p1,2,m2,0.0,1,1,0.1,yes\n")
+    out_csv = tmp_path / "profile.csv"
+    code = dispatch(["profile", "--inputs", str(records_csv), "--out-csv", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {records_csv}, line 3: solved is 'yes', not true or false\n"
     assert captured.out == "" and not out_csv.exists()
 
 
