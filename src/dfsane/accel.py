@@ -11,9 +11,10 @@ the numerical rank counts the singular values of Y above
 One solver iteration: ``trial_difference`` writes the trial pair,
 ``accel_point(window, None, None, x_trial, F(x_trial))`` solves with it
 (s, y = None, None stands for the trial pair), and ``keep_trial()`` or
-``push_difference`` pushes the pair of the point that won.  A pair from
-outside is written the same way, as the difference (s - 0, y - 0), which is
-(s, y) bit for bit: ``push_pair`` pushes it, and an extra pair given to
+``push_difference`` pushes the pair of the point that won and returns views
+of it, the pair the next spectral step reads.  A pair from outside is
+written the same way, as the difference (s - 0, y - 0), which is (s, y)
+bit for bit: ``push_pair`` pushes it, and an extra pair given to
 ``accel_point`` or ``matrices_with`` becomes the trial pair.
 
 Direct layout (n <= ``BLOCK_ROWS``).  The window keeps S and Y as
@@ -47,8 +48,8 @@ each block is in cache:
 - a trial column that is not kept is dropped by truncation.
 
 A pushed pair's y waits in the row after the factored columns until that
-pass, and meanwhile is the y that ``newest()`` gives; a kept trial pair's y
-is written instead into S's spare row, which the next trial's s overwrites.
+pass orthogonalizes it in place; a kept trial pair's y, already factored,
+is formed again into S's spare row, which the next trial's s overwrites.
 
 Y = diag(Q_1, Q_2, ...) [R_1; R_2; ...] with orthonormal columns, so nu is
 the ``lstsq`` solution of the stacked R against the stacked Q_i^T F(x_trial),
@@ -78,9 +79,9 @@ class SecantWindow:
     written once (an outside pair as (s - 0, y - 0)).  The layout (module
     docstring) depends on the pair length alone; a window wider than half
     a block keeps the direct layout.  ``rank`` and ``nu`` are those of the
-    last ``least_squares`` solve (None before the first).  ``newest()`` is
-    valid until the next ``trial_difference``, ``accel_point`` or
-    ``matrices_with``.
+    last ``least_squares`` solve (None before the first).  A push returns
+    views of its (s, y) pair, valid until the next push, ``trial_difference``,
+    ``least_squares`` (so ``accel_point``) or ``matrices_with``.
     """
 
     def __init__(self, capacity: int):
@@ -96,14 +97,13 @@ class SecantWindow:
         self._qr: _BlockQR | None = None
         # (F_new, F) of the trial pair, until it is kept or discarded
         self._trial: tuple[Array, Array] | None = None
-        self._newest_y: Array | None = None
 
-    def push_pair(self, s: Array, y: Array) -> "SecantWindow":
+    def push_pair(self, s: Array, y: Array) -> tuple[Array, Array]:
         """Push the pair (s, y), written as the difference (s - 0, y - 0)."""
         return self.push_difference(*self._outside(s, y))
 
     def push_difference(self, x_new: Array, x: Array, F_new: Array,
-                        F: Array) -> "SecantWindow":
+                        F: Array) -> tuple[Array, Array]:
         """Push the pair (x_new - x, F_new - F), computed in its slot; the
         trial pair is discarded."""
         self._check(x.shape[0])
@@ -129,7 +129,7 @@ class SecantWindow:
             self._qr.truncate_trial()
         self._trial = (F_new, F)
 
-    def keep_trial(self) -> "SecantWindow":
+    def keep_trial(self) -> tuple[Array, Array]:
         """Push the trial pair as it stands, with the factor column that a
         solve gave it (module docstring)."""
         if self._trial is None:
@@ -150,12 +150,6 @@ class SecantWindow:
             y_row = self._y_rows[qr.hold()]
         np.subtract(F_new, F, out=y_row)
         return self._advance(y_row)
-
-    def newest(self) -> tuple[Array, Array] | tuple[None, None]:
-        """Views of the last pair pushed, or (None, None) before the first."""
-        if not self._pushes:
-            return None, None
-        return self._s_rows[(self._pushes - 1) % self.capacity], self._newest_y
 
     def matrices_with(self, s_extra: Array | None,
                       y_extra: Array | None) -> tuple[Array, Array]:
@@ -206,15 +200,15 @@ class SecantWindow:
         elif self._trial is None:
             raise ValueError("s and y are None but there is no trial pair")
 
-    def _advance(self, y_row: Array) -> "SecantWindow":
-        """Count a push whose y is in ``y_row``; in the factored layout a
-        full window drops its oldest column."""
-        self._newest_y = y_row
+    def _advance(self, y_row: Array) -> tuple[Array, Array]:
+        """Count a push whose y is in ``y_row`` and return the pushed pair's
+        views; in the factored layout a full window drops its oldest column."""
         if self._qr is not None and self.count == self.capacity:
             self._qr.drop_oldest()
+        s_row = self._s_rows[self._pushes % self.capacity]
         self._pushes += 1
         self.count = min(self._pushes, self.capacity)
-        return self
+        return s_row, y_row
 
     def _order(self) -> list[int]:
         """The row of S of each pair, oldest first."""

@@ -16,7 +16,21 @@ from .solver import solve
 
 TIME_FLOOR_SECONDS = 0.01
 
-RECORD_FIELDS = ("problem", "n", "solver", "normF", "iter", "feval", "time", "solved")
+
+def _true_or_false(text: str) -> bool:
+    value = text.strip().lower()
+    if value not in ("true", "false"):
+        raise ValueError(value)
+    return value == "true"
+
+
+# The CSV columns in BenchRecord's field order: how each field is read, and
+# what it must hold
+_COLUMN_READERS = {"problem": (str, "text"), "n": (int, "an integer"),
+                   "solver": (str, "text"), "normF": (float, "a number"),
+                   "iter": (int, "an integer"), "feval": (int, "an integer"),
+                   "time": (float, "a number"), "solved": (_true_or_false, "true or false")}
+RECORD_FIELDS = tuple(_COLUMN_READERS)
 
 
 @dataclass(frozen=True)
@@ -173,19 +187,27 @@ def write_records_csv(records: Sequence[BenchRecord], path) -> None:
 
 
 def read_records_csv(path) -> list[BenchRecord]:
-    """Read records written by write_records_csv."""
+    """Read records written by write_records_csv.  A missing column, or a
+    missing or malformed field, is a ValueError naming the file (and the
+    line and column of the field)."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        for column in RECORD_FIELDS:
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: no {column!r} column")
         for row in reader:
-            if str(row["solved"]).strip().lower() not in ("true", "false"):
-                raise ValueError(f"{path}, line {reader.line_num}: solved is "
-                                 f"{row['solved']!r}, not true or false")
-            records.append(BenchRecord(
-                problem=row["problem"], n=int(row["n"]), solver=row["solver"],
-                normF_final=float(row["normF"]), iter=int(row["iter"]),
-                feval=int(row["feval"]), time_seconds=float(row["time"]),
-                solved=row["solved"].strip().lower() == "true"))
+            values = []
+            for column, (read, kind) in _COLUMN_READERS.items():
+                text = row[column]
+                try:
+                    if text is None:  # the row ends before this column
+                        raise ValueError
+                    values.append(read(text))
+                except ValueError:
+                    raise ValueError(f"{path}, line {reader.line_num}: {column} is "
+                                     f"{text!r}, not {kind}") from None
+            records.append(BenchRecord(*values))
     return records
 
 

@@ -142,6 +142,8 @@ def _cmd_solve(args) -> int:
             x_start = np.loadtxt(args.x0_file, dtype=np.float64).ravel()
         if x_start.size != problem.n:
             raise _UsageError(f"start point has {x_start.size} entries, need {problem.n}")
+        if not np.isfinite(x_start).all():
+            raise _UsageError(f"{args.x0_file}: non-finite entry in the start point")
     with _bad_input(ValueError):
         cfg = SolverConfig(nhlim=args.nhlim, epsf=args.epsf, maxit=args.maxit,
                            iprint=args.iprint, mode=args.mode)
@@ -194,7 +196,7 @@ def _cmd_bench(args) -> int:
 def _cmd_profile(args) -> int:
     _check_outputs(args.out_csv, args.out_svg)
     records = []
-    with _bad_input(OSError, KeyError, ValueError):
+    with _bad_input(OSError, ValueError):
         for path in args.inputs:
             records.extend(read_records_csv(path))
     if not records:

@@ -120,7 +120,7 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
     best_x, best_F, best_f = x, F, f
     fvals: deque[float] = deque(maxlen=M)
     # The newest secant pair (x - previous x, F - previous F); in accelerated
-    # mode these are views of the window's newest row.
+    # mode, the views of it that the window's push returned.
     s: Array | None = None
     y: Array | None = None
     window = SecantWindow(cfg.p) if accelerated else None
@@ -158,8 +158,13 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                     window.trial_difference(x_new, x, F_new, F)
                     x_accel = accel_point(window, None, None, x_new, F_new)
                     F_accel, f_accel = ev.evaluate(x_accel)
+                    # The kept point's pair joins the window; the trial pair
+                    # keeps the row and factor column it has.
                     if f_accel < f_new:
                         x_new, F_new, f_new, accepted = x_accel, F_accel, f_accel, "accel"
+                        s, y = window.push_difference(x_new, x, F_new, F)
+                    else:
+                        s, y = window.keep_trial()
                 else:
                     s, y = x_new - x, F_new - F
 
@@ -177,14 +182,6 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                         _print_record(rec, cfg)
 
                 ls = x_accel = F_accel = None  # release the losing candidate
-                if accelerated:
-                    # The kept point's pair joins the window; the trial pair
-                    # keeps the row and factor column it has.
-                    if accepted == "trial":
-                        window.keep_trial()
-                    else:
-                        window.push_difference(x_new, x, F_new, F)
-                    s, y = window.newest()
                 x, F, f = x_new, F_new, f_new
                 if f < best_f:
                     best_x, best_F, best_f = x, F, f

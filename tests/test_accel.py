@@ -31,6 +31,11 @@ def random_instance(rng, rank_deficient):
 # window semantics
 # ---------------------------------------------------------------------------
 
+def test_window_capacity_must_be_positive():
+    with pytest.raises(ValueError, match="at least 1"):
+        SecantWindow(0)
+
+
 def test_push_single_pair():
     w = SecantWindow(3)
     w.push_pair(np.array([1.0]), np.array([2.0]))
@@ -85,8 +90,8 @@ def test_push_pair_copies_signed_zero_nan_and_inf_bit_for_bit():
     s = np.array([-0.0, np.nan, np.inf, -np.inf, 1.5])
     y = np.array([np.nan, -0.0, -np.inf, np.inf, -2.5])
     w = SecantWindow(2)
-    w.push_pair(s, y)
-    assert tuple(v.tobytes() for v in w.newest()) == (s.tobytes(), y.tobytes())
+    pushed = w.push_pair(s, y)
+    assert tuple(v.tobytes() for v in pushed) == (s.tobytes(), y.tobytes())
     S, Y = w.matrices_with(y, s)
     assert (S[:, -1].tobytes(), Y[:, -1].tobytes()) == (y.tobytes(), s.tobytes())
 
@@ -113,13 +118,13 @@ def test_matrices_with_rejects_mismatched_extra_pair():
 
 @pytest.mark.parametrize("capacity", [1, 2, 3])
 def test_differences_written_in_place_match_pushed_copies(capacity):
-    # The solver's path (trial_difference, keep_trial or push_difference,
-    # newest) against push_pair of fresh differences.
+    # The solver's path (trial_difference, then keep_trial or
+    # push_difference and the pair it returns) against push_pair of fresh
+    # differences.
     rng = np.random.default_rng(capacity)
     n = 5
     w, ref = SecantWindow(capacity), SecantWindow(capacity)
     x, F = rng.standard_normal(n), rng.standard_normal(n)
-    assert w.newest() == (None, None)
     for step in range(3 * capacity + 2):
         x_trial, F_trial = rng.standard_normal(n), rng.standard_normal(n)
         w.trial_difference(x_trial, x, F_trial, F)
@@ -128,12 +133,11 @@ def test_differences_written_in_place_match_pushed_copies(capacity):
         assert S.tobytes() == S_ref.tobytes() and Y.tobytes() == Y_ref.tobytes()
         if step % 2:
             x_new, F_new = rng.standard_normal(n), rng.standard_normal(n)
-            w.push_difference(x_new, x, F_new, F)
+            s_new, y_new = w.push_difference(x_new, x, F_new, F)
         else:
             x_new, F_new = x_trial, F_trial
-            w.keep_trial()
+            s_new, y_new = w.keep_trial()
         ref.push_pair(x_new - x, F_new - F)
-        s_new, y_new = w.newest()
         assert s_new.tobytes() == (x_new - x).tobytes()
         assert y_new.tobytes() == (F_new - F).tobytes()
         x, F = x_new, F_new
@@ -297,12 +301,11 @@ def test_factored_window_follows_the_solver_steps(capacity):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
         if step % 2:
             x_new, F_new = got, rng.standard_normal(n)
-            w.push_difference(x_new, x, F_new, F)
+            s_new, y_new = w.push_difference(x_new, x, F_new, F)
         else:
             x_new, F_new = x_trial, F_trial
-            w.keep_trial()
+            s_new, y_new = w.keep_trial()
         pairs = (pairs + [(x_new - x, F_new - F)])[-capacity:]
-        s_new, y_new = w.newest()
         assert s_new.tobytes() == (x_new - x).tobytes()
         assert y_new.tobytes() == (F_new - F).tobytes()
         assert factor_orthogonality(w) <= 1e-13
@@ -389,10 +392,10 @@ def test_keep_trial_pushes_only_a_pending_trial_pair(n):
         w = window()
         w.trial_difference(x_trial, x, F_trial, F)
         before_keep(w)
-        w.keep_trial()
+        kept = w.keep_trial()
         with pytest.raises(ValueError, match="no trial pair"):
             w.keep_trial()
-        assert [v.tobytes() for v in w.newest()] == [v.tobytes() for v in pair], name
+        assert [v.tobytes() for v in kept] == [v.tobytes() for v in pair], name
         want, want_rank = reference_step((pairs + [pair])[-capacity:], x_next - x_trial,
                                          F_next - F_trial, x_next, F_next)
         w.trial_difference(x_next, x_trial, F_next, F_trial)

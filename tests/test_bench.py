@@ -59,6 +59,13 @@ def test_unsolvable_respects_budget():
     assert rec.normF_final >= math.sqrt(2.0) - 1e-9
 
 
+@pytest.mark.parametrize("problems, configs", [([], BOTH), ([booth()], {})],
+                         ids=["no-problems", "no-configs"])
+def test_run_suite_needs_a_problem_and_a_config(problems, configs):
+    with pytest.raises(ValueError, match="at least one problem and one solver"):
+        run_suite(problems, configs)
+
+
 def test_crashing_solve_yields_unsolved_record():
     def boom(x):
         raise MemoryError("synthetic")
@@ -121,6 +128,17 @@ def test_profile_rejects_bad_costs():
         perf_profile([[-1.0]])
 
 
+@pytest.mark.parametrize("t, methods, message", [
+    ([1.0, 2.0], None, "nonempty 2-D"),
+    ([[[1.0]]], None, "nonempty 2-D"),
+    ([[1.0, 2.0], [2.0, 1.0]], ["m1"], "one method name per matrix row"),
+    ([[1.0, 2.0]], ["m1", "m2"], "one method name per matrix row"),
+])
+def test_profile_rejects_bad_shapes(t, methods, message):
+    with pytest.raises(ValueError, match=message):
+        perf_profile(t, methods=methods)
+
+
 def test_profile_monotone_and_in_range_random():
     rng = np.random.default_rng(2024)
     for _ in range(100):
@@ -164,6 +182,11 @@ def test_records_to_matrix_feval():
     methods, keys, t = records_to_matrix(records_fixture(), "feval")
     assert methods == ["m1", "m2"]
     np.testing.assert_array_equal(t, [[1.0, 2.0], [2.0, 1.0]])
+
+
+def test_records_to_matrix_rejects_an_unknown_metric():
+    with pytest.raises(ValueError, match="metric must be 'feval' or 'time'"):
+        records_to_matrix(records_fixture(), "iter")
 
 
 def test_records_to_matrix_applies_time_floor():
@@ -219,6 +242,45 @@ def test_read_records_csv_reads_solved_as_true_or_false_only(tmp_path, field, so
             read_records_csv(path)
     else:
         assert read_records_csv(path)[1].solved is solved
+
+
+@pytest.mark.parametrize("column, field, kind", [
+    ("n", "two", "an integer"), ("n", "2.0", "an integer"), ("normF", "small", "a number"),
+    ("iter", "", "an integer"), ("feval", "1e3", "an integer"), ("time", "", "a number"),
+    ("time", None, "a number"), ("solver", None, "text"),
+])
+def test_read_records_csv_names_the_line_and_column_of_a_bad_field(tmp_path, column,
+                                                                   field, kind):
+    # field None: a short row that ends before the column
+    path = tmp_path / "records.csv"
+    write_records_csv(records_fixture(), path)
+    lines = path.read_text().splitlines()
+    i = lines[0].split(",").index(column)
+    values = lines[2].split(",")
+    lines[2] = ",".join(values[:i] if field is None else values[:i] + [field] + values[i + 1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_records_csv(path)
+    assert str(info.value) == f"{path}, line 3: {column} is {field!r}, not {kind}"
+
+
+@pytest.mark.parametrize("column", ["problem", "solved", "time"])
+def test_read_records_csv_names_a_missing_column(tmp_path, column):
+    path = tmp_path / "records.csv"
+    write_records_csv(records_fixture(), path)
+    text = path.read_text().replace(column, "renamed", 1)
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_records_csv(path)
+    assert str(info.value) == f"{path}: no {column!r} column"
+
+
+def test_writers_reject_nothing_to_write(tmp_path):
+    with pytest.raises(ValueError, match="no records to write"):
+        write_records_csv([], tmp_path / "records.csv")
+    with pytest.raises(ValueError, match="no curves to write"):
+        write_profile([], tmp_path / "profile.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_profile_csv_contents_and_roundtrip(tmp_path):

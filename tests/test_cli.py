@@ -125,6 +125,22 @@ def test_solve_x0_file_unreadable(capsys, tmp_path, content):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content", ["nan 1\n", "1 inf\n", "-inf 0\n"],
+                         ids=["nan", "inf", "minus-inf"])
+def test_solve_rejects_a_non_finite_start_entry(capsys, tmp_path, monkeypatch, content):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr("dfsane.cli.solve", no_solve)
+    start = tmp_path / "x0.txt"
+    start.write_text(content)
+    code = dispatch(["solve", "--problem", "booth", "--x0-file", str(start)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {start}: non-finite entry in the start point\n"
+
+
 @pytest.mark.parametrize("warnings_flag", ["default", "error"])
 def test_solve_empty_x0_file_is_one_error_line(tmp_path, warnings_flag):
     # numpy reports an empty file with a UserWarning: printed to stderr by
@@ -423,6 +439,26 @@ def test_profile_rejects_a_solved_value_other_than_true_or_false(capsys, tmp_pat
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == f"error: {records_csv}, line 3: solved is 'yes', not true or false\n"
+    assert captured.out == "" and not out_csv.exists()
+
+
+HEADER = "problem,n,solver,normF,iter,feval,time,solved\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (HEADER + "p1,two,m1,0.0,1,1,0.1,true\n", "{path}, line 2: n is 'two', not an integer"),
+    (HEADER + "p1,2,m1,0.0,1,1,,true\n", "{path}, line 2: time is '', not a number"),
+    (HEADER.replace(",solved", "") + "p1,2,m1,0.0,1,1,0.1\n", "{path}: no 'solved' column"),
+    (HEADER, "no records in inputs"),
+], ids=["bad-n", "empty-time", "no-solved-column", "header-only"])
+def test_profile_rejects_a_malformed_input(capsys, tmp_path, text, message):
+    records_csv = tmp_path / "records.csv"
+    records_csv.write_text(text)
+    out_csv = tmp_path / "profile.csv"
+    code = dispatch(["profile", "--inputs", str(records_csv), "--out-csv", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message.format(path=records_csv)}\n"
     assert captured.out == "" and not out_csv.exists()
 
 

@@ -9,10 +9,13 @@ from dfsane.core import CountedEvaluator
 from dfsane.problems import (
     available,
     booth,
+    broyden_tridiagonal,
+    discrete_bvp,
     expfun2,
     fixtures_from_dir,
     load_linear_fixture,
     make,
+    rosenbrock_ext,
     suite_builtin,
     trigexp,
 )
@@ -90,6 +93,15 @@ def test_expfun2_component_formula():
 def test_expfun2_rejects_small_n():
     with pytest.raises(ValueError):
         expfun2(1)
+
+
+@pytest.mark.parametrize("factory, n, message", [
+    (rosenbrock_ext, 3, "even n >= 2"), (rosenbrock_ext, 0, "even n >= 2"),
+    (broyden_tridiagonal, 1, "n >= 2"), (discrete_bvp, 1, "n >= 2"), (trigexp, 1, "n >= 2"),
+])
+def test_problem_rejects_a_dimension_it_cannot_take(factory, n, message):
+    with pytest.raises(ValueError, match=message):
+        factory(n)
 
 
 def trigexp_expression(x):
