@@ -2,7 +2,7 @@
 F(x) = 0, with sequential-secant acceleration, a built-in problem suite,
 and a benchmark harness with performance profiles."""
 
-from .accel import SecantWindow, accel_point, min_norm_ls
+from .accel import SecantWindow, accel_point
 from .bench import (
     BenchRecord,
     ProfileCurve,
@@ -40,7 +40,6 @@ __all__ = [
     "accel_point",
     "available",
     "make",
-    "min_norm_ls",
     "perf_profile",
     "read_records_csv",
     "records_to_matrix",

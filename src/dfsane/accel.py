@@ -22,10 +22,10 @@ preallocated row-major (p + 1) x n arrays, one row per pair, so nothing is
 restacked per call: pairs fill a ring of p rows and the trial pair goes into
 the row after them.  The n x m matrices are transposed (Fortran-ordered)
 views of the first m rows, and nu comes from one ``lstsq`` call on them
-(``min_norm_ls``, ``rcond=None``).  Rows are in ring order, not in age order;
-the solution is invariant (in exact arithmetic) under a common column
-permutation of S and Y.  A kept trial pair is copied into its ring slot only
-once the window is full: until then the trial row is the next slot.
+(``rcond=None``).  Rows are in ring order, not in age order; the solution is
+invariant (in exact arithmetic) under a common column permutation of S and Y.
+A kept trial pair is copied into its ring slot only once the window is full:
+until then the trial row is the next slot.
 
 Factored layout (n > ``BLOCK_ROWS``).  S is kept as above, but Y is not
 stored.  Its rows array holds thin QR factors instead, kept per block of at
@@ -78,10 +78,10 @@ class SecantWindow:
     subtracted straight into the row it will occupy, so each difference is
     written once (an outside pair as (s - 0, y - 0)).  The layout (module
     docstring) depends on the pair length alone; a window wider than half
-    a block keeps the direct layout.  ``rank`` and ``nu`` are those of the
-    last ``least_squares`` solve (None before the first).  A push returns
-    views of its (s, y) pair, valid until the next push, ``trial_difference``,
-    ``least_squares`` (so ``accel_point``) or ``matrices_with``.
+    a block keeps the direct layout.  ``rank`` and ``nu`` (in S's column
+    order) are those of the last ``accel_point`` solve, None before the
+    first.  A push returns views of its (s, y) pair, valid until the next
+    push, ``trial_difference``, ``accel_point`` or ``matrices_with``.
     """
 
     def __init__(self, capacity: int):
@@ -169,28 +169,26 @@ class SecantWindow:
         np.subtract(*self._trial, out=Y[m - 1])
         return S, Y.T
 
-    def least_squares(self, s_extra: Array | None, y_extra: Array | None,
-                      b: Array) -> tuple[Array, Array, int]:
-        """(S, nu, rank) of the minimum-norm least-squares solve Y nu = b,
-        with S and Y as ``matrices_with`` gives them; the window keeps nu
-        and rank.  In the factored layout the trial pair's y joins the
-        factors as the trial column (module docstring)."""
-        self._extra(s_extra, y_extra)
+    def _solve(self, s: Array | None, y: Array | None, b: Array) -> Array:
+        """Keep nu, the minimum-norm least-squares solution of Y nu = b, and
+        Y's rank, with S and Y as ``matrices_with(s, y)`` gives them; return S.
+        The factored layout factors the trial pair's y as its trial column."""
+        self._extra(s, y)
         m = self.count + 1
         qr = self._qr
         if qr is None:
-            self.nu, self.rank = min_norm_ls(self._y_rows[:m].T, b)
-            return self._s_rows[:m].T, self.nu, self.rank
-        qr.truncate_trial()
-        Qb = qr.update(self._trial, b)
-        nu_age, _, rank, _ = np.linalg.lstsq(
-            qr.R[:, :m, :m].reshape(-1, m), Qb.reshape(-1),
-            rcond=EPS_MACH * max(self._s_rows.shape[1], m))
-        self.nu = np.empty(m)
-        self.nu[self._order() + [m - 1]] = nu_age
-        self.rank = int(rank)
-        qr.trial = True
-        return self._s_rows[:m].T, self.nu, self.rank
+            nu, _, rank, _ = np.linalg.lstsq(self._y_rows[:m].T, b, rcond=None)
+        else:
+            qr.truncate_trial()
+            Qb = qr.update(self._trial, b)
+            nu_age, _, rank, _ = np.linalg.lstsq(
+                qr.R[:, :m, :m].reshape(-1, m), Qb.reshape(-1),
+                rcond=EPS_MACH * max(self._s_rows.shape[1], m))
+            nu = np.empty(m)
+            nu[self._order() + [m - 1]] = nu_age
+            qr.trial = True
+        self.nu, self.rank = nu, int(rank)
+        return self._s_rows[:m].T
 
     def _extra(self, s: Array | None, y: Array | None) -> None:
         """Make (s, y) the extra pair of a solve: s, y = None, None stands
@@ -376,22 +374,13 @@ def _orthonormalize(Q: Array, y: Array, q: Array, r: Array, work: Array) -> None
     np.divide(q, r[j] or math.sqrt(q.dot(q)), out=q)
 
 
-def min_norm_ls(Y: Array, b: Array) -> tuple[Array, int]:
-    """Minimum-norm least-squares solution of Y nu = b (rank-deficient safe)
-    and the numerical rank of Y: one ``np.linalg.lstsq`` call."""
-    nu, _, rank, _ = np.linalg.lstsq(Y, b, rcond=None)
-    return nu, int(rank)
-
-
 def accel_point(window: SecantWindow, s_k: Array | None, y_k: Array | None,
                 x_trial: Array, F_trial: Array) -> Array:
     """Extrapolated point x_trial - S nu from the window plus the extra pair
     (s_k, y_k); s_k, y_k = None, None stands for the window's trial pair.
 
-    Performs no residual evaluation.  The window keeps the solve's numerical
-    rank and nu (``window.rank``, ``window.nu``).
+    Performs no residual evaluation; the window keeps nu and the rank.
     """
-    S, nu, _ = window.least_squares(s_k, y_k, F_trial)
-    step = S @ nu
+    step = window._solve(s_k, y_k, F_trial) @ window.nu
     np.subtract(x_trial, step, out=step)
     return step

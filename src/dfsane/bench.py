@@ -104,30 +104,27 @@ def records_to_matrix(records: Sequence[BenchRecord],
     """
     if metric not in ("feval", "time"):
         raise ValueError("metric must be 'feval' or 'time'")
-    methods: list[str] = []
-    keys: list[tuple[str, int]] = []
+    # row and column of each method and problem, in order of first appearance
+    methods: dict[str, int] = {}
+    keys: dict[tuple[str, int], int] = {}
     seen = set()
     for r in records:
         if (r.problem, r.n, r.solver) in seen:
             raise ValueError(f"repeated record: problem {r.problem!r}, n = {r.n}, "
                              f"solver {r.solver!r}")
         seen.add((r.problem, r.n, r.solver))
-        if r.solver not in methods:
-            methods.append(r.solver)
-        key = (r.problem, r.n)
-        if key not in keys:
-            keys.append(key)
+        methods.setdefault(r.solver, len(methods))
+        keys.setdefault((r.problem, r.n), len(keys))
     t = np.full((len(methods), len(keys)), math.inf)
     for r in records:
-        i = methods.index(r.solver)
-        j = keys.index((r.problem, r.n))
         if not r.solved:
             continue
+        i, j = methods[r.solver], keys[(r.problem, r.n)]
         if metric == "feval":
             t[i, j] = float(r.feval)
         else:
             t[i, j] = max(r.time_seconds, TIME_FLOOR_SECONDS)
-    return methods, keys, t
+    return list(methods), list(keys), t
 
 
 def perf_profile(t, restrict_to_solved_by_all: bool = False,
@@ -187,16 +184,24 @@ def write_records_csv(records: Sequence[BenchRecord], path) -> None:
 
 
 def read_records_csv(path) -> list[BenchRecord]:
-    """Read records written by write_records_csv.  A missing column, or a
-    missing or malformed field, is a ValueError naming the file (and the
-    line and column of the field)."""
+    """Read records written by write_records_csv.  A missing or repeated
+    column, a row longer than the header, or a missing or malformed field is
+    a ValueError naming the file (and the line, and the column of a field)."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
         for column in RECORD_FIELDS:
-            if column not in (reader.fieldnames or ()):
+            if column not in header:
                 raise ValueError(f"{path}: no {column!r} column")
+        for column in header:
+            if header.count(column) > 1:
+                raise ValueError(f"{path}: repeated {column!r} column")
         for row in reader:
+            if None in row:  # DictReader keeps the fields past the header there
+                raise ValueError(f"{path}, line {reader.line_num}: "
+                                 f"{len(header) + len(row[None])} fields, "
+                                 f"the header has {len(header)}")
             values = []
             for column, (read, kind) in _COLUMN_READERS.items():
                 text = row[column]

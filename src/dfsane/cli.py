@@ -116,9 +116,11 @@ def _bad_input(*errors):
         raise _UsageError(exc) from exc
 
 
-def _check_outputs(*paths) -> None:
-    """Reject an output path (None skipped) that is empty, is a directory or
-    lies in a directory that does not exist, before any work is done."""
+def _check_outputs(*paths, inputs=()) -> None:
+    """Reject an output path (None skipped) that is empty, is a directory,
+    lies in a directory that does not exist, or resolves to one of
+    ``inputs`` or to another output, before any work is done."""
+    taken = {os.path.realpath(path): f"input {path!r}" for path in inputs}
     for path in paths:
         if path is None:
             continue
@@ -129,6 +131,10 @@ def _check_outputs(*paths) -> None:
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise _UsageError(f"output directory {parent!r} does not exist")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise _UsageError(f"output path {path!r} is the same file as {taken[real]}")
+        taken[real] = f"output {path!r}"
 
 
 def _cmd_solve(args) -> int:
@@ -194,7 +200,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    _check_outputs(args.out_csv, args.out_svg)
+    _check_outputs(args.out_csv, args.out_svg, inputs=args.inputs)
     records = []
     with _bad_input(OSError, ValueError):
         for path in args.inputs:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dfsane.accel import BLOCK_ROWS, SecantWindow, accel_point, min_norm_ls
+from dfsane.accel import BLOCK_ROWS, SecantWindow, accel_point
 
 
 def pinv_solution(Y, b):
@@ -148,27 +148,40 @@ def test_differences_written_in_place_match_pushed_copies(capacity):
 # minimum-norm least squares
 # ---------------------------------------------------------------------------
 
+def window_solve(Y, b):
+    """(nu, rank) of Y nu = b from a window holding all but Y's last column
+    as pushed pairs and the last one as the outside extra pair, the solve
+    that accel_point runs; nu is in Y's column order, as no pair wraps."""
+    n, m = Y.shape
+    rng = np.random.default_rng(m)
+    w = SecantWindow(max(m - 1, 1))
+    for j in range(m - 1):
+        w.push_pair(rng.standard_normal(n), Y[:, j])
+    accel_point(w, rng.standard_normal(n), Y[:, -1], np.zeros(n), b)
+    return w.nu, w.rank
+
+
 def test_identity_system():
-    nu, rank = min_norm_ls(np.eye(2), np.array([1.0, 2.0]))
+    nu, rank = window_solve(np.eye(2), np.array([1.0, 2.0]))
     assert rank == 2
     np.testing.assert_allclose(nu, [1.0, 2.0], atol=1e-14)
 
 
 def test_single_column_projection():
     Y = np.array([[1.0], [0.0]])
-    nu, _ = min_norm_ls(Y, np.array([2.0, 3.0]))
+    nu, _ = window_solve(Y, np.array([2.0, 3.0]))
     np.testing.assert_allclose(nu, [2.0], atol=1e-14)
 
 
 def test_rank_one_pair_of_columns():
     Y = np.array([[1.0, 2.0], [2.0, 4.0]])
-    nu, rank = min_norm_ls(Y, np.array([1.0, 2.0]))
+    nu, rank = window_solve(Y, np.array([1.0, 2.0]))
     assert rank == 1
     np.testing.assert_allclose(nu, [0.2, 0.4], atol=1e-12)
 
 
 def test_zero_matrix_gives_zero():
-    nu, rank = min_norm_ls(np.zeros((3, 2)), np.ones(3))
+    nu, rank = window_solve(np.zeros((3, 2)), np.ones(3))
     assert rank == 0
     np.testing.assert_array_equal(nu, np.zeros(2))
 
@@ -177,7 +190,7 @@ def test_agrees_with_pinv_oracle():
     rng = np.random.default_rng(101)
     for trial in range(200):
         Y, b = random_instance(rng, rank_deficient=trial % 2 == 0)
-        nu, _ = min_norm_ls(Y, b)
+        nu, _ = window_solve(Y, b)
         nu_star = pinv_solution(Y, b)
         assert abs(np.linalg.norm(Y @ nu - b) - np.linalg.norm(Y @ nu_star - b)) <= 1e-8
         assert abs(np.linalg.norm(nu) - np.linalg.norm(nu_star)) <= 1e-8
@@ -189,7 +202,7 @@ def test_minimality_along_null_space():
     d = rng.standard_normal(4)
     Y = np.column_stack([c, c, d])          # null vector (1, -1, 0)
     b = rng.standard_normal(4)
-    nu, rank = min_norm_ls(Y, b)
+    nu, rank = window_solve(Y, b)
     assert rank == 2
     res = np.linalg.norm(Y @ nu - b)
     null = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
@@ -203,10 +216,10 @@ def test_rank_detection_on_constructed_cases():
     c = np.array([1.0, 2.0, 3.0, 4.0])
     d = np.array([0.0, 1.0, 0.0, 1.0])
     b = np.ones(4)
-    assert min_norm_ls(np.column_stack([c, c, d]), b)[1] == 2
-    assert min_norm_ls(np.column_stack([c, 2.0 * c]), b)[1] == 1
-    assert min_norm_ls(np.zeros((4, 3)), b)[1] == 0
-    assert min_norm_ls(np.eye(4), b)[1] == 4
+    assert window_solve(np.column_stack([c, c, d]), b)[1] == 2
+    assert window_solve(np.column_stack([c, 2.0 * c]), b)[1] == 1
+    assert window_solve(np.zeros((4, 3)), b)[1] == 0
+    assert window_solve(np.eye(4), b)[1] == 4
 
 
 def window_layout(rng, n, m):
@@ -234,19 +247,10 @@ def blocked_cases():
         "one-column": window_layout(rng, 2 * BLOCK_ROWS + 3, 1),
         "multiple-of-block-rows": window_layout(rng, 2 * BLOCK_ROWS, 5),
         "one-row-tail-block": window_layout(rng, BLOCK_ROWS + 1, 6),
+        # Y = A B of rank 2 across 5 columns
+        "low-rank-product": (rng.standard_normal((5, 2))
+                             @ rng.standard_normal((2, 2 * BLOCK_ROWS + 7))).T,
     }
-
-
-def factored_solve(Y, b):
-    """(nu, rank) from a window holding all but Y's last column as pairs and
-    the last one as the extra pair, the way accel_point solves."""
-    n, m = Y.shape
-    rng = np.random.default_rng(m)
-    w = SecantWindow(max(m - 1, 1))
-    for j in range(m - 1):
-        w.push_pair(rng.standard_normal(n), Y[:, j])
-    _, nu, rank = w.least_squares(rng.standard_normal(n), Y[:, -1], b)
-    return nu, rank
 
 
 @pytest.mark.parametrize("case", sorted(blocked_cases()))
@@ -256,7 +260,7 @@ def test_blocked_kernel_matches_direct_lstsq(case):
     Y = blocked_cases()[case]
     b = np.random.default_rng(6).standard_normal(Y.shape[0])
     assert Y.shape[0] > BLOCK_ROWS
-    nu, rank = factored_solve(Y, b)
+    nu, rank = window_solve(Y, b)
     want, _, want_rank, _ = np.linalg.lstsq(Y, b, rcond=None)
     assert rank == want_rank
     np.testing.assert_allclose(nu, want, rtol=1e-10, atol=0.0)
@@ -377,7 +381,7 @@ def test_keep_trial_pushes_only_a_pending_trial_pair(n):
     def outside_after_solve(w):
         # the trial pair has its factor column when the outside pair comes
         accel_point(w, None, None, x_trial, F_trial)
-        w.least_squares(s_out, y_out, F_trial)
+        accel_point(w, s_out, y_out, x_trial, F_trial)
 
     trial, outside = (x_trial - x, F_trial - F), (s_out, y_out)
     keeps = {
@@ -386,7 +390,7 @@ def test_keep_trial_pushes_only_a_pending_trial_pair(n):
         "outside accel_point": (lambda w: accel_point(w, s_out, y_out, x_trial, F_trial),
                                 outside),
         "outside matrices_with": (lambda w: w.matrices_with(s_out, y_out), outside),
-        "outside least_squares": (outside_after_solve, outside),
+        "outside after a solve": (outside_after_solve, outside),
     }
     for name, (before_keep, pair) in keeps.items():
         w = window()
@@ -411,7 +415,7 @@ def test_direct_path_up_to_block_rows_is_bitwise_lstsq(n, m):
     rng = np.random.default_rng(n + m)
     Y = window_layout(rng, n, m)
     b = rng.standard_normal(n)
-    nu, rank = min_norm_ls(Y, b)
+    nu, rank = window_solve(Y, b)
     want, _, want_rank, _ = np.linalg.lstsq(Y, b, rcond=None)
     assert rank == want_rank
     assert nu.tobytes() == want.tobytes()
@@ -458,8 +462,8 @@ def test_duplicate_trial_column_is_harmless():
 
     # model residual must be no worse than with a single copy
     Y2 = np.column_stack([y1, y1])
-    nu2, _ = min_norm_ls(Y2, F_trial)
-    nu1, _ = min_norm_ls(y1[:, None], F_trial)
+    nu2, _ = window_solve(Y2, F_trial)
+    nu1, _ = window_solve(y1[:, None], F_trial)
     assert np.linalg.norm(Y2 @ nu2 - F_trial) <= \
         np.linalg.norm(y1[:, None] @ nu1 - F_trial) + 1e-12
 

@@ -275,6 +275,31 @@ def test_read_records_csv_names_a_missing_column(tmp_path, column):
     assert str(info.value) == f"{path}: no {column!r} column"
 
 
+@pytest.mark.parametrize("extra", [1, 3])
+def test_read_records_csv_rejects_a_row_longer_than_the_header(tmp_path, extra):
+    path = tmp_path / "records.csv"
+    write_records_csv(records_fixture(), path)
+    lines = path.read_text().splitlines()
+    lines[3] += ",x" * extra
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_records_csv(path)
+    assert str(info.value) == f"{path}, line 4: {8 + extra} fields, the header has 8"
+
+
+@pytest.mark.parametrize("columns, repeated", [(",solved", "solved"), (",problem", "problem"),
+                                               (",note,note", "note")],
+                         ids=["solved", "problem", "unknown-column"])
+def test_read_records_csv_rejects_a_repeated_column(tmp_path, columns, repeated):
+    # every row has a field for each column: only the header is wrong
+    path = tmp_path / "records.csv"
+    path.write_text("problem,n,solver,normF,iter,feval,time,solved" + columns + "\n"
+                    "p1,2,m1,0.0,1,1,0.1,true" + ",x" * columns.count(",") + "\n")
+    with pytest.raises(ValueError) as info:
+        read_records_csv(path)
+    assert str(info.value) == f"{path}: repeated {repeated!r} column"
+
+
 def test_writers_reject_nothing_to_write(tmp_path):
     with pytest.raises(ValueError, match="no records to write"):
         write_records_csv([], tmp_path / "records.csv")

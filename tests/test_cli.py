@@ -239,6 +239,32 @@ def test_profile_bad_out_path_writes_nothing(capsys, tmp_path, monkeypatch, flag
     assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
 
 
+@pytest.mark.parametrize("outputs, taken", [
+    (["--out-csv", "records.csv"], "input {input!r}"),
+    (["--out-svg", "sub/../records.csv"], "input {input!r}"),
+    (["--out-csv", "link.csv"], "input {input!r}"),
+    (["--out-csv", "p.csv", "--out-svg", "./p.csv"], "output 'p.csv'"),
+], ids=["out-csv-is-the-input", "out-svg-is-the-input", "symlink-to-the-input",
+        "out-svg-is-out-csv"])
+def test_profile_rejects_an_output_that_is_an_input_or_the_other_output(
+        capsys, tmp_path, monkeypatch, outputs, taken):
+    records_csv = tmp_path / "records.csv"
+    dfsane.bench.write_records_csv(
+        [dfsane.bench.BenchRecord("p1", 2, "m1", 0.0, 1, 1, 0.1, True)], records_csv)
+    before = records_csv.read_bytes()
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to(records_csv)
+    monkeypatch.chdir(tmp_path)
+    code = dispatch(["profile", "--inputs", str(records_csv)] + outputs)
+    captured = capsys.readouterr()
+    assert code == 2
+    taken = taken.format(input=str(records_csv))
+    assert captured.err == f"error: output path {outputs[-1]!r} is the same file as {taken}\n"
+    assert captured.out == ""
+    assert records_csv.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "records.csv", "sub"]
+
+
 @pytest.mark.parametrize("solvers", [",", "", " , "])
 def test_bench_rejects_empty_solver_list(capsys, tmp_path, solvers):
     out_csv = tmp_path / "x.csv"
@@ -450,7 +476,11 @@ HEADER = "problem,n,solver,normF,iter,feval,time,solved\n"
     (HEADER + "p1,2,m1,0.0,1,1,,true\n", "{path}, line 2: time is '', not a number"),
     (HEADER.replace(",solved", "") + "p1,2,m1,0.0,1,1,0.1\n", "{path}: no 'solved' column"),
     (HEADER, "no records in inputs"),
-], ids=["bad-n", "empty-time", "no-solved-column", "header-only"])
+    (HEADER + "p1,2,m1,0.0,1,1,0.1,true,9,9\n", "{path}, line 2: 10 fields, the header has 8"),
+    (HEADER.replace("\n", ",solved\n") + "p1,2,m1,0.0,1,1,0.1,true,false\n",
+     "{path}: repeated 'solved' column"),
+], ids=["bad-n", "empty-time", "no-solved-column", "header-only", "long-row",
+        "repeated-column"])
 def test_profile_rejects_a_malformed_input(capsys, tmp_path, text, message):
     records_csv = tmp_path / "records.csv"
     records_csv.write_text(text)
