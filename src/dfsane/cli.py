@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .problems import REGISTRY, fixtures_from_dir, make, suite_builtin
 from .solver import solve
 
 FIXTURE_DIR_ENV = "DFSANE_FIXTURE_DIR"
+_ITER_LINE = "Iter:  {}  f =  {!r}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,6 +105,27 @@ def _print_report(rep: SolveReport) -> None:
     print(f"reason = {rep.reason}")
 
 
+class _IterationPrinter:
+    """A ``trace`` for ``solve`` that prints each record's ``--iprint`` lines
+    as the solver appends it, ending with the next iterate's ``Iter:`` line."""
+
+    def __init__(self, level: int, p: int):
+        self.level, self.p = level, p
+
+    def append(self, rec) -> None:
+        if rec.k == 0:
+            print(_ITER_LINE.format(0, rec.f_current))
+        if self.level >= 1:
+            print(f"    ls: dir = {rec.direction}  alpha = {rec.alpha!r}  "
+                  f"evals = {rec.ls_evals}  f = {rec.f_trial!r}")
+        if self.level >= 2 and rec.f_accel is not None:
+            # The window holds min(k, p) pairs before the trial pair joins it.
+            print(f"    accel: columns = {min(rec.k, self.p) + 1}  rank = {rec.rank}  "
+                  f"|nu| = {rec.nu_norm!r}  f = {rec.f_accel!r}  "
+                  f"accepted = {rec.accepted}")
+        print(_ITER_LINE.format(rec.k + 1, rec.f_next))
+
+
 class _UsageError(Exception):
     """A bad argument, input file or output path.  ``dispatch`` reports it
     as one ``error:`` line on stderr and exit code 2."""
@@ -138,6 +162,8 @@ def _check_outputs(*paths, inputs=()) -> None:
 
 
 def _cmd_solve(args) -> int:
+    if args.json and args.iprint >= 0:
+        raise _UsageError("--json takes no --iprint 0, 1 or 2: both write to stdout")
     with _bad_input(KeyError, ValueError):
         problem = make(args.problem, args.n)
     x_start = None
@@ -152,8 +178,14 @@ def _cmd_solve(args) -> int:
             raise _UsageError(f"{args.x0_file}: non-finite entry in the start point")
     with _bad_input(ValueError):
         cfg = SolverConfig(nhlim=args.nhlim, epsf=args.epsf, maxit=args.maxit,
-                           iprint=args.iprint, mode=args.mode)
-    rep = solve(problem, cfg, x_start)
+                           mode=args.mode)
+    printer = _IterationPrinter(args.iprint, cfg.p) if args.iprint >= 0 else None
+    rep = solve(problem, cfg, x_start, trace=printer)
+    if printer is not None:
+        if rep.iter == 0 and math.isfinite(rep.normF):  # no record opened iterate 0
+            print(_ITER_LINE.format(0, rep.normF))
+        if rep.istop == 0:
+            print("success!")
     if args.json:
         print(json.dumps(rep.to_json_dict()))
     else:
@@ -162,11 +194,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _check_outputs(args.out)
+    fixture_dir = args.fixture_dir or os.environ.get(FIXTURE_DIR_ENV)
+    fixtures = [str(p) for p in Path(fixture_dir).glob("*.txt")] if fixture_dir else []
+    _check_outputs(args.out, inputs=fixtures)
     problems = []
     if args.suite:
         problems.extend(suite_builtin())
-    fixture_dir = args.fixture_dir or os.environ.get(FIXTURE_DIR_ENV)
     if fixture_dir:
         with _bad_input(OSError, ValueError):
             problems.extend(fixtures_from_dir(fixture_dir))

@@ -65,7 +65,7 @@ class Problem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The settable solver parameters.
+    """The settable numerical parameters (progress goes to ``solve``'s ``trace``).
 
     The method's fixed constants are not settings: GAMMA, TAU_MIN, TAU_MAX
     and the nonmonotone memory M live in ``linesearch``, SIGMA_MIN and
@@ -77,11 +77,6 @@ class SolverConfig:
     The last two are hard caps, checked before every residual evaluation
     (line-search probes included).  Every stop, caps included, reports the
     best iterate seen.
-    ``iprint`` controls console output, printed by ``solve`` from the
-    per-iteration ``IterationRecord``: -1 silent, 0 one ``Iter:`` line per
-    iterate, 1 adds one ``ls:`` line per iteration (accepted direction,
-    step, evaluations), 2 adds one ``accel:`` line (columns, rank, ||nu||,
-    extrapolated merit value, accepted point).
     """
 
     nhlim: int = 6
@@ -90,7 +85,6 @@ class SolverConfig:
     max_feval: int | None = None
     time_budget_seconds: float | None = None
     mode: str = "accelerated"
-    iprint: int = -1
 
     def __post_init__(self):
         if self.nhlim < 2:
@@ -105,8 +99,6 @@ class SolverConfig:
             raise ValueError("time_budget_seconds must be positive")
         if self.mode not in SOLVER_MODES:
             raise ValueError("mode must be 'accelerated' or 'plain'")
-        if self.iprint not in (-1, 0, 1, 2):
-            raise ValueError("iprint must be one of -1, 0, 1, 2")
 
     @property
     def p(self) -> int:

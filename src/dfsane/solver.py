@@ -38,7 +38,7 @@ from .steps import sigma_k
 @dataclass(frozen=True)
 class IterationRecord:
     """Trace entry for one iteration (used by audits, regression tests and
-    the iprint lines).
+    the CLI's ``--iprint`` lines).
 
     ``direction`` is the accepted line-search direction (``"-"`` for
     -sigma F, ``"+"`` for +sigma F).  ``rank`` and ``nu_norm`` are the
@@ -63,18 +63,6 @@ class IterationRecord:
     nu_norm: float | None = None
 
 
-def _print_record(rec: IterationRecord, cfg: SolverConfig) -> None:
-    """The iprint >= 1 lines of one completed iteration."""
-    print(f"    ls: dir = {rec.direction}  alpha = {rec.alpha!r}  "
-          f"evals = {rec.ls_evals}  f = {rec.f_trial!r}")
-    if cfg.iprint >= 2 and rec.f_accel is not None:
-        # One (s, y) pair joins the window per iteration, so the window holds
-        # min(k, p) pairs before the trial pair is added.
-        print(f"    accel: columns = {min(rec.k, cfg.p) + 1}  rank = {rec.rank}  "
-              f"|nu| = {rec.nu_norm!r}  f = {rec.f_accel!r}  "
-              f"accepted = {rec.accepted}")
-
-
 def solve(problem: Problem, cfg: SolverConfig | None = None,
           x_start: Array | None = None,
           trace: list[IterationRecord] | None = None) -> SolveReport:
@@ -90,17 +78,16 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
     names the stop in words; on breakdown it carries the error's message.  A
     faulty residual is reported, not re-raised: its reason reads ``residual
     failed: <message> (<type>)``, which names the residual as the cause, so
-    it cannot pass for a step underflow.  When ``trace`` is a list,
-    it gets one IterationRecord per completed iteration, ``iter`` in all;
-    ``cfg.iprint`` prints from the same records.  The iteration, residual
-    calls included, runs under one ``np.errstate(all="ignore")``, so
+    it cannot pass for a step underflow.  ``trace`` (a list, or any object
+    with an ``append`` method) gets each iteration's IterationRecord as it
+    completes, ``iter`` in all; ``solve`` writes nothing.  The iteration,
+    residual calls included, runs under one ``np.errstate(all="ignore")``:
     overflow, invalid operations and division by zero raise no warning (a
     non-finite merit value is +inf and fails the line search's test), and
     the caller's error state is restored on return.
     """
     cfg = SolverConfig() if cfg is None else cfg
     accelerated = cfg.mode == "accelerated"
-    recording = trace is not None or cfg.iprint >= 1
     x = as_vector(problem.x0 if x_start is None else x_start, problem.n).copy()
     epsf = cfg.epsf if cfg.epsf is not None else 1e-6 * math.sqrt(problem.n)
     start = time.perf_counter()
@@ -137,11 +124,7 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
             fvals.append(f)
 
             while True:
-                if cfg.iprint >= 0:
-                    print(f"Iter:  {k}  f =  {f!r}")
                 if math.sqrt(f) <= epsf:
-                    if cfg.iprint >= 0:
-                        print("success!")
                     return report(k, ISTOP_CONVERGED, "converged")
                 if cfg.maxit is not None and k >= cfg.maxit:
                     return report(k, ISTOP_MAXIT, "iteration cap reached")
@@ -168,18 +151,14 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                 else:
                     s, y = x_new - x, F_new - F
 
-                if recording:
-                    rec = IterationRecord(
+                if trace is not None:
+                    trace.append(IterationRecord(
                         k=k, sigma=sigma, fbar=fbar, eta=eta, alpha=ls.alpha,
                         ls_evals=ls.evals, f_current=f, f_trial=ls.f_trial,
                         f_accel=f_accel, accepted=accepted, f_next=f_new,
                         direction=ls.direction,
                         rank=window.rank if accelerated else None,
-                        nu_norm=float(np.linalg.norm(window.nu)) if accelerated else None)
-                    if trace is not None:
-                        trace.append(rec)
-                    if cfg.iprint >= 1:
-                        _print_record(rec, cfg)
+                        nu_norm=float(np.linalg.norm(window.nu)) if accelerated else None))
 
                 ls = x_accel = F_accel = None  # release the losing candidate
                 x, F, f = x_new, F_new, f_new

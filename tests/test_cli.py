@@ -13,7 +13,7 @@ import pytest
 import dfsane.bench
 from dfsane.cli import dispatch
 from dfsane.core import SolverConfig
-from dfsane.problems import booth
+from dfsane.problems import booth, expfun2
 from dfsane.solver import solve
 
 FIXTURE = """2
@@ -34,6 +34,87 @@ def test_solve_with_trace(capsys):
     fields = [ln.split(" = ")[0] for ln in out.splitlines() if " = " in ln and not ln.startswith("Iter")]
     assert fields == ["x", "res", "normF", "iter", "fcnt", "istop", "reason"]
     assert out.rstrip().endswith("reason = converged")
+
+
+def test_iprint_trace_format(capsys):
+    code = dispatch(["solve", "--problem", "booth", "--iprint", "0"])
+    out = capsys.readouterr().out
+    rep = solve(booth(), SolverConfig(), trace=[])
+    assert code == 0
+    lines = [ln for ln in out.splitlines() if ln.startswith("Iter:")]
+    assert len(lines) == rep.iter + 1
+    first = float(lines[0].split("=")[1])
+    assert first == 74.0
+    assert "success!" in out
+
+
+def test_iprint_levels_add_detail(capsys):
+    trace = []
+    solve(expfun2(3), SolverConfig(maxit=3), trace=trace)
+    for iprint, tags in ((0, ()), (1, ("ls:",)), (2, ("ls:", "accel:"))):
+        assert dispatch(["solve", "--problem", "expfun2", "--n", "3", "--maxit", "3",
+                         "--iprint", str(iprint)]) == 0
+        lines = [ln.strip() for ln in capsys.readouterr().out.splitlines()]
+        for tag in ("ls:", "accel:"):
+            tagged = [ln for ln in lines if ln.startswith(tag)]
+            assert len(tagged) == (len(trace) if tag in tags else 0)
+    for rec, ls_line, accel_line in zip(
+            trace, [ln for ln in lines if ln.startswith("ls:")],
+            [ln for ln in lines if ln.startswith("accel:")]):
+        assert f"dir = {rec.direction}" in ls_line
+        assert f"evals = {rec.ls_evals}" in ls_line
+        assert f"rank = {rec.rank}" in accel_line
+        assert f"accepted = {rec.accepted}" in accel_line
+
+
+def _iter_lines(argv, capsys):
+    assert dispatch(["solve"] + argv) == 0
+    out = capsys.readouterr().out
+    return [ln for ln in out.splitlines() if ln.startswith("Iter:")], out
+
+
+@pytest.mark.parametrize("iprint", ["0", "2"])
+def test_iprint_last_iterate_line(capsys, tmp_path, iprint):
+    # The last iterate opens no record: its line comes from the record before
+    # it or, with none, from the report.
+    lines, out = _iter_lines(["--problem", "expfun2", "--n", "3", "--maxit", "0",
+                              "--iprint", iprint], capsys)
+    assert len(lines) == 1 and "success!" not in out
+
+    trace = []
+    solve(expfun2(3), SolverConfig(maxit=3), trace=trace)
+    lines, out = _iter_lines(["--problem", "expfun2", "--n", "3", "--maxit", "3",
+                              "--iprint", iprint], capsys)
+    assert lines[-1] == f"Iter:  3  f =  {trace[2].f_next!r}"
+    assert "success!" not in out
+
+    start = tmp_path / "x0.txt"
+    start.write_text("1000 1000 1000\n")
+    lines, out = _iter_lines(["--problem", "expfun2", "--n", "3", "--x0-file", str(start),
+                              "--iprint", iprint], capsys)
+    assert lines == [] and "istop = 3" in out
+
+    _, out = _iter_lines(["--problem", "booth", "--epsf", "1e9", "--iprint", iprint],
+                         capsys)
+    assert out.startswith("Iter:  0  f =  74.0\nsuccess!\n\nx = ")
+
+
+def test_solve_rejects_iprint_3(capsys):
+    assert dispatch(["solve", "--problem", "booth", "--iprint", "3"]) == 2
+    assert "invalid choice: 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("iprint", ["0", "1", "2"])
+def test_solve_rejects_json_with_trace_lines(capsys, monkeypatch, iprint):
+    # The JSON report cannot share stdout with the trace lines.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr("dfsane.cli.solve", no_solve)
+    code = dispatch(["solve", "--problem", "booth", "--json", "--iprint", iprint])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --json takes no --iprint 0, 1 or 2: both write to stdout\n"
 
 
 def test_solve_json_roundtrip(capsys):
@@ -175,6 +256,27 @@ def test_bench_fixture_path_not_a_directory(capsys, tmp_path, monkeypatch,
     assert code == 2
     assert err.startswith("error: ") and str(fdir) in err
     assert not (tmp_path / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_bench_rejects_an_output_that_is_a_fixture(capsys, tmp_path, monkeypatch, via_env):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr("dfsane.cli.run_suite", no_run)
+    (tmp_path / "lin.txt").write_text(FIXTURE)
+    monkeypatch.chdir(tmp_path)
+    argv = ["bench", "--out", "lin.txt"]
+    if via_env:
+        monkeypatch.setenv("DFSANE_FIXTURE_DIR", ".")
+    else:
+        argv += ["--fixture-dir", "."]
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: output path 'lin.txt' is the same file as input 'lin.txt'\n"
+    assert captured.out == ""
+    assert (tmp_path / "lin.txt").read_bytes() == FIXTURE.encode()
 
 
 def test_bench_out_in_missing_directory_fails_before_the_suite(capsys, tmp_path,

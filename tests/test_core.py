@@ -181,12 +181,12 @@ def test_problem_rejects_bad_inputs():
 
 def test_config_defaults():
     assert [f.name for f in fields(SolverConfig)] == [
-        "nhlim", "epsf", "maxit", "max_feval", "time_budget_seconds", "mode", "iprint"]
+        "nhlim", "epsf", "maxit", "max_feval", "time_budget_seconds", "mode"]
     cfg = SolverConfig()
     assert cfg.nhlim == 6 and cfg.p == 5
     assert cfg.epsf is None and cfg.maxit is None
     assert cfg.max_feval is None and cfg.time_budget_seconds is None
-    assert cfg.mode == "accelerated" and cfg.iprint == -1
+    assert cfg.mode == "accelerated"
     # The method's fixed constants live next to the functions that read them.
     assert linesearch.GAMMA == 1e-4
     assert linesearch.TAU_MIN == 0.1 and linesearch.TAU_MAX == 0.5
@@ -212,8 +212,8 @@ def test_config_defaults():
     {"iprint": 3},
 ])
 def test_config_rejects_invalid(kwargs):
-    # The fixed constants are no fields, so naming one is a TypeError; a bad
-    # value of a field is a ValueError.
+    # The fixed constants and console output are no fields, so naming one is
+    # a TypeError; a bad value of a field is a ValueError.
     known = {f.name for f in fields(SolverConfig)}
     with pytest.raises(ValueError if set(kwargs) <= known else TypeError):
         SolverConfig(**kwargs)

@@ -1,4 +1,4 @@
-"""Print digests of the solver's iterates, traces, ``--iprint 2`` output and
+"""Print digests of the solver's iterates, traces, ``--iprint`` output and
 acceleration kernel, to check that a change keeps every bit.
 
 Usage::
@@ -9,7 +9,8 @@ Run it on two checkouts, say a change and its parent (copy this file into
 one that lacks it): it imports the package from the ``src`` directory of the
 checkout it sits in.  The two outputs must be identical.  The digests depend
 on the BLAS build and thread count, so compare runs on one machine only.
-The ``same_bits`` rows of BENCH_17.json are its output for N = 50000 1000000.
+The ``same_bits`` rows of BENCH_17.json are rows 1-5 of its output for
+N = 50000 1000000.
 
 Rows, in order (a "short" digest is the first 16 hex digits of a SHA-256):
 
@@ -41,6 +42,11 @@ Rows, in order (a "short" digest is the first 16 hex digits of a SHA-256):
    of three calls ``accel_point(window, s, y, x, F)``, with the output's
    bytes, ``window.nu``'s bytes and ``repr(window.rank)``, then with the
    C-ordered bytes of S and of Y from ``window.matrices_with(s, y)``.
+6. ``iprint<L> <case> <short> <length>``, row 4's digest and length for
+   more levels and stops: ``--iprint 0`` then ``1`` for ``rosenbrock-ext
+   10``; then levels 0, 1, 2 for ``powell-singular maxit=5`` (``--maxit
+   5``); then levels 0, 1, 2 for ``expfun2 3 x0=1000``, a breakdown at the
+   start point read by ``--x0-file`` from a file holding ``1000 1000 1000``.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import astuple
 from pathlib import Path
 
@@ -108,16 +115,31 @@ def large_n(n: int) -> list[str]:
     return rows
 
 
-def iprint2() -> list[str]:
+def iprint_row(level: int, case: str, args: list[str]) -> str:
+    argv = [sys.executable, "-m", "dfsane", "solve", *args, "--iprint", str(level)]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    rows = []
-    for name, n in IPRINT_CASES:
-        argv = [sys.executable, "-m", "dfsane", "solve", "--problem", name, "--iprint", "2"]
-        if n is not None:
-            argv += ["--n", str(n)]
-        out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
-        text = "\n".join(out.splitlines())
-        rows.append(f"iprint2 {name} {n} {short(text.encode())} {len(text)}")
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+    text = "\n".join(out.splitlines())
+    return f"iprint{level} {case} {short(text.encode())} {len(text)}"
+
+
+def iprint2() -> list[str]:
+    return [iprint_row(2, f"{name} {n}",
+                       ["--problem", name] + ([] if n is None else ["--n", str(n)]))
+            for name, n in IPRINT_CASES]
+
+
+def iprint_stops() -> list[str]:
+    rows = [iprint_row(level, "rosenbrock-ext 10", ["--problem", "rosenbrock-ext", "--n", "10"])
+            for level in (0, 1)]
+    rows += [iprint_row(level, "powell-singular maxit=5",
+                        ["--problem", "powell-singular", "--maxit", "5"]) for level in (0, 1, 2)]
+    with tempfile.TemporaryDirectory() as tmp:
+        x0 = Path(tmp) / "x0.txt"
+        x0.write_text("1000 1000 1000\n")
+        rows += [iprint_row(level, "expfun2 3 x0=1000",
+                            ["--problem", "expfun2", "--n", "3", "--x0-file", str(x0)])
+                 for level in (0, 1, 2)]
     return rows
 
 
@@ -145,7 +167,7 @@ def main(argv: list[str]) -> None:
     rows = desk_suite()
     for n in argv:
         rows += large_n(int(float(n)))
-    rows += iprint2() + kernel()
+    rows += iprint2() + kernel() + iprint_stops()
     print("\n".join(rows))
 
 
