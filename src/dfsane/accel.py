@@ -11,8 +11,8 @@ the numerical rank counts the singular values of Y above
 One solver iteration: ``trial_difference`` writes the trial pair,
 ``accel_point(window, None, None, x_trial, F(x_trial))`` solves with it
 (s, y = None, None stands for the trial pair), and ``keep_trial()`` or
-``push_difference`` pushes the pair of the point that won and returns views
-of it, the pair the next spectral step reads.  A pair from outside is
+``push_difference`` pushes the pair of the point that won and returns
+(s'y, s's), all the next spectral step reads of it.  A pair from outside is
 written the same way, as the difference (s - 0, y - 0), which is (s, y)
 bit for bit: ``push_pair`` pushes it, and an extra pair given to
 ``accel_point`` or ``matrices_with`` becomes the trial pair.
@@ -48,8 +48,8 @@ each block is in cache:
 - a trial column that is not kept is dropped by truncation.
 
 A pushed pair's y waits in the row after the factored columns until that
-pass orthogonalizes it in place; a kept trial pair's y, already factored,
-is formed again into S's spare row, which the next trial's s overwrites.
+pass orthogonalizes it in place; a kept trial pair's s'y is summed block
+by block as the pass forms its column, before Gram-Schmidt overwrites it.
 
 Y = diag(Q_1, Q_2, ...) [R_1; R_2; ...] with orthonormal columns, so nu is
 the ``lstsq`` solution of the stacked R against the stacked Q_i^T F(x_trial),
@@ -80,8 +80,7 @@ class SecantWindow:
     docstring) depends on the pair length alone; a window wider than half
     a block keeps the direct layout.  ``rank`` and ``nu`` (in S's column
     order) are those of the last ``accel_point`` solve, None before the
-    first.  A push returns views of its (s, y) pair, valid until the next
-    push, ``trial_difference``, ``accel_point`` or ``matrices_with``.
+    first.  A push returns (s'y, s's) of its pair as floats.
     """
 
     def __init__(self, capacity: int):
@@ -98,21 +97,21 @@ class SecantWindow:
         # (F_new, F) of the trial pair, until it is kept or discarded
         self._trial: tuple[Array, Array] | None = None
 
-    def push_pair(self, s: Array, y: Array) -> tuple[Array, Array]:
+    def push_pair(self, s: Array, y: Array) -> tuple[float, float]:
         """Push the pair (s, y), written as the difference (s - 0, y - 0)."""
         return self.push_difference(*self._outside(s, y))
 
     def push_difference(self, x_new: Array, x: Array, F_new: Array,
-                        F: Array) -> tuple[Array, Array]:
+                        F: Array) -> tuple[float, float]:
         """Push the pair (x_new - x, F_new - F), computed in its slot; the
         trial pair is discarded."""
         self._check(x.shape[0])
         self._trial = None
         i = self._pushes % self.capacity
-        y_row = self._y_rows[i if self._qr is None else self._qr.hold()]
-        np.subtract(x_new, x, out=self._s_rows[i])
-        np.subtract(F_new, F, out=y_row)
-        return self._advance(y_row)
+        s, y = self._s_rows[i], self._y_rows[i if self._qr is None else self._qr.hold()]
+        np.subtract(x_new, x, out=s)
+        np.subtract(F_new, F, out=y)
+        return self._advance(i, float(s.dot(y)))
 
     def trial_difference(self, x_new: Array, x: Array, F_new: Array,
                          F: Array) -> None:
@@ -129,9 +128,9 @@ class SecantWindow:
             self._qr.truncate_trial()
         self._trial = (F_new, F)
 
-    def keep_trial(self) -> tuple[Array, Array]:
+    def keep_trial(self) -> tuple[float, float]:
         """Push the trial pair as it stands, with the factor column that a
-        solve gave it (module docstring)."""
+        solve gave it and the s'y summed as it was formed (module docstring)."""
         if self._trial is None:
             raise ValueError("no trial pair to keep")
         (F_new, F), self._trial = self._trial, None
@@ -141,15 +140,13 @@ class SecantWindow:
             if qr is None:
                 self._y_rows[i] = self._y_rows[t]
         if qr is None:
-            return self._advance(self._y_rows[i])
-        if qr.trial:
-            qr.trial = False
-            # S's row after the pairs, free until the next trial_difference
-            y_row = self._s_rows[min(self._pushes + 1, self.capacity)]
-        else:
-            y_row = self._y_rows[qr.hold()]
-        np.subtract(F_new, F, out=y_row)
-        return self._advance(y_row)
+            return self._advance(i, float(self._s_rows[i].dot(self._y_rows[i])))
+        if qr.trial is not None:
+            sty, qr.trial = qr.trial, None
+            return self._advance(i, sty)
+        y = self._y_rows[qr.hold()]
+        np.subtract(F_new, F, out=y)
+        return self._advance(i, float(self._s_rows[i].dot(y)))
 
     def matrices_with(self, s_extra: Array | None,
                       y_extra: Array | None) -> tuple[Array, Array]:
@@ -180,13 +177,12 @@ class SecantWindow:
             nu, _, rank, _ = np.linalg.lstsq(self._y_rows[:m].T, b, rcond=None)
         else:
             qr.truncate_trial()
-            Qb = qr.update(self._trial, b)
+            Qb = qr.update((self._s_rows[m - 1], *self._trial), b)
             nu_age, _, rank, _ = np.linalg.lstsq(
                 qr.R[:, :m, :m].reshape(-1, m), Qb.reshape(-1),
                 rcond=EPS_MACH * max(self._s_rows.shape[1], m))
             nu = np.empty(m)
             nu[self._order() + [m - 1]] = nu_age
-            qr.trial = True
         self.nu, self.rank = nu, int(rank)
         return self._s_rows[:m].T
 
@@ -198,15 +194,14 @@ class SecantWindow:
         elif self._trial is None:
             raise ValueError("s and y are None but there is no trial pair")
 
-    def _advance(self, y_row: Array) -> tuple[Array, Array]:
-        """Count a push whose y is in ``y_row`` and return the pushed pair's
-        views; in the factored layout a full window drops its oldest column."""
+    def _advance(self, i: int, sty: float) -> tuple[float, float]:
+        """Count a push (s in row i, s'y = ``sty``) and return (s'y, s's); in
+        the factored layout a full window drops its oldest column."""
         if self._qr is not None and self.count == self.capacity:
             self._qr.drop_oldest()
-        s_row = self._s_rows[self._pushes % self.capacity]
         self._pushes += 1
         self.count = min(self._pushes, self.capacity)
-        return s_row, y_row
+        return sty, float(self._s_rows[i].dot(self._s_rows[i]))
 
     def _order(self) -> list[int]:
         """The row of S of each pair, oldest first."""
@@ -244,7 +239,7 @@ class _BlockQR:
     the next pass over the blocks: k is m + 1 after the oldest column was
     dropped (R[:, 1:] is Hessenberg until the pass re-triangularizes it and
     rotates Q), and a pushed column waits unfactored in row ``held``.
-    ``trial`` tells whether the last factored column is the trial column.
+    ``trial`` is the s'y of the trial column, None when there is none.
     """
 
     def __init__(self, rows: Array):
@@ -257,13 +252,13 @@ class _BlockQR:
         self.R = np.zeros((nb, k, k))
         self.m = self.k = 0
         self.held: int | None = None
-        self.trial = False
+        self.trial: float | None = None
 
     def truncate_trial(self) -> None:
-        if self.trial:
+        if self.trial is not None:
             self.m -= 1
             self.k -= 1
-            self.trial = False
+            self.trial = None
 
     def hold(self) -> int:
         """The free row for a pushed column, to be factored by the next
@@ -282,12 +277,12 @@ class _BlockQR:
         if not m:
             self.k = 0
 
-    def update(self, diff: tuple[Array, Array] | None = None,
+    def update(self, trial: tuple[Array, Array, Array] | None = None,
                b: Array | None = None) -> Array | None:
         """One pass over the blocks.  In each block: rotate Q for a pending
-        drop, factor the held column, then with ``diff`` append the column
-        diff[0] - diff[1] (formed in the row it is factored into), and with
-        ``b`` return the stacked Q_i^T b over all columns."""
+        drop, factor the held column, then with ``trial`` = (s, F_new, F)
+        append the column y = F_new - F, formed in its row and its s'y summed
+        into ``self.trial`` first, and with ``b`` return the stacked Q_i^T b."""
         Q, R = self.rows, self.R
         m, k = self.m, self.k
         rotate = k > m
@@ -298,8 +293,9 @@ class _BlockQR:
             rotated = np.empty(m * self.width)
         new = [] if self.held is None else [Q[self.held]]
         t = m + len(new)
-        if diff:
+        if trial:
             new.append(Q[t])
+            self.trial = 0.0
         for j in range(m, m + len(new)):
             R[:, j, :j] = 0.0
         work = np.empty(self.width)
@@ -311,7 +307,8 @@ class _BlockQR:
                 Q[:m, j0:j1] = out
             for j, v in enumerate(new, start=m):
                 if j == t:
-                    np.subtract(diff[0][j0:j1], diff[1][j0:j1], out=v[j0:j1])
+                    np.subtract(trial[1][j0:j1], trial[2][j0:j1], out=v[j0:j1])
+                    self.trial += float(trial[0][j0:j1].dot(v[j0:j1]))
                 _orthonormalize(Q[:j, j0:j1], v[j0:j1], Q[j, j0:j1], R[i, :j + 1, j],
                                 work[:j1 - j0])
             if Qb is not None:
@@ -323,7 +320,7 @@ class _BlockQR:
     def columns(self) -> Array:
         """The window's columns of Y (the held one included, the trial
         column not), as the rows of a new array."""
-        m, k = self.m - self.trial, self.k - self.trial
+        m, k = self.m - (self.trial is not None), self.k - (self.trial is not None)
         Y = np.empty((m + (self.held is not None), self.rows.shape[1]))
         for i, (j0, j1) in enumerate(self.blocks):
             Y[:m, j0:j1] = self.R[i, :k, :m].T @ self.rows[:k, j0:j1]

@@ -197,6 +197,9 @@ def _cmd_bench(args) -> int:
     fixture_dir = args.fixture_dir or os.environ.get(FIXTURE_DIR_ENV)
     fixtures = [str(p) for p in Path(fixture_dir).glob("*.txt")] if fixture_dir else []
     _check_outputs(args.out, inputs=fixtures)
+    out = Path(os.path.realpath(args.out))
+    if fixture_dir and out.parent == Path(fixture_dir).resolve() and out.match("*.txt"):
+        raise _UsageError(f"output path {args.out!r} is a *.txt file in the fixture directory")
     problems = []
     if args.suite:
         problems.extend(suite_builtin())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
@@ -87,6 +88,9 @@ class SolverConfig:
     mode: str = "accelerated"
 
     def __post_init__(self):
+        for name in ("nhlim", "maxit", "max_feval"):  # a float cap never equals a count
+            if not isinstance(getattr(self, name), (numbers.Integral, type(None))):
+                raise ValueError(f"{name} must be an integer")
         if self.nhlim < 2:
             raise ValueError("nhlim must be at least 2")
         if self.epsf is not None and not self.epsf > 0.0:

@@ -106,10 +106,8 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
     F, f = None, math.inf
     best_x, best_F, best_f = x, F, f
     fvals: deque[float] = deque(maxlen=M)
-    # The newest secant pair (x - previous x, F - previous F); in accelerated
-    # mode, the views of it that the window's push returned.
-    s: Array | None = None
-    y: Array | None = None
+    # (s'y, s's) of the newest secant pair (x - previous x, F - previous F)
+    pair: tuple[float, float] | None = None
     window = SecantWindow(cfg.p) if accelerated else None
     k = 0
     with np.errstate(all="ignore"):
@@ -129,8 +127,7 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                 if cfg.maxit is not None and k >= cfg.maxit:
                     return report(k, ISTOP_MAXIT, "iteration cap reached")
 
-                sigma = sigma_k(s, y, x, F)
-                s = y = None  # a plain-mode pair is not held through the line search
+                sigma = sigma_k(pair, x, F)
                 fbar = max(fvals)
                 eta = math.ldexp(eta0, -k)
                 ls = double_backtracking(ev, x, F, f, sigma, fbar, eta)
@@ -145,11 +142,11 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                     # keeps the row and factor column it has.
                     if f_accel < f_new:
                         x_new, F_new, f_new, accepted = x_accel, F_accel, f_accel, "accel"
-                        s, y = window.push_difference(x_new, x, F_new, F)
+                        pair = window.push_difference(x_new, x, F_new, F)
                     else:
-                        s, y = window.keep_trial()
+                        pair = window.keep_trial()
                 else:
-                    s, y = x_new - x, F_new - F
+                    pair = float((s := x_new - x).dot(F_new - F)), float(s.dot(s))
 
                 if trace is not None:
                     trace.append(IterationRecord(
@@ -160,7 +157,7 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                         rank=window.rank if accelerated else None,
                         nu_norm=float(np.linalg.norm(window.nu)) if accelerated else None))
 
-                ls = x_accel = F_accel = None  # release the losing candidate
+                ls = x_accel = F_accel = s = None  # release the losing candidate and s
                 x, F, f = x_new, F_new, f_new
                 if f < best_f:
                     best_x, best_F, best_f = x, F, f

@@ -42,6 +42,26 @@ def test_push_single_pair():
     assert w.count == 1
 
 
+def check_push(w, products, s, y, solved_factored_trial=False):
+    """A push returned (s'y, s's) of the pair (s, y) as floats, and wrote s
+    and y into the newest columns of S and Y, all bit for bit.  A kept trial
+    that a factored solve formed is not stored whole: its s'y is a sum over
+    blocks and its y comes from the factors, so both are checked to a
+    tolerance.  Leaves an outside pair of zeros as the trial pair."""
+    assert all(type(v) is float for v in products)
+    want = (float(s.dot(y)), float(s.dot(s)))
+    S, Y = w.matrices_with(np.zeros_like(s), np.zeros_like(y))
+    j = w._order()[-1]                       # the newest pair's row
+    assert S[:, j].tobytes() == s.tobytes()
+    if solved_factored_trial:
+        np.testing.assert_allclose(products[0], want[0], rtol=1e-12, atol=0.0)
+        assert products[1].hex() == want[1].hex()
+        np.testing.assert_allclose(Y[:, j], y, rtol=0.0, atol=1e-12)
+    else:
+        assert np.array(products).tobytes() == np.array(want).tobytes()
+        assert Y[:, j].tobytes() == y.tobytes()
+
+
 def pairs_of(S, Y):
     """The (s, y) columns of S and Y as a sorted list: window contents up to
     a common column permutation."""
@@ -90,8 +110,7 @@ def test_push_pair_copies_signed_zero_nan_and_inf_bit_for_bit():
     s = np.array([-0.0, np.nan, np.inf, -np.inf, 1.5])
     y = np.array([np.nan, -0.0, -np.inf, np.inf, -2.5])
     w = SecantWindow(2)
-    pushed = w.push_pair(s, y)
-    assert tuple(v.tobytes() for v in pushed) == (s.tobytes(), y.tobytes())
+    check_push(w, w.push_pair(s, y), s, y)
     S, Y = w.matrices_with(y, s)
     assert (S[:, -1].tobytes(), Y[:, -1].tobytes()) == (y.tobytes(), s.tobytes())
 
@@ -119,8 +138,8 @@ def test_matrices_with_rejects_mismatched_extra_pair():
 @pytest.mark.parametrize("capacity", [1, 2, 3])
 def test_differences_written_in_place_match_pushed_copies(capacity):
     # The solver's path (trial_difference, then keep_trial or
-    # push_difference and the pair it returns) against push_pair of fresh
-    # differences.
+    # push_difference and the products it returns) against push_pair of
+    # fresh differences.
     rng = np.random.default_rng(capacity)
     n = 5
     w, ref = SecantWindow(capacity), SecantWindow(capacity)
@@ -133,13 +152,12 @@ def test_differences_written_in_place_match_pushed_copies(capacity):
         assert S.tobytes() == S_ref.tobytes() and Y.tobytes() == Y_ref.tobytes()
         if step % 2:
             x_new, F_new = rng.standard_normal(n), rng.standard_normal(n)
-            s_new, y_new = w.push_difference(x_new, x, F_new, F)
+            products = w.push_difference(x_new, x, F_new, F)
         else:
             x_new, F_new = x_trial, F_trial
-            s_new, y_new = w.keep_trial()
-        ref.push_pair(x_new - x, F_new - F)
-        assert s_new.tobytes() == (x_new - x).tobytes()
-        assert y_new.tobytes() == (F_new - F).tobytes()
+            products = w.keep_trial()
+        assert products == ref.push_pair(x_new - x, F_new - F)
+        check_push(w, products, x_new - x, F_new - F)
         x, F = x_new, F_new
     assert w.count == ref.count == capacity
 
@@ -305,13 +323,12 @@ def test_factored_window_follows_the_solver_steps(capacity):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
         if step % 2:
             x_new, F_new = got, rng.standard_normal(n)
-            s_new, y_new = w.push_difference(x_new, x, F_new, F)
+            products = w.push_difference(x_new, x, F_new, F)
         else:
             x_new, F_new = x_trial, F_trial
-            s_new, y_new = w.keep_trial()
+            products = w.keep_trial()
         pairs = (pairs + [(x_new - x, F_new - F)])[-capacity:]
-        assert s_new.tobytes() == (x_new - x).tobytes()
-        assert y_new.tobytes() == (F_new - F).tobytes()
+        check_push(w, products, *pairs[-1], solved_factored_trial=step % 2 == 0)
         assert factor_orthogonality(w) <= 1e-13
         x, F = x_new, F_new
     assert w.count == capacity
@@ -383,23 +400,26 @@ def test_keep_trial_pushes_only_a_pending_trial_pair(n):
         accel_point(w, None, None, x_trial, F_trial)
         accel_point(w, s_out, y_out, x_trial, F_trial)
 
+    # (what runs before keep_trial, the pair it keeps, whether a solve
+    # factored that pair)
     trial, outside = (x_trial - x, F_trial - F), (s_out, y_out)
     keeps = {
-        "trial pair": (lambda w: None, trial),
-        "solved trial pair": (lambda w: accel_point(w, None, None, x_trial, F_trial), trial),
+        "trial pair": (lambda w: None, trial, False),
+        "solved trial pair": (lambda w: accel_point(w, None, None, x_trial, F_trial),
+                              trial, True),
         "outside accel_point": (lambda w: accel_point(w, s_out, y_out, x_trial, F_trial),
-                                outside),
-        "outside matrices_with": (lambda w: w.matrices_with(s_out, y_out), outside),
-        "outside after a solve": (outside_after_solve, outside),
+                                outside, True),
+        "outside matrices_with": (lambda w: w.matrices_with(s_out, y_out), outside, False),
+        "outside after a solve": (outside_after_solve, outside, True),
     }
-    for name, (before_keep, pair) in keeps.items():
+    for name, (before_keep, pair, solved) in keeps.items():
         w = window()
         w.trial_difference(x_trial, x, F_trial, F)
         before_keep(w)
         kept = w.keep_trial()
         with pytest.raises(ValueError, match="no trial pair"):
             w.keep_trial()
-        assert [v.tobytes() for v in kept] == [v.tobytes() for v in pair], name
+        check_push(w, kept, *pair, solved_factored_trial=solved and w._qr is not None)
         want, want_rank = reference_step((pairs + [pair])[-capacity:], x_next - x_trial,
                                          F_next - F_trial, x_next, F_next)
         w.trial_difference(x_next, x_trial, F_next, F_trial)
@@ -408,6 +428,29 @@ def test_keep_trial_pushes_only_a_pending_trial_pair(n):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10, err_msg=name)
         if w._qr is not None:
             assert factor_orthogonality(w) <= 1e-13, name
+
+
+@pytest.mark.parametrize("pushes", [1, 3, 5])
+def test_kept_factored_trial_writes_only_its_own_row_of_S(pushes):
+    # A solve sums the trial pair's s'y block by block as it forms the trial
+    # column, so keep_trial forms no y: of S it writes only the kept pair's
+    # ring row (a copy of the trial row), before and after the window fills.
+    n, capacity = BLOCK_ROWS + 100, 3
+    rng = np.random.default_rng(pushes)
+    w = SecantWindow(capacity)
+    for _ in range(pushes):
+        w.push_pair(rng.standard_normal(n), rng.standard_normal(n))
+    x, F, x_trial, F_trial = (rng.standard_normal(n) for _ in range(4))
+    w.trial_difference(x_trial, x, F_trial, F)
+    accel_point(w, None, None, x_trial, F_trial)
+    before, i = w._s_rows.copy(), pushes % capacity
+    sty, sts = w.keep_trial()
+    s, y = x_trial - x, F_trial - F
+    others = [r for r in range(capacity + 1) if r != i]
+    assert w._s_rows[others].tobytes() == before[others].tobytes()
+    assert w._s_rows[i].tobytes() == s.tobytes()
+    assert sts.hex() == float(s.dot(s)).hex()
+    np.testing.assert_allclose(sty, float(s.dot(y)), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (10, 6), (BLOCK_ROWS, 1), (BLOCK_ROWS, 6)])

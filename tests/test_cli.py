@@ -279,6 +279,25 @@ def test_bench_rejects_an_output_that_is_a_fixture(capsys, tmp_path, monkeypatch
     assert (tmp_path / "lin.txt").read_bytes() == FIXTURE.encode()
 
 
+@pytest.mark.parametrize("out", ["new.txt", "sub/../new.txt"])
+def test_bench_rejects_a_txt_output_that_the_next_run_reads_as_a_fixture(capsys, tmp_path,
+                                                                         monkeypatch, out):
+    (tmp_path / "lin.txt").write_text(FIXTURE)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    with monkeypatch.context() as patched:
+        patched.setattr("dfsane.cli.run_suite", lambda *a, **k: pytest.fail("the suite ran"))
+        code = dispatch(["bench", "--fixture-dir", ".", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: output path {out!r} is a *.txt file in the fixture directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["lin.txt", "sub"]
+    # Outside the fixture directory a *.txt output is fine, run after run.
+    for name in ("sub/a.txt", "sub/b.txt"):
+        assert dispatch(["bench", "--fixture-dir", ".", "--out", name]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_bench_out_in_missing_directory_fails_before_the_suite(capsys, tmp_path,
                                                               monkeypatch):
     def no_run(*args, **kwargs):

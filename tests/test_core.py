@@ -210,6 +210,10 @@ def test_config_defaults():
     {"time_budget_seconds": 0.0},
     {"mode": "fast"},
     {"iprint": 3},
+    {"nhlim": 2.5},
+    {"maxit": 2.5},
+    {"max_feval": 2.5},
+    {"max_feval": 100.0},
 ])
 def test_config_rejects_invalid(kwargs):
     # The fixed constants and console output are no fields, so naming one is
