@@ -13,6 +13,7 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .bench import (
     write_records_csv,
 )
 from .core import SOLVER_MODES, SolveReport, SolverConfig
-from .problems import REGISTRY, fixtures_from_dir, make, suite_builtin
+from .problems import FIXTURE_PATTERN, REGISTRY, fixtures_from_dir, make, suite_builtin
 from .solver import solve
 
 FIXTURE_DIR_ENV = "DFSANE_FIXTURE_DIR"
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--suite", action="store_true",
                          help="include the built-in problem suite")
     p_bench.add_argument("--fixture-dir", default=None,
-                         help=f"directory of linear fixtures (*.txt); defaults to "
+                         help=f"directory of linear fixtures ({FIXTURE_PATTERN}); defaults to "
                               f"${FIXTURE_DIR_ENV} when set")
     p_bench.add_argument("--solvers", default="accelerated,plain",
                          help="comma-separated solver modes to run")
@@ -166,21 +167,19 @@ def _cmd_solve(args) -> int:
         raise _UsageError("--json takes no --iprint 0, 1 or 2: both write to stdout")
     with _bad_input(KeyError, ValueError):
         problem = make(args.problem, args.n)
-    x_start = None
     if args.x0_file is not None:
         with _bad_input(OSError, ValueError, UserWarning), warnings.catch_warnings():
             # numpy only warns on a file with no numbers; here it is an error
             warnings.simplefilter("error", UserWarning)
-            x_start = np.loadtxt(args.x0_file, dtype=np.float64).ravel()
-        if x_start.size != problem.n:
-            raise _UsageError(f"start point has {x_start.size} entries, need {problem.n}")
-        if not np.isfinite(x_start).all():
+            x0 = np.loadtxt(args.x0_file, dtype=np.float64).ravel()
+            problem = replace(problem, x0=x0)  # Problem checks the length
+        if not np.isfinite(x0).all():
             raise _UsageError(f"{args.x0_file}: non-finite entry in the start point")
     with _bad_input(ValueError):
         cfg = SolverConfig(nhlim=args.nhlim, epsf=args.epsf, maxit=args.maxit,
                            mode=args.mode)
     printer = _IterationPrinter(args.iprint, cfg.p) if args.iprint >= 0 else None
-    rep = solve(problem, cfg, x_start, trace=printer)
+    rep = solve(problem, cfg, trace=printer)
     if printer is not None:
         if rep.iter == 0 and math.isfinite(rep.normF):  # no record opened iterate 0
             print(_ITER_LINE.format(0, rep.normF))
@@ -195,11 +194,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     fixture_dir = args.fixture_dir or os.environ.get(FIXTURE_DIR_ENV)
-    fixtures = [str(p) for p in Path(fixture_dir).glob("*.txt")] if fixture_dir else []
+    fixtures = [str(p) for p in Path(fixture_dir).glob(FIXTURE_PATTERN)] if fixture_dir else []
     _check_outputs(args.out, inputs=fixtures)
     out = Path(os.path.realpath(args.out))
-    if fixture_dir and out.parent == Path(fixture_dir).resolve() and out.match("*.txt"):
-        raise _UsageError(f"output path {args.out!r} is a *.txt file in the fixture directory")
+    if fixture_dir and out.parent == Path(fixture_dir).resolve() \
+            and out.match(FIXTURE_PATTERN):
+        raise _UsageError(f"output path {args.out!r} is a {FIXTURE_PATTERN} file "
+                          f"in the fixture directory")
     problems = []
     if args.suite:
         problems.extend(suite_builtin())
@@ -215,9 +216,6 @@ def _cmd_bench(args) -> int:
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     if not solvers:
         raise _UsageError("no solver mode given")
-    bad = [s for s in solvers if s not in SOLVER_MODES]
-    if bad:
-        raise _UsageError(f"unknown solver modes {bad}")
     repeated = sorted({s for s in solvers if solvers.count(s) > 1})
     if repeated:
         raise _UsageError(f"repeated solver modes {repeated}")

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
+from numbers import Integral
 from time import perf_counter
 from typing import Callable
 
@@ -89,7 +89,8 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("nhlim", "maxit", "max_feval"):  # a float cap never equals a count
-            if not isinstance(getattr(self, name), (numbers.Integral, type(None))):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) or (value is None and name != "nhlim")):
                 raise ValueError(f"{name} must be an integer")
         if self.nhlim < 2:
             raise ValueError("nhlim must be at least 2")

@@ -11,6 +11,8 @@ import numpy as np
 
 from .core import Array, Problem
 
+FIXTURE_PATTERN = "*.txt"  # the files that fixtures_from_dir reads
+
 
 def expfun2(n: int = 3) -> Problem:
     """Exponential residual chain.
@@ -34,15 +36,18 @@ def expfun2(n: int = 3) -> Problem:
     return Problem("expfun2", n, residual, np.full(n, 1.0 / n**2))
 
 
-def booth() -> Problem:
-    """Booth linear system x1 + 2 x2 = 7, 2 x1 + x2 = 5; root (1, 3)."""
-    A = np.array([[1.0, 2.0], [2.0, 1.0]])
-    b = np.array([7.0, 5.0])
-
+def _linear(name: str, A: Array, b: Array, x0: Array) -> Problem:
+    """The linear system A x = b, with residual A x - b."""
     def residual(x: Array) -> Array:
         return A @ x - b
 
-    return Problem("booth", 2, residual, np.zeros(2))
+    return Problem(name, len(b), residual, x0)
+
+
+def booth() -> Problem:
+    """Booth linear system x1 + 2 x2 = 7, 2 x1 + x2 = 5; root (1, 3)."""
+    return _linear("booth", np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([7.0, 5.0]),
+                   np.zeros(2))
 
 
 def linear_dense(n: int = 8) -> Problem:
@@ -51,12 +56,7 @@ def linear_dense(n: int = 8) -> Problem:
     A = 1.0 / (1.0 + np.abs(i[:, None] - i[None, :]))
     A[i, i] = 4.0
     x_star = np.where(i % 2 == 0, 1.0, -1.0)
-    b = A @ x_star
-
-    def residual(x: Array) -> Array:
-        return A @ x - b
-
-    return Problem("linear-dense", n, residual, np.zeros(n))
+    return _linear("linear-dense", A, A @ x_star, np.zeros(n))
 
 
 def rosenbrock_ext(n: int = 10) -> Problem:
@@ -204,23 +204,19 @@ def available() -> list[str]:
     return sorted(REGISTRY)
 
 
-def _named(problem: Problem, name: str) -> Problem:
-    return replace(problem, name=name)
-
-
 def suite_builtin() -> list[Problem]:
     """The desk-scale benchmark suite (10 problems)."""
     return [
-        _named(expfun2(3), "expfun2-3"),
-        _named(expfun2(100), "expfun2-100"),
-        _named(expfun2(1000), "expfun2-1000"),
+        replace(expfun2(3), name="expfun2-3"),
+        replace(expfun2(100), name="expfun2-100"),
+        replace(expfun2(1000), name="expfun2-1000"),
         booth(),
         linear_dense(8),
-        _named(rosenbrock_ext(10), "rosenbrock-10"),
-        _named(broyden_tridiagonal(50), "broyden-tri-50"),
-        _named(discrete_bvp(50), "bvp-50"),
+        replace(rosenbrock_ext(10), name="rosenbrock-10"),
+        replace(broyden_tridiagonal(50), name="broyden-tri-50"),
+        replace(discrete_bvp(50), name="bvp-50"),
         powell_singular(),
-        _named(trigexp(50), "trigexp-50"),
+        replace(trigexp(50), name="trigexp-50"),
     ]
 
 
@@ -253,15 +249,11 @@ def load_linear_fixture(path) -> Problem:
     for label, part in (("A", A), ("b", b), ("start point", x0)):
         if not np.isfinite(part).all():
             raise ValueError(f"{path}: non-finite entry in {label}")
-
-    def residual(x: Array) -> Array:
-        return A @ x - b
-
-    return Problem(path.stem, n, residual, x0)
+    return _linear(path.stem, A, b, x0)
 
 
 def fixtures_from_dir(path) -> list[Problem]:
-    """Load every ``*.txt`` linear fixture in a directory, sorted by name.
+    """Load every linear fixture (``FIXTURE_PATTERN``) in a directory, sorted by name.
 
     A missing path raises FileNotFoundError and any other non-directory
     NotADirectoryError, so a mistyped path is not an empty suite.
@@ -271,4 +263,4 @@ def fixtures_from_dir(path) -> list[Problem]:
         raise FileNotFoundError(f"fixture directory {str(path)!r} does not exist")
     if not path.is_dir():
         raise NotADirectoryError(f"fixture path {str(path)!r} is not a directory")
-    return [load_linear_fixture(p) for p in sorted(path.glob("*.txt"))]
+    return [load_linear_fixture(p) for p in sorted(path.glob(FIXTURE_PATTERN))]

@@ -22,14 +22,12 @@ from .core import (
     ISTOP_BUDGET,
     ISTOP_CONVERGED,
     ISTOP_MAXIT,
-    Array,
     BreakdownError,
     BudgetExhausted,
     CountedEvaluator,
     Problem,
     SolveReport,
     SolverConfig,
-    as_vector,
 )
 from .linesearch import M, double_backtracking
 from .steps import sigma_k
@@ -64,9 +62,8 @@ class IterationRecord:
 
 
 def solve(problem: Problem, cfg: SolverConfig | None = None,
-          x_start: Array | None = None,
           trace: list[IterationRecord] | None = None) -> SolveReport:
-    """Solve F(x) = 0 from ``x_start`` (default: the problem's start point).
+    """Solve F(x) = 0 from ``problem.x0`` (another start: ``replace(problem, x0=x)``).
 
     Stops when ||F||_2 <= epsf (istop 0), at the iteration cap (istop 1),
     when the evaluation cap or time budget runs out (istop 2, hard caps
@@ -88,7 +85,7 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
     """
     cfg = SolverConfig() if cfg is None else cfg
     accelerated = cfg.mode == "accelerated"
-    x = as_vector(problem.x0 if x_start is None else x_start, problem.n).copy()
+    x = problem.x0.copy()
     epsf = cfg.epsf if cfg.epsf is not None else 1e-6 * math.sqrt(problem.n)
     start = time.perf_counter()
     deadline = None if cfg.time_budget_seconds is None else start + cfg.time_budget_seconds

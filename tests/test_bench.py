@@ -17,7 +17,8 @@ from dfsane.bench import (
     write_records_csv,
 )
 from dfsane.core import Problem, SolverConfig
-from dfsane.problems import booth
+from dfsane.problems import booth, expfun2, powell_singular
+from dfsane.solver import solve
 
 BOTH = {
     "accelerated": SolverConfig(mode="accelerated"),
@@ -84,6 +85,21 @@ def test_feval_matches_report():
     (rec,) = run_suite([booth()], {"accelerated": SolverConfig()})
     rep = solver_mod.solve(booth(), SolverConfig(epsf=1e-6 * math.sqrt(2)))
     assert rec.feval == rep.fcnt
+
+
+@pytest.mark.parametrize("problem, cfg, istop", [
+    (booth(), SolverConfig(), 0),
+    (powell_singular(), SolverConfig(mode="plain", max_feval=50), 2),
+    (expfun2(3), SolverConfig(maxit=1), 1),
+    (Problem("broken", 2, lambda x: 1 / 0, np.zeros(2)), SolverConfig(), 3),
+], ids=["converged", "evaluation-cap", "iteration-cap", "breakdown"])
+def test_solved_agrees_with_the_solvers_stop(problem, cfg, istop):
+    # run_suite decides ``solved`` by ||F|| <= epsf itself, and the solver
+    # decides istop 0 by the same test: the two must agree on every stop.
+    (rec,) = run_suite([problem], {"m": cfg})
+    rep = solve(problem, replace(cfg, epsf=1e-6 * math.sqrt(problem.n)))
+    assert (rep.istop, rep.fcnt) == (istop, rec.feval)
+    assert rec.solved == (rep.istop == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -185,12 +185,15 @@ def test_solve_with_x0_file(capsys, tmp_path):
     assert data["iter"] == 0 and data["fcnt"] == 1  # started at the root
 
 
-def test_solve_x0_file_length_mismatch(capsys, tmp_path):
+def test_solve_x0_file_length_mismatch(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("dfsane.cli.solve", lambda *a, **k: pytest.fail("the solve ran"))
     start = tmp_path / "x0.txt"
     start.write_text("1.0 2.0 3.0\n")
     code = dispatch(["solve", "--problem", "booth", "--x0-file", str(start)])
-    assert code != 0
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: expected a vector of length 2, got 3\n"
 
 
 @pytest.mark.parametrize("content", [None, "a b\n", "", "# no numbers\n"],
@@ -522,10 +525,12 @@ def test_bench_exits_zero_on_unsolved_problems(capsys, tmp_path):
 
 
 def test_bench_rejects_unknown_solver(capsys, tmp_path):
-    code = dispatch(["bench", "--suite", "--solvers", "warp-drive",
-                     "--out", str(tmp_path / "x.csv")])
-    assert code != 0
-    capsys.readouterr()
+    out_csv = tmp_path / "x.csv"
+    code = dispatch(["bench", "--suite", "--solvers", "warp-drive", "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: mode must be 'accelerated' or 'plain'\n"
+    assert captured.out == "" and not out_csv.exists()
 
 
 @pytest.mark.parametrize("solvers", ["accelerated,accelerated", "plain, accelerated,plain"])

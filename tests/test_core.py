@@ -214,6 +214,7 @@ def test_config_defaults():
     {"maxit": 2.5},
     {"max_feval": 2.5},
     {"max_feval": 100.0},
+    {"nhlim": None},
 ])
 def test_config_rejects_invalid(kwargs):
     # The fixed constants and console output are no fields, so naming one is

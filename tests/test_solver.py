@@ -4,6 +4,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from dfsane.solver import solve
 def test_start_at_root_stops_immediately():
     c = np.array([2.0, -1.0])
     p = Problem("shift", 2, lambda x: x - c, np.zeros(2))
-    rep = solve(p, SolverConfig(), x_start=c)
+    rep = solve(replace(p, x0=c), SolverConfig())
     assert rep.istop == 0
     assert rep.iter == 0
     assert rep.fcnt == 1
@@ -80,7 +81,7 @@ def test_accelerated_rosenbrock_solves_every_perturbed_start():
     unsolved = []
     for s in range(1, 17):
         u = np.random.default_rng(s).uniform(-1.0, 1.0, p.n)
-        rep = solve(p, cfg, x_start=p.x0 + 1e-13 * np.maximum(np.abs(p.x0), 1.0) * u)
+        rep = solve(replace(p, x0=p.x0 + 1e-13 * np.maximum(np.abs(p.x0), 1.0) * u), cfg)
         if rep.istop != 0:
             unsolved.append((s, rep.istop, rep.fcnt))
     assert unsolved == []
@@ -269,17 +270,17 @@ def test_armijo_holds_post_hoc_on_converged_runs():
 
 
 @pytest.mark.parametrize("mode", ["accelerated", "plain"])
-@pytest.mark.parametrize("problem, maxit, x_start, istop", [
-    (booth(), None, None, 0),
-    (expfun2(3), 3, None, 1),
-    (expfun2(3), None, np.full(3, 1000.0), 3),
-    (Problem("broken", 2, lambda x: 1 / 0, np.zeros(2)), None, None, 3),
+@pytest.mark.parametrize("problem, maxit, istop", [
+    (booth(), None, 0),
+    (expfun2(3), 3, 1),
+    (replace(expfun2(3), x0=np.full(3, 1000.0)), None, 3),
+    (Problem("broken", 2, lambda x: 1 / 0, np.zeros(2)), None, 3),
 ], ids=["converged", "maxit", "non-finite-start", "raising-residual"])
-def test_solve_writes_nothing(capsys, mode, problem, maxit, x_start, istop):
+def test_solve_writes_nothing(capsys, mode, problem, maxit, istop):
     # Progress reaches the caller through ``trace`` alone.
     cfg = SolverConfig(maxit=maxit, mode=mode)
     for trace in (None, []):
-        assert solve(problem, cfg, x_start, trace=trace).istop == istop
+        assert solve(problem, cfg, trace=trace).istop == istop
     assert capsys.readouterr() == ("", "")
 
 
