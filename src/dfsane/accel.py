@@ -64,12 +64,8 @@ import math
 
 import numpy as np
 
-from .core import EPS_MACH, Array
+from .core import BLOCK_ROWS, EPS_MACH, Array
 
-# Rows per block of the factored layout, and the largest n that keeps the
-# direct layout.  A block of Q at m = 7 columns is 0.9 MiB, so it stays in a
-# 2 MiB L2 cache while each update works on it.
-BLOCK_ROWS = 16_384
 
 class SecantWindow:
     """Sliding buffer of up to ``capacity`` (s, y) difference pairs.

@@ -14,6 +14,10 @@ Array = np.ndarray
 Residual = Callable[[Array], Array]
 
 EPS_MACH = float(np.finfo(np.float64).eps)
+# The package's one cache-block size: rows per block of the window's factored
+# layout (also the largest n that keeps its direct layout) and of the blocked
+# residuals.  A 7-column block of Q (0.9 MiB) stays in a 2 MiB L2 cache.
+BLOCK_ROWS = 16_384
 # The one dtype object numpy gives native float64 arrays, so that the
 # evaluator's fast path can test a residual's dtype by identity.
 FLOAT64 = np.dtype(np.float64)
@@ -50,7 +54,9 @@ class Problem:
     """A square nonlinear system F(x) = 0 together with a start point.
 
     ``residual`` maps a length-``n`` vector to a length-``n`` vector and must
-    be a pure function of its argument.
+    be a pure function of its argument.  It must return a new array on each
+    call, sharing no memory with x or with an earlier result: ``solve`` holds
+    the current, trial and best F at once.
     """
 
     name: str

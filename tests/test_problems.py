@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dfsane.core import CountedEvaluator
+from dfsane.core import BLOCK_ROWS, CountedEvaluator
 from dfsane.problems import (
+    REGISTRY,
     available,
     booth,
     broyden_tridiagonal,
@@ -117,13 +118,57 @@ def trigexp_expression(x):
     return F
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 50, 100_000])
-def test_trigexp_in_place_matches_the_expression_bit_for_bit(n):
+def broyden_expression(x):
+    """Reference: broyden-tri's residual as whole-vector numpy expressions."""
+    F = (3.0 - 2.0 * x) * x + 1.0
+    F[1:] -= x[:-1]
+    F[:-1] -= 2.0 * x[1:]
+    return F
+
+
+# Block edges: trigexp's n - 2 interior rows fill one block at BLOCK_ROWS + 2
+# and leave a one-row tail block at BLOCK_ROWS + 3; broyden-tri's n rows do
+# so at BLOCK_ROWS and BLOCK_ROWS + 1.
+BIT_SIZES = [2, 3, 4, 50, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2, BLOCK_ROWS + 3,
+             2 * BLOCK_ROWS + 2, 100_000]
+
+
+@pytest.mark.parametrize("factory, reference, n", [
+    pytest.param(factory, reference, n, id=f"{prefix}{n}")
+    for factory, reference, prefix in ((trigexp, trigexp_expression, ""),
+                                       (broyden_tridiagonal, broyden_expression, "broyden-tri-"))
+    for n in BIT_SIZES])
+def test_trigexp_in_place_matches_the_expression_bit_for_bit(factory, reference, n):
+    # The blocked residuals give the whole-vector expressions' bits, including
+    # overflow, NaN and inf.
     rng = np.random.default_rng(n)
-    residual = trigexp(n).residual
-    for scale in (1e-3, 1.0, 4.0):
-        x = scale * rng.standard_normal(n)
-        assert residual(x).tobytes() == trigexp_expression(x).tobytes()
+    residual = factory(n).residual
+    special = rng.standard_normal(n)
+    special[::7], special[3::11], special[5::13] = np.nan, np.inf, -np.inf
+    with np.errstate(all="ignore"):
+        for x in [scale * rng.standard_normal(n) for scale in (1e-3, 1.0, 4.0, 1e3, 1e6)] \
+                + [special]:
+            assert residual(x).tobytes() == reference(x).tobytes()
+
+
+@pytest.mark.parametrize("name", available())
+def test_residual_returns_a_new_array_on_each_call(name):
+    # solve holds the current, trial and best F at once, so a residual that
+    # reused one buffer would overwrite them.  Parametric problems cross a
+    # block edge, except linear-dense, whose dense matrix is n x n.
+    _, _, parametric = REGISTRY[name]
+    n = {"linear-dense": None, "rosenbrock-ext": BLOCK_ROWS + 4}.get(name, BLOCK_ROWS + 3)
+    p = make(name, n if parametric else None)
+    rng = np.random.default_rng(0)
+    x1, x2 = rng.standard_normal(p.n), rng.standard_normal(p.n)
+    x1_before = x1.copy()
+    F1 = p.residual(x1)
+    F1_before = F1.copy()
+    F2 = p.residual(x2)
+    for a, b in ((F1, F2), (F1, x1), (F1, x2), (F2, x1), (F2, x2)):
+        assert not np.shares_memory(a, b)
+    assert F1.tobytes() == F1_before.tobytes()
+    assert x1.tobytes() == x1_before.tobytes()
 
 
 def test_booth_values():

@@ -30,3 +30,13 @@ def test_same_bits_rows_repeat_within_one_process(monkeypatch):
     assert [row.rsplit(" ", 1)[0] for row in kernel] == [
         f"kernel n={n} m={m}" for n in (10, 1_000, 100_000) for m in (2, 6)]
     assert all(re.fullmatch(r"[0-9a-f]{16}", row.rsplit(" ", 1)[1]) for row in kernel)
+
+
+def test_same_bits_plain_rows_name_each_large_n_problem(monkeypatch):
+    tool = load(monkeypatch)
+    rows = tool.large_n(20, mode="plain")
+    short = r"[0-9a-f]{16}"
+    for name, row in zip(("broyden-tri", "trigexp"), rows, strict=True):
+        assert re.fullmatch(rf"plain {name} 20: iter=\d+ fcnt=\d+ istop=0 "
+                            rf"f_next {short} x {short}", row), row
+    assert tool.large_n(20, mode="plain") == rows

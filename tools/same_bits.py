@@ -47,6 +47,9 @@ Rows, in order (a "short" digest is the first 16 hex digits of a SHA-256):
    10``; then levels 0, 1, 2 for ``powell-singular maxit=5`` (``--maxit
    5``); then levels 0, 1, 2 for ``expfun2 3 x0=1000``, a breakdown at the
    start point read by ``--x0-file`` from a file holding ``1000 1000 1000``.
+7. For each N on the command line, broyden-tri then trigexp at n = N in
+   plain mode, ``SolverConfig(mode="plain")``: ``plain <name> <N>: iter=I
+   fcnt=F istop=S f_next <short> x <short>``, the digests as in row 3.
 """
 
 from __future__ import annotations
@@ -99,19 +102,22 @@ def desk_suite() -> list[str]:
             f"desk-suite traces {traces.hexdigest()}"]
 
 
-def large_n(n: int) -> list[str]:
+def large_n(n: int, mode: str = "accelerated") -> list[str]:
     rows = []
     for name in ("broyden-tri", "trigexp"):
         trace = []
-        rep = solve(make(name, n), SolverConfig(), trace=trace)
+        rep = solve(make(name, n), SolverConfig(mode=mode), trace=trace)
 
         def digest(field):
             return short(repr([hexed(getattr(r, field)) for r in trace]).encode())
 
-        rows.append(f"{name} {n}: iter={rep.iter} fcnt={rep.fcnt} istop={rep.istop} "
-                    f"accepted {digest('accepted')} rank {[r.rank for r in trace]} "
-                    f"f_next {digest('f_next')} nu {digest('nu_norm')} "
-                    f"x {short(rep.x.tobytes())}")
+        head = f"{name} {n}: iter={rep.iter} fcnt={rep.fcnt} istop={rep.istop} "
+        x = f"x {short(rep.x.tobytes())}"
+        if mode == "plain":
+            rows.append(f"plain {head}f_next {digest('f_next')} {x}")
+            continue
+        rows.append(f"{head}accepted {digest('accepted')} rank {[r.rank for r in trace]} "
+                    f"f_next {digest('f_next')} nu {digest('nu_norm')} {x}")
     return rows
 
 
@@ -168,6 +174,8 @@ def main(argv: list[str]) -> None:
     for n in argv:
         rows += large_n(int(float(n)))
     rows += iprint2() + kernel() + iprint_stops()
+    for n in argv:
+        rows += large_n(int(float(n)), mode="plain")
     print("\n".join(rows))
 
 
