@@ -56,7 +56,9 @@ class Problem:
     ``residual`` maps a length-``n`` vector to a length-``n`` vector and must
     be a pure function of its argument.  It must return a new array on each
     call, sharing no memory with x or with an earlier result: ``solve`` holds
-    the current, trial and best F at once.
+    the current, trial and best F at once.  The evaluator rejects a result
+    that is x itself or the array the previous call returned (a reused
+    buffer) as a failed residual; a view into either is not detected.
     """
 
     name: str
@@ -130,8 +132,10 @@ class CountedEvaluator:
     point without special cases.  It raises BudgetExhausted, without
     evaluating, once ``max_feval`` evaluations are made or ``perf_counter()``
     is past ``deadline``.  A residual that raises or returns a wrong shape
-    raises BreakdownError chained to its error.  Floating-point warnings are
-    the caller's to silence (``solve`` runs under ``np.errstate``).
+    raises BreakdownError chained to its error, one that returns x or the
+    previous call's result (held until the next call) a BreakdownError of
+    its own.  Floating-point warnings are the caller's to silence (``solve``
+    runs under ``np.errstate``).
     """
 
     def __init__(self, problem: Problem, max_feval: int | None = None,
@@ -140,6 +144,7 @@ class CountedEvaluator:
         self.max_feval = max_feval
         self.deadline = deadline
         self.fcnt = 0
+        self._last: Array | None = None
 
     def evaluate(self, x: Array) -> tuple[Array, float]:
         if self.fcnt == self.max_feval:
@@ -154,6 +159,10 @@ class CountedEvaluator:
                 F = as_vector(F, problem.n)
         except Exception as exc:
             raise BreakdownError(f"residual failed: {exc}") from exc
+        if F is x or F is self._last:
+            raise BreakdownError("residual failed: it returned its argument or its "
+                                 "previous result, not a new array")
+        self._last = F
         f = float(F.dot(F))
         if not math.isfinite(f):
             f = math.inf

@@ -30,7 +30,7 @@ from .core import (
     SolverConfig,
 )
 from .linesearch import M, double_backtracking
-from .steps import sigma_k
+from .steps import secant_pair, sigma_k
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                     else:
                         pair = window.keep_trial()
                 else:
-                    pair = float((s := x_new - x).dot(F_new - F)), float(s.dot(s))
+                    pair = secant_pair(x_new, x, F_new, F)
 
                 if trace is not None:
                     trace.append(IterationRecord(
@@ -154,7 +154,7 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                         rank=window.rank if accelerated else None,
                         nu_norm=float(np.linalg.norm(window.nu)) if accelerated else None))
 
-                ls = x_accel = F_accel = s = None  # release the losing candidate and s
+                ls = x_accel = F_accel = None  # release the losing candidate
                 x, F, f = x_new, F_new, f_new
                 if f < best_f:
                     best_x, best_F, best_f = x, F, f

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .core import EPS_MACH, Array
+from .core import BLOCK_ROWS, EPS_MACH, Array
 
 # Safeguards of the spectral coefficient (La Cruz, Martinez & Raydan, 2006).
 SIGMA_MIN = math.sqrt(EPS_MACH)
@@ -37,3 +37,18 @@ def sigma_k(pair: tuple[float, float] | None, x: Array, F: Array) -> float:
     if rho == 0.0:
         rho = 1.0
     return max(SIGMA_MIN, min(rho / math.sqrt(F.dot(F)), SIGMA_MAX))
+
+
+def secant_pair(x_new: Array, x: Array, F_new: Array, F: Array) -> tuple[float, float]:
+    """(s'y, s's) with s = x_new - x and y = F_new - F, as Python floats,
+    summed over blocks of BLOCK_ROWS rows in block order, so that no
+    n-vector is formed; at n <= BLOCK_ROWS that is one block and the bits
+    of ``s.dot(y)`` and ``s.dot(s)``.
+    """
+    sty = sts = -0.0  # adds to any value, -0.0 included, without changing it
+    for i in range(0, x.shape[0], BLOCK_ROWS):
+        j = i + BLOCK_ROWS
+        s = x_new[i:j] - x[i:j]
+        sty += float(s.dot(F_new[i:j] - F[i:j]))
+        sts += float(s.dot(s))
+    return sty, sts

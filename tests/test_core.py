@@ -1,7 +1,7 @@
 """Tests for the core types: counted evaluation, configuration, reports."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from time import perf_counter
 
 import numpy as np
@@ -17,7 +17,8 @@ from dfsane.core import (
     SolverConfig,
     as_vector,
 )
-from dfsane.problems import expfun2
+from dfsane.problems import expfun2, make
+from dfsane.solver import solve
 
 
 def identity_problem(n=2):
@@ -116,6 +117,46 @@ def test_wrong_shape_residual_becomes_breakdown(shape):
     with pytest.raises(BreakdownError) as info:
         ev.evaluate(np.zeros(2))
     assert isinstance(info.value.__cause__, ValueError)
+
+
+ALIAS_REASON = ("residual failed: it returned its argument or its previous result, "
+                "not a new array")
+
+
+def test_residual_returning_its_argument_is_breakdown():
+    def in_place(x):
+        x -= 1.0
+        return x
+
+    ev = CountedEvaluator(Problem("in-place", 2, in_place, np.zeros(2)))
+    with pytest.raises(BreakdownError) as info:
+        ev.evaluate(np.ones(2))
+    assert str(info.value) == ALIAS_REASON and info.value.__cause__ is None
+    assert ev.fcnt == 1
+
+
+@pytest.mark.parametrize("mode", ["accelerated", "plain"])
+def test_residual_reusing_its_buffer_is_breakdown(mode):
+    # Without the check this run passed for a step underflow after 35,964
+    # (accelerated) or 34,345 (plain) evaluations.
+    p = make("broyden-tri", 50)
+    buf = np.empty(p.n)
+
+    def reused(x):
+        buf[:] = p.residual(x)
+        return buf
+
+    rep = solve(replace(p, residual=reused), SolverConfig(mode=mode, max_feval=100_000))
+    assert (rep.istop, rep.fcnt, rep.iter) == (3, 2, 0)
+    assert rep.reason == ALIAS_REASON
+
+
+def test_evaluator_accepts_a_new_array_equal_to_the_last():
+    ev = CountedEvaluator(identity_problem())
+    x = np.ones(2)
+    F1, _ = ev.evaluate(x)
+    F2, _ = ev.evaluate(x)
+    assert F1 is not F2 and ev.fcnt == 2
 
 
 def reference_evaluate(raw, n):

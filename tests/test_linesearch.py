@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from dfsane.core import EPS_MACH, BreakdownError, CountedEvaluator, Problem
+import dfsane.linesearch as linesearch_mod
+from dfsane.core import EPS_MACH, BreakdownError, CountedEvaluator, Problem, SolverConfig
 from dfsane.linesearch import (
     GAMMA,
     TAU_MAX,
@@ -15,6 +17,8 @@ from dfsane.linesearch import (
     double_backtracking,
     quad_new_alpha,
 )
+from dfsane.problems import suite_builtin
+from dfsane.solver import solve
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +275,50 @@ def test_reverse_probe_allocates_one_vector():
         tracemalloc.stop()
     assert probe.shape == (n,)
     assert (peak - base) / (8 * n) <= 1.05
+
+
+@pytest.mark.parametrize("direction", ["-", "+"])
+def test_probe_with_fresh_direction_allocates_one_vector(direction):
+    # Above BLOCK_ROWS the search forms d = -sigma F inside each probe
+    # expression; numpy reuses both temporaries, -sigma F and alpha d.
+    n = 100_000
+    rng = np.random.default_rng(0)
+    F, x = rng.standard_normal(n), rng.standard_normal(n)
+    alpha, sigma = 0.5, 0.7
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        if direction == "-":
+            probe = x + alpha * (-sigma * F)
+        else:
+            probe = (-alpha) * (-sigma * F) + x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probe.shape == (n,)
+    assert (peak - base) / (8 * n) <= 1.05
+
+
+def desk_suite_bytes():
+    """Every desk-suite report and trace record in both modes, floats as
+    their bytes."""
+    out = []
+    for p in suite_builtin():
+        for mode in ("accelerated", "plain"):
+            trace = []
+            rep = solve(p, SolverConfig(mode=mode, max_feval=100_000), trace=trace)
+            out.append((rep.x.tobytes(), rep.res.tobytes(),
+                        np.float64(rep.normF).tobytes(), rep.iter, rep.fcnt, rep.istop,
+                        rep.reason))
+            out.extend(tuple(np.float64(v).tobytes() if isinstance(v, float) else v
+                             for v in astuple(rec)) for rec in trace)
+    return out
+
+
+def test_probes_do_not_depend_on_keeping_the_direction(monkeypatch):
+    # With BLOCK_ROWS = 1 every desk-suite search forms -sigma F afresh in
+    # each probe instead of keeping it; the probes, and so every iterate,
+    # keep their bits.
+    kept = desk_suite_bytes()
+    monkeypatch.setattr(linesearch_mod, "BLOCK_ROWS", 1)
+    assert desk_suite_bytes() == kept

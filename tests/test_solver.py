@@ -11,6 +11,7 @@ import pytest
 
 import dfsane.accel as accel_mod
 import dfsane.solver as solver_mod
+import dfsane.steps as steps_mod
 from dfsane.core import BLOCK_ROWS, Problem, SolverConfig
 from dfsane.linesearch import armijo_ok
 from dfsane.problems import (
@@ -112,6 +113,29 @@ def test_blocked_kernel_keeps_the_direct_lstsq_iterates(name, monkeypatch):
                                [r.f_next for r in ref_trace], rtol=1e-7, atol=0.0)
 
 
+@pytest.mark.parametrize("name", ["broyden-tri", "trigexp"])
+def test_blocked_secant_pair_keeps_the_plain_iterates(name, monkeypatch):
+    # Above steps.BLOCK_ROWS plain mode sums (s'y, s's) block by block; the
+    # reference run raises BLOCK_ROWS to n, one block, the whole-vector dots.
+    p = make(name, 50_000)
+    cfg = SolverConfig(mode="plain", epsf=1e-6 * math.sqrt(p.n))
+    assert p.n > steps_mod.BLOCK_ROWS
+
+    def run():
+        trace = []
+        rep = solve(p, cfg, trace=trace)
+        return rep, trace
+
+    blocked, blocked_trace = run()
+    monkeypatch.setattr(steps_mod, "BLOCK_ROWS", p.n)
+    ref, ref_trace = run()
+    assert (blocked.iter, blocked.fcnt, blocked.istop) == (ref.iter, ref.fcnt, ref.istop)
+    assert [r.accepted for r in blocked_trace] == [r.accepted for r in ref_trace]
+    assert [r.direction for r in blocked_trace] == [r.direction for r in ref_trace]
+    np.testing.assert_allclose([r.f_next for r in blocked_trace],
+                               [r.f_next for r in ref_trace], rtol=1e-7, atol=0.0)
+
+
 def peak_vectors(fn, n):
     """tracemalloc peak of fn() above the memory traced before it, in
     float64 n-vectors."""
@@ -138,12 +162,14 @@ def test_blocked_residual_call_holds_one_vector(factory):
 
 # Per-solve peaks at n = 1e5 (the window alone holds 2 (p + 1) = 12 vectors);
 # the earlier loop, which subtracted each secant pair into temporaries and
-# kept the previous iterate, peaked at 22.3, 24, 10 and 12.
+# kept the previous iterate, peaked at 22.3, 24, 10 and 12.  Plain mode
+# peaked at 8.17 and 8.00 while it formed s and y whole and kept -sigma F
+# through each line search.
 @pytest.mark.parametrize("name, mode, vectors", [
     ("broyden-tri", "accelerated", 19),
     ("trigexp", "accelerated", 20),
-    ("broyden-tri", "plain", 9),
-    ("trigexp", "plain", 9),
+    ("broyden-tri", "plain", 7.17),
+    ("trigexp", "plain", 6.33),
 ])
 def test_large_solve_peak_memory(name, mode, vectors):
     n = 100_000

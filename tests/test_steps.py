@@ -1,13 +1,17 @@
 """Tests for the spectral coefficient."""
 
+import math
+
 import numpy as np
 import pytest
 
-from dfsane.steps import SIGMA_MAX, SIGMA_MIN, sigma_k
+from dfsane.core import BLOCK_ROWS
+from dfsane.steps import SIGMA_MAX, SIGMA_MIN, secant_pair, sigma_k
 
 
 def secant_products(s, y):
-    """(s'y, s's), the pair sigma_k reads, formed as the solver forms it."""
+    """(s'y, s's), the pair sigma_k reads, as whole-vector dot products
+    (the bits of secant_pair at n <= BLOCK_ROWS)."""
     return float(s.dot(y)), float(s.dot(s))
 
 
@@ -123,3 +127,58 @@ def test_sigma_matches_the_norm_formula_bit_for_bit(n):
         assert repr(sigma_k(secant_products(s, y), x, F)) == repr(norm_reference(s, y, x, F))
         assert repr(sigma_k(None, x, F)) == repr(norm_reference(None, None, x, F))
     assert any(spectral) and not all(spectral)  # both branches with a pair
+
+
+def secant_operands(n, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4) for _ in range(4))
+
+
+@pytest.mark.parametrize("n", [1, 4, BLOCK_ROWS])
+def test_secant_pair_in_one_block_is_the_dot_products_bit_for_bit(n):
+    for seed in range(5):
+        x_new, x, F_new, F = secant_operands(n, seed)
+        got = secant_pair(x_new, x, F_new, F)
+        want = secant_products(x_new - x, F_new - F)
+        assert all(type(v) is float for v in got)
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("n", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3, 100_000])
+def test_secant_pair_above_one_block_sums_the_block_products(n):
+    for seed in range(3):
+        x_new, x, F_new, F = secant_operands(n, seed)
+        s, y = x_new - x, F_new - F
+        np.testing.assert_allclose(secant_pair(x_new, x, F_new, F),
+                                   secant_products(s, y), rtol=1e-12, atol=0.0)
+        # The rule: the blocks' dot products added in block order.
+        sty = sts = 0.0
+        for i in range(0, n, BLOCK_ROWS):
+            sty += float(s[i:i + BLOCK_ROWS].dot(y[i:i + BLOCK_ROWS]))
+            sts += float(s[i:i + BLOCK_ROWS].dot(s[i:i + BLOCK_ROWS]))
+        assert repr(secant_pair(x_new, x, F_new, F)) == repr((sty, sts))
+
+
+@pytest.mark.parametrize("n", [4, 2 * BLOCK_ROWS + 3])
+@pytest.mark.parametrize("x_first, x_last, F_first, F_last", [
+    (0.0, math.nan, 0.0, 0.0),            # s'y and s's NaN
+    (0.0, math.inf, 0.0, 0.0),            # s'y +-inf, s's inf
+    (math.inf, -math.inf, math.inf, math.inf),  # +inf and -inf terms: s'y NaN
+    (0.0, 0.0, 0.0, math.inf),            # y alone infinite: s'y +-inf
+])
+def test_secant_pair_propagates_nonfinite_values(n, x_first, x_last, F_first, F_last):
+    # The first and last rows lie in different blocks when n > BLOCK_ROWS.
+    x_new, x, F_new, F = secant_operands(n, 0)
+    x_new[0] += x_first
+    x_new[-1] += x_last
+    F_new[0] += F_first
+    F_new[-1] += F_last
+    with np.errstate(invalid="ignore"):
+        got = secant_pair(x_new, x, F_new, F)
+        want = secant_products(x_new - x, F_new - F)
+    assert not all(map(math.isfinite, got))
+    for g, w in zip(got, want):
+        if math.isfinite(w):  # summed in another order above one block
+            assert math.isclose(g, w, rel_tol=1e-12)
+        else:
+            assert repr(g) == repr(w)  # inf, -inf or nan alike

@@ -50,6 +50,9 @@ Rows, in order (a "short" digest is the first 16 hex digits of a SHA-256):
 7. For each N on the command line, broyden-tri then trigexp at n = N in
    plain mode, ``SolverConfig(mode="plain")``: ``plain <name> <N>: iter=I
    fcnt=F istop=S f_next <short> x <short>``, the digests as in row 3.
+   Plain mode sums (s'y, s's) block by block above ``BLOCK_ROWS`` (16,384)
+   rows, adding the blocks' products in block order, so these digests
+   change with that rule and with ``BLOCK_ROWS``; the counts do not.
 """
 
 from __future__ import annotations
