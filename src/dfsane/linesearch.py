@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BLOCK_ROWS, EPS_MACH, Array, BreakdownError, CountedEvaluator
+from .core import EPS_MACH, Array, BreakdownError, CountedEvaluator
 
 # Fixed DF-SANE constants (La Cruz, Martinez & Raydan, 2006): the sufficient
 # decrease factor, the step-cut safeguards and the nonmonotone memory.
@@ -71,19 +71,17 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
     start at step 1; each rejected round shrinks its own step via
     quad_new_alpha (the forward step from the forward probe, the reverse
     step from the reverse probe).  Raises BreakdownError once both steps fall
-    below machine epsilon without acceptance.  The +sigma F probe is
-    (-alpha) d + x with d = -sigma F, bitwise x + alpha (sigma F) because IEEE
-    negation is exact and addition commutes.  d is kept while F fits one
-    block of BLOCK_ROWS rows; above that each probe forms it afresh, the same
-    bits, and numpy reuses the temporaries d and alpha d for the probe, so a
-    probe allocates one n-vector and no direction outlives its expression.
+    below machine epsilon without acceptance.  Each probe forms d = -sigma F
+    afresh, and numpy reuses the temporaries d and alpha d for the probe, so
+    a probe allocates one n-vector and no direction outlives its expression.
+    The +sigma F probe is (-alpha) d + x, bitwise x + alpha (sigma F) because
+    IEEE negation is exact and addition commutes.
     """
-    d_minus = -sigma * F if F.shape[0] <= BLOCK_ROWS else None
     alpha_plus = 1.0
     alpha_minus = 1.0
     evals = 0
     while True:
-        x_probe = x + alpha_plus * (-sigma * F if d_minus is None else d_minus)
+        x_probe = x + alpha_plus * (-sigma * F)
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_plus, f_k):
@@ -91,7 +89,7 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
                                      evals, "-")
         f_minus_dir = f_probe
 
-        x_probe = (-alpha_minus) * (-sigma * F if d_minus is None else d_minus) + x
+        x_probe = (-alpha_minus) * (-sigma * F) + x
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_minus, f_k):

@@ -7,10 +7,11 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-import dfsane.linesearch as linesearch_mod
+import dfsane.solver as solver_mod
 from dfsane.core import EPS_MACH, BreakdownError, CountedEvaluator, Problem, SolverConfig
 from dfsane.linesearch import (
     GAMMA,
+    LineSearchOutcome,
     TAU_MAX,
     TAU_MIN,
     armijo_ok,
@@ -260,43 +261,51 @@ def test_reverse_probe_is_bitwise_the_subtraction(n):
 
 
 def test_reverse_probe_allocates_one_vector():
-    # numpy reuses the product's temporary for the sum; x - alpha * d
-    # allocates the product and then the result.
-    n = 100_000
-    rng = np.random.default_rng(0)
-    d, x = rng.standard_normal(n), rng.standard_normal(n)
-    alpha = 0.5
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        probe = (-alpha) * d + x
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert probe.shape == (n,)
-    assert (peak - base) / (8 * n) <= 1.05
-
-
-@pytest.mark.parametrize("direction", ["-", "+"])
-def test_probe_with_fresh_direction_allocates_one_vector(direction):
-    # Above BLOCK_ROWS the search forms d = -sigma F inside each probe
-    # expression; numpy reuses both temporaries, -sigma F and alpha d.
+    # numpy reuses each product's temporary for the next operation, so a
+    # probe allocates only its result (x - alpha * d would allocate the
+    # product and then the result).  The first form holds d; the two after
+    # it are double_backtracking's probes, which form d = -sigma F inside.
     n = 100_000
     rng = np.random.default_rng(0)
     F, x = rng.standard_normal(n), rng.standard_normal(n)
     alpha, sigma = 0.5, 0.7
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        if direction == "-":
-            probe = x + alpha * (-sigma * F)
-        else:
-            probe = (-alpha) * (-sigma * F) + x
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert probe.shape == (n,)
-    assert (peak - base) / (8 * n) <= 1.05
+    d = -sigma * F
+    for probe_of in (lambda: (-alpha) * d + x,
+                     lambda: x + alpha * (-sigma * F),
+                     lambda: (-alpha) * (-sigma * F) + x):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            probe = probe_of()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probe.shape == (n,)
+        assert (peak - base) / (8 * n) <= 1.05
+
+
+def kept_direction_backtracking(ev, x, F, f_k, sigma, fbar, eta_k):
+    """double_backtracking as written when it held d = -sigma F through the
+    search, the reference for the probes formed afresh."""
+    d = -sigma * F
+    alpha_plus = alpha_minus = 1.0
+    evals = 0
+    while True:
+        x_probe = x + alpha_plus * d
+        F_probe, f_probe = ev.evaluate(x_probe)
+        evals += 1
+        if armijo_ok(f_probe, fbar, eta_k, alpha_plus, f_k):
+            return LineSearchOutcome(alpha_plus, x_probe, F_probe, f_probe, evals, "-")
+        f_minus_dir = f_probe
+        x_probe = (-alpha_minus) * d + x
+        F_probe, f_probe = ev.evaluate(x_probe)
+        evals += 1
+        if armijo_ok(f_probe, fbar, eta_k, alpha_minus, f_k):
+            return LineSearchOutcome(alpha_minus, x_probe, F_probe, f_probe, evals, "+")
+        alpha_plus = quad_new_alpha(alpha_plus, f_k, f_minus_dir)
+        alpha_minus = quad_new_alpha(alpha_minus, f_k, f_probe)
+        if alpha_plus < EPS_MACH and alpha_minus < EPS_MACH:
+            raise BreakdownError(f"line search step underflow after {evals} evaluations")
 
 
 def desk_suite_bytes():
@@ -315,10 +324,9 @@ def desk_suite_bytes():
     return out
 
 
-def test_probes_do_not_depend_on_keeping_the_direction(monkeypatch):
-    # With BLOCK_ROWS = 1 every desk-suite search forms -sigma F afresh in
-    # each probe instead of keeping it; the probes, and so every iterate,
-    # keep their bits.
-    kept = desk_suite_bytes()
-    monkeypatch.setattr(linesearch_mod, "BLOCK_ROWS", 1)
-    assert desk_suite_bytes() == kept
+def test_probes_match_a_kept_direction_bit_for_bit(monkeypatch):
+    # Forming -sigma F inside each probe instead of holding d through the
+    # search keeps every desk-suite probe, and so every iterate, bit for bit.
+    fresh = desk_suite_bytes()
+    monkeypatch.setattr(solver_mod, "double_backtracking", kept_direction_backtracking)
+    assert desk_suite_bytes() == fresh
