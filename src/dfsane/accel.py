@@ -283,9 +283,8 @@ class _BlockQR:
         m, k = self.m, self.k
         rotate = k > m
         if rotate:
-            G, T = np.linalg.qr(R[:, :k, :m], mode="complete")
-            R[:, :m, :m] = T[:, :m]
-            Gt = G[:, :, :m].transpose(0, 2, 1)
+            G, R[:, :m, :m] = np.linalg.qr(R[:, :k, :m])
+            Gt = G.transpose(0, 2, 1)
             rotated = np.empty(m * self.width)
         new = [] if self.held is None else [Q[self.held]]
         t = m + len(new)

@@ -77,10 +77,15 @@ def run_suite(problems: Sequence[Problem],
     that also decides ``solved``; its caps (``max_feval``,
     ``time_budget_seconds``, ``maxit``) come from the configuration as given.
     A residual that raises ends its solve in breakdown, which is recorded as
-    unsolved with the solve's own counts.
+    unsolved with the solve's own counts.  A (name, n) that two problems
+    share is a ValueError, raised before any solve.
     """
     if not problems or not solver_configs:
         raise ValueError("need at least one problem and one solver configuration")
+    keys = [(p.name, p.n) for p in problems]
+    clashes = sorted({key for key in keys if keys.count(key) > 1})
+    if clashes:
+        raise ValueError(f"repeated problems (name, n) {clashes}")
     records = []
     for problem in problems:
         epsf = 1e-6 * math.sqrt(problem.n)
@@ -184,30 +189,23 @@ def write_records_csv(records: Sequence[BenchRecord], path) -> None:
 
 
 def read_records_csv(path) -> list[BenchRecord]:
-    """Read records written by write_records_csv.  A missing or repeated
-    column, a row longer than the header, or a missing or malformed field is
-    a ValueError naming the file (and the line, and the column of a field)."""
+    """Read records written by write_records_csv.  Another header, a row
+    with another number of fields, or a malformed field is a ValueError
+    naming the file (and the line, and the column of a field)."""
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in RECORD_FIELDS:
-            if column not in header:
-                raise ValueError(f"{path}: no {column!r} column")
-        for column in header:
-            if header.count(column) > 1:
-                raise ValueError(f"{path}: repeated {column!r} column")
-        for row in reader:
-            if None in row:  # DictReader keeps the fields past the header there
-                raise ValueError(f"{path}, line {reader.line_num}: "
-                                 f"{len(header) + len(row[None])} fields, "
-                                 f"the header has {len(header)}")
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if tuple(header) != RECORD_FIELDS:
+            raise ValueError(f"{path}: header {','.join(header)!r}, "
+                             f"not {','.join(RECORD_FIELDS)!r}")
+        for row in filter(None, reader):  # blank rows hold no record
+            if len(row) != len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: {len(row)} "
+                                 f"fields, the header has {len(header)}")
             values = []
-            for column, (read, kind) in _COLUMN_READERS.items():
-                text = row[column]
+            for (column, (read, kind)), text in zip(_COLUMN_READERS.items(), row):
                 try:
-                    if text is None:  # the row ends before this column
-                        raise ValueError
                     values.append(read(text))
                 except ValueError:
                     raise ValueError(f"{path}, line {reader.line_num}: {column} is "

@@ -209,10 +209,6 @@ def _cmd_bench(args) -> int:
             problems.extend(fixtures_from_dir(fixture_dir))
     if not problems:
         raise _UsageError("nothing to run (pass --suite and/or --fixture-dir)")
-    keys = [(p.name, p.n) for p in problems]
-    clashes = sorted({key for key in keys if keys.count(key) > 1})
-    if clashes:
-        raise _UsageError(f"repeated problems (name, n) {clashes}")
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     if not solvers:
         raise _UsageError("no solver mode given")
@@ -223,7 +219,7 @@ def _cmd_bench(args) -> int:
         configs = {name: SolverConfig(mode=name, max_feval=args.feval_cap,
                                       time_budget_seconds=args.budget)
                    for name in solvers}
-    records = run_suite(problems, configs)
+        records = run_suite(problems, configs)
     write_records_csv(records, args.out)
     for name in solvers:
         solved = sum(r.solved for r in records if r.solver == name)

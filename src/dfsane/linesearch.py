@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import EPS_MACH, Array, BreakdownError, CountedEvaluator
 
@@ -13,22 +12,6 @@ GAMMA = 1e-4
 TAU_MIN = 0.1
 TAU_MAX = 0.5
 M = 10
-
-
-@dataclass(frozen=True, eq=False)
-class LineSearchOutcome:
-    """An accepted step: step size, trial point, its residual and direction.
-
-    ``direction`` names the accepted direction, ``"-"`` for -sigma F and
-    ``"+"`` for +sigma F.
-    """
-
-    alpha: float
-    x_trial: Array
-    F_trial: Array
-    f_trial: float
-    evals: int
-    direction: str
 
 
 def armijo_ok(f_new: float, fbar: float, eta_k: float, alpha: float,
@@ -63,8 +46,14 @@ def quad_new_alpha(alpha: float, f_k: float, f_probe: float) -> float:
 
 
 def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
-                        sigma: float, fbar: float, eta_k: float) -> LineSearchOutcome:
+                        sigma: float, fbar: float, eta_k: float
+                        ) -> tuple[float, Array, Array, float, int, str]:
     """Backtrack along -sigma F and +sigma F with independent step sizes.
+
+    Returns the accepted step as ``(alpha, x_trial, F_trial, f_trial, evals,
+    direction)``: the step size, the trial point, its residual and merit
+    value, the evaluations spent and the accepted direction, ``"-"`` for
+    -sigma F and ``"+"`` for +sigma F.
 
     A probe is accepted by armijo_ok against ``fbar`` (the largest of the
     last M merit values) and the forcing term ``eta_k``.  Both directions
@@ -85,16 +74,14 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_plus, f_k):
-            return LineSearchOutcome(alpha_plus, x_probe, F_probe, f_probe,
-                                     evals, "-")
+            return alpha_plus, x_probe, F_probe, f_probe, evals, "-"
         f_minus_dir = f_probe
 
         x_probe = (-alpha_minus) * (-sigma * F) + x
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_minus, f_k):
-            return LineSearchOutcome(alpha_minus, x_probe, F_probe, f_probe,
-                                     evals, "+")
+            return alpha_minus, x_probe, F_probe, f_probe, evals, "+"
 
         alpha_plus = quad_new_alpha(alpha_plus, f_k, f_minus_dir)
         alpha_minus = quad_new_alpha(alpha_minus, f_k, f_probe)

@@ -127,8 +127,9 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                 sigma = sigma_k(pair, x, F)
                 fbar = max(fvals)
                 eta = math.ldexp(eta0, -k)
-                ls = double_backtracking(ev, x, F, f, sigma, fbar, eta)
-                x_new, F_new, f_new, accepted = ls.x_trial, ls.F_trial, ls.f_trial, "trial"
+                alpha, x_new, F_new, f_trial, ls_evals, direction = double_backtracking(
+                    ev, x, F, f, sigma, fbar, eta)
+                f_new, accepted = f_trial, "trial"
 
                 f_accel: float | None = None
                 if accelerated:
@@ -147,14 +148,14 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
 
                 if trace is not None:
                     trace.append(IterationRecord(
-                        k=k, sigma=sigma, fbar=fbar, eta=eta, alpha=ls.alpha,
-                        ls_evals=ls.evals, f_current=f, f_trial=ls.f_trial,
+                        k=k, sigma=sigma, fbar=fbar, eta=eta, alpha=alpha,
+                        ls_evals=ls_evals, f_current=f, f_trial=f_trial,
                         f_accel=f_accel, accepted=accepted, f_next=f_new,
-                        direction=ls.direction,
+                        direction=direction,
                         rank=window.rank if accelerated else None,
                         nu_norm=float(np.linalg.norm(window.nu)) if accelerated else None))
 
-                ls = x_accel = F_accel = None  # release the losing candidate
+                x_accel = F_accel = None  # release the losing candidate
                 x, F, f = x_new, F_new, f_new
                 if f < best_f:
                     best_x, best_F, best_f = x, F, f

@@ -67,6 +67,14 @@ def test_run_suite_needs_a_problem_and_a_config(problems, configs):
         run_suite(problems, configs)
 
 
+def test_run_suite_rejects_a_repeated_problem_before_any_solve(monkeypatch):
+    monkeypatch.setattr("dfsane.bench.solve", lambda *a, **k: pytest.fail("a solve ran"))
+    problems = [booth(), expfun2(5), booth(), expfun2(6), expfun2(5)]
+    with pytest.raises(ValueError) as info:
+        run_suite(problems, {"plain": SolverConfig(mode="plain")})
+    assert str(info.value) == "repeated problems (name, n) [('booth', 2), ('expfun2', 5)]"
+
+
 def test_crashing_solve_yields_unsolved_record():
     def boom(x):
         raise MemoryError("synthetic")
@@ -233,6 +241,9 @@ def test_records_to_matrix_rejects_a_repeated_record(fevals):
 # serialization
 # ---------------------------------------------------------------------------
 
+HEADER = "problem,n,solver,normF,iter,feval,time,solved"
+
+
 def test_records_csv_roundtrip(tmp_path):
     path = tmp_path / "records.csv"
     records = records_fixture()
@@ -253,7 +264,10 @@ def test_read_records_csv_reads_solved_as_true_or_false_only(tmp_path, field, so
     lines = path.read_text().splitlines()
     lines[2] = lines[2].rsplit(",", 1)[0] + ("" if field is None else "," + field)
     path.write_text("\n".join(lines) + "\n")
-    if solved is None:
+    if field is None:
+        with pytest.raises(ValueError, match="line 3: 7 fields, the header has 8"):
+            read_records_csv(path)
+    elif solved is None:
         with pytest.raises(ValueError, match=f"line 3: solved is {field!r}, not true or false"):
             read_records_csv(path)
     else:
@@ -267,7 +281,7 @@ def test_read_records_csv_reads_solved_as_true_or_false_only(tmp_path, field, so
 ])
 def test_read_records_csv_names_the_line_and_column_of_a_bad_field(tmp_path, column,
                                                                    field, kind):
-    # field None: a short row that ends before the column
+    # field None: a short row that ends before the column, so it has i fields
     path = tmp_path / "records.csv"
     write_records_csv(records_fixture(), path)
     lines = path.read_text().splitlines()
@@ -277,7 +291,10 @@ def test_read_records_csv_names_the_line_and_column_of_a_bad_field(tmp_path, col
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as info:
         read_records_csv(path)
-    assert str(info.value) == f"{path}, line 3: {column} is {field!r}, not {kind}"
+    if field is None:
+        assert str(info.value) == f"{path}, line 3: {i} fields, the header has 8"
+    else:
+        assert str(info.value) == f"{path}, line 3: {column} is {field!r}, not {kind}"
 
 
 @pytest.mark.parametrize("column", ["problem", "solved", "time"])
@@ -288,7 +305,8 @@ def test_read_records_csv_names_a_missing_column(tmp_path, column):
     path.write_text(text)
     with pytest.raises(ValueError) as info:
         read_records_csv(path)
-    assert str(info.value) == f"{path}: no {column!r} column"
+    header = HEADER.replace(column, "renamed", 1)
+    assert str(info.value) == f"{path}: header {header!r}, not {HEADER!r}"
 
 
 @pytest.mark.parametrize("extra", [1, 3])
@@ -303,17 +321,38 @@ def test_read_records_csv_rejects_a_row_longer_than_the_header(tmp_path, extra):
     assert str(info.value) == f"{path}, line 4: {8 + extra} fields, the header has 8"
 
 
-@pytest.mark.parametrize("columns, repeated", [(",solved", "solved"), (",problem", "problem"),
-                                               (",note,note", "note")],
+@pytest.mark.parametrize("columns", [",solved", ",problem", ",note,note"],
                          ids=["solved", "problem", "unknown-column"])
-def test_read_records_csv_rejects_a_repeated_column(tmp_path, columns, repeated):
+def test_read_records_csv_rejects_a_repeated_column(tmp_path, columns):
     # every row has a field for each column: only the header is wrong
     path = tmp_path / "records.csv"
-    path.write_text("problem,n,solver,normF,iter,feval,time,solved" + columns + "\n"
+    path.write_text(HEADER + columns + "\n"
                     "p1,2,m1,0.0,1,1,0.1,true" + ",x" * columns.count(",") + "\n")
     with pytest.raises(ValueError) as info:
         read_records_csv(path)
-    assert str(info.value) == f"{path}: repeated {repeated!r} column"
+    assert str(info.value) == f"{path}: header {HEADER + columns!r}, not {HEADER!r}"
+
+
+@pytest.mark.parametrize("header, row", [
+    (HEADER + ",note", "p1,2,m1,0.0,1,1,0.1,true,first run"),
+    ("n,problem" + HEADER[9:], "2,p1,m1,0.0,1,1,0.1,true"),
+], ids=["extra-column", "reordered-columns"])
+def test_read_records_csv_accepts_only_the_written_header(tmp_path, header, row):
+    # a header that write_records_csv never writes, with rows that fit it
+    path = tmp_path / "records.csv"
+    path.write_text(header + "\n" + row + "\n")
+    with pytest.raises(ValueError) as info:
+        read_records_csv(path)
+    assert str(info.value) == f"{path}: header {header!r}, not {HEADER!r}"
+
+
+def test_read_records_csv_skips_blank_rows(tmp_path):
+    path = tmp_path / "records.csv"
+    records = records_fixture()
+    write_records_csv(records, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + [""] + lines[2:] + ["", ""]) + "\n")
+    assert read_records_csv(path) == records
 
 
 def test_writers_reject_nothing_to_write(tmp_path):

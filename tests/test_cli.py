@@ -441,10 +441,10 @@ def test_bench_fixture_with_nan_is_an_input_error(capsys, tmp_path, monkeypatch)
 
 
 def test_bench_rejects_a_fixture_that_repeats_a_suite_problem(capsys, tmp_path, monkeypatch):
-    def no_run(*args, **kwargs):
-        raise AssertionError("the suite ran")
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
 
-    monkeypatch.setattr("dfsane.cli.run_suite", no_run)
+    monkeypatch.setattr("dfsane.bench.solve", no_solve)
     fdir = tmp_path / "fixtures"
     fdir.mkdir()
     (fdir / "booth.txt").write_text(FIXTURE)            # 2 x 2, as the suite's booth
@@ -600,11 +600,14 @@ HEADER = "problem,n,solver,normF,iter,feval,time,solved\n"
 @pytest.mark.parametrize("text, message", [
     (HEADER + "p1,two,m1,0.0,1,1,0.1,true\n", "{path}, line 2: n is 'two', not an integer"),
     (HEADER + "p1,2,m1,0.0,1,1,,true\n", "{path}, line 2: time is '', not a number"),
-    (HEADER.replace(",solved", "") + "p1,2,m1,0.0,1,1,0.1\n", "{path}: no 'solved' column"),
+    (HEADER.replace(",solved", "") + "p1,2,m1,0.0,1,1,0.1\n",
+     "{path}: header 'problem,n,solver,normF,iter,feval,time', "
+     "not 'problem,n,solver,normF,iter,feval,time,solved'"),
     (HEADER, "no records in inputs"),
     (HEADER + "p1,2,m1,0.0,1,1,0.1,true,9,9\n", "{path}, line 2: 10 fields, the header has 8"),
     (HEADER.replace("\n", ",solved\n") + "p1,2,m1,0.0,1,1,0.1,true,false\n",
-     "{path}: repeated 'solved' column"),
+     "{path}: header 'problem,n,solver,normF,iter,feval,time,solved,solved', "
+     "not 'problem,n,solver,normF,iter,feval,time,solved'"),
 ], ids=["bad-n", "empty-time", "no-solved-column", "header-only", "long-row",
         "repeated-column"])
 def test_profile_rejects_a_malformed_input(capsys, tmp_path, text, message):

@@ -11,7 +11,6 @@ import dfsane.solver as solver_mod
 from dfsane.core import EPS_MACH, BreakdownError, CountedEvaluator, Problem, SolverConfig
 from dfsane.linesearch import (
     GAMMA,
-    LineSearchOutcome,
     TAU_MAX,
     TAU_MIN,
     armijo_ok,
@@ -120,13 +119,14 @@ def test_first_probe_hits_root():
     x = np.array([1.0])
     F, f = ev.evaluate(x)
     sigma = 1.0
-    out = double_backtracking(ev, x, F, f, sigma, 1.0, 0.5)
-    assert out.alpha == 1.0
-    assert out.evals == 1
-    assert out.direction == "-"
-    assert np.array_equal(out.x_trial, x + out.alpha * (-sigma * F))
-    np.testing.assert_array_equal(out.x_trial, [0.0])
-    assert out.f_trial == 0.0
+    alpha, x_trial, F_trial, f_trial, evals, direction = (
+        double_backtracking(ev, x, F, f, sigma, 1.0, 0.5))
+    assert alpha == 1.0
+    assert evals == 1
+    assert direction == "-"
+    assert np.array_equal(x_trial, x + alpha * (-sigma * F))
+    np.testing.assert_array_equal(x_trial, [0.0])
+    assert f_trial == 0.0
 
 
 def test_second_probe_accepts_reverse_direction():
@@ -136,13 +136,14 @@ def test_second_probe_accepts_reverse_direction():
     F, f = ev.evaluate(x)
     assert f == 1.0
     sigma = 1.0
-    out = double_backtracking(ev, x, F, f, sigma, 1.0, 0.5)
+    alpha, x_trial, F_trial, f_trial, evals, direction = (
+        double_backtracking(ev, x, F, f, sigma, 1.0, 0.5))
     # forward probe x = 2 has f = 4 > 1.4999; reverse probe x = 0 is a root.
-    assert out.alpha == 1.0
-    assert out.evals == 2
-    assert out.direction == "+"
-    assert np.array_equal(out.x_trial, x + out.alpha * (sigma * F))  # d = +sigma F = -1
-    np.testing.assert_array_equal(out.x_trial, [0.0])
+    assert alpha == 1.0
+    assert evals == 2
+    assert direction == "+"
+    assert np.array_equal(x_trial, x + alpha * (sigma * F))  # d = +sigma F = -1
+    np.testing.assert_array_equal(x_trial, [0.0])
 
 
 def test_first_accept_shape():
@@ -157,11 +158,12 @@ def test_first_accept_shape():
         if f == 0.0:
             continue
         sigma = 0.5
-        out = double_backtracking(ev, x, F, f, sigma, f, 10.0 * f + 1.0)
-        if out.evals == 1:
-            np.testing.assert_allclose(out.x_trial, x - sigma * out.alpha * F)
-        d = {"-": -sigma * F, "+": sigma * F}[out.direction]
-        assert np.array_equal(out.x_trial, x + out.alpha * d)
+        alpha, x_trial, F_trial, f_trial, evals, direction = (
+            double_backtracking(ev, x, F, f, sigma, f, 10.0 * f + 1.0))
+        if evals == 1:
+            np.testing.assert_allclose(x_trial, x - sigma * alpha * F)
+        d = {"-": -sigma * F, "+": sigma * F}[direction]
+        assert np.array_equal(x_trial, x + alpha * d)
 
 
 def test_outcome_always_satisfies_acceptance():
@@ -180,10 +182,11 @@ def test_outcome_always_satisfies_acceptance():
         fbar = f * float(rng.uniform(1.0, 2.0))
         eta = float(rng.uniform(1e-8, 0.5))
         before = ev.fcnt
-        out = double_backtracking(ev, x, F, f, sigma, fbar, eta)
-        assert armijo_ok(out.f_trial, fbar, eta, out.alpha, f)
-        assert out.evals == ev.fcnt - before
-        assert 0.0 < out.alpha <= 1.0
+        alpha, x_trial, F_trial, f_trial, evals, direction = (
+            double_backtracking(ev, x, F, f, sigma, fbar, eta))
+        assert armijo_ok(f_trial, fbar, eta, alpha, f)
+        assert evals == ev.fcnt - before
+        assert 0.0 < alpha <= 1.0
 
 
 def test_step_cuts_are_monotone_and_bounded():
@@ -202,7 +205,8 @@ def test_step_cuts_are_monotone_and_bounded():
     F, f_k = ev.evaluate(x)
     assert f_k == 1e-6
     points.clear()
-    out = double_backtracking(ev, x, F, f_k, 1.0, f_k, 1e-9)
+    alpha, x_trial, F_trial, f_trial, evals, direction = (
+        double_backtracking(ev, x, F, f_k, 1.0, f_k, 1e-9))
     probe_alphas = np.abs(np.array(points)) / 1e-3
     plus = probe_alphas[0::2]   # forward-direction probes
     minus = probe_alphas[1::2]
@@ -210,8 +214,8 @@ def test_step_cuts_are_monotone_and_bounded():
         for old, new in zip(seq, seq[1:]):
             assert new <= old
             assert TAU_MIN * old - 1e-15 <= new <= TAU_MAX * old + 1e-15
-    assert out.evals == len(points)
-    assert out.alpha == plus[-1]
+    assert evals == len(points)
+    assert alpha == plus[-1]
 
 
 def test_underflow_raises_breakdown():
@@ -295,13 +299,13 @@ def kept_direction_backtracking(ev, x, F, f_k, sigma, fbar, eta_k):
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_plus, f_k):
-            return LineSearchOutcome(alpha_plus, x_probe, F_probe, f_probe, evals, "-")
+            return alpha_plus, x_probe, F_probe, f_probe, evals, "-"
         f_minus_dir = f_probe
         x_probe = (-alpha_minus) * d + x
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_minus, f_k):
-            return LineSearchOutcome(alpha_minus, x_probe, F_probe, f_probe, evals, "+")
+            return alpha_minus, x_probe, F_probe, f_probe, evals, "+"
         alpha_plus = quad_new_alpha(alpha_plus, f_k, f_minus_dir)
         alpha_minus = quad_new_alpha(alpha_minus, f_k, f_probe)
         if alpha_plus < EPS_MACH and alpha_minus < EPS_MACH:
