@@ -9,10 +9,13 @@ the numerical rank counts the singular values of Y above
 ``eps * max(n, m) * sigma_max``.
 
 One solver iteration: ``trial_difference`` writes the trial pair,
-``accel_point(window, None, None, x_trial, F(x_trial))`` solves with it
-(s, y = None, None stands for the trial pair), and ``keep_trial()`` or
-``push_difference`` pushes the pair of the point that won and returns
-(s'y, s's), all the next spectral step reads of it.  A pair from outside is
+``accel_point(window, None, None, x_trial, F(x_trial),
+out=window.spare_row())`` solves with it (s, y = None, None stands for the
+trial pair) and writes the extrapolated point into the one row of S that no
+pair needs after the push, and ``keep_trial()`` or ``push_difference``
+pushes the pair of the point that won and returns (s'y, s's), all the next
+spectral step reads of it.  A winning extrapolated point is copied out of
+its row before that push, which may overwrite the row.  A pair from outside is
 written the same way, as the difference (s - 0, y - 0), which is (s, y)
 bit for bit: ``push_pair`` pushes it, and an extra pair given to
 ``accel_point`` or ``matrices_with`` becomes the trial pair.
@@ -143,6 +146,14 @@ class SecantWindow:
         y = self._y_rows[qr.hold()]
         np.subtract(F_new, F, out=y)
         return self._advance(i, float(self._s_rows[i].dot(y)))
+
+    def spare_row(self) -> Array:
+        """The row of S that no pair needs once the trial pair is pushed or
+        kept: the row after the trial pair while the window has room, else
+        the oldest pair's row, which the push overwrites.  It is free until
+        that push, but while the window is full it is still a column of S."""
+        i = self._pushes % self.capacity
+        return self._s_rows[i + 1 if i == self.count else i]
 
     def matrices_with(self, s_extra: Array | None,
                       y_extra: Array | None) -> tuple[Array, Array]:
@@ -367,12 +378,16 @@ def _orthonormalize(Q: Array, y: Array, q: Array, r: Array, work: Array) -> None
 
 
 def accel_point(window: SecantWindow, s_k: Array | None, y_k: Array | None,
-                x_trial: Array, F_trial: Array) -> Array:
+                x_trial: Array, F_trial: Array, out: Array | None = None) -> Array:
     """Extrapolated point x_trial - S nu from the window plus the extra pair
     (s_k, y_k); s_k, y_k = None, None stands for the window's trial pair.
 
-    Performs no residual evaluation; the window keeps nu and the rank.
+    Performs no residual evaluation; the window keeps nu and the rank.  The
+    point goes into ``out`` when given, else into a new array.  The solver
+    passes ``window.spare_row()``, so the point costs no n-vector of its own;
+    numpy buffers S nu in a temporary where that row is a column of S, and
+    the point must be copied out before the push that overwrites the row.
     """
-    step = window._solve(s_k, y_k, F_trial) @ window.nu
+    step = np.matmul(window._solve(s_k, y_k, F_trial), window.nu, out=out)
     np.subtract(x_trial, step, out=step)
     return step

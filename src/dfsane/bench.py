@@ -288,6 +288,9 @@ def profile_svg(curves: Sequence[ProfileCurve]) -> str:
         ly = mt + 18 + 16 * idx
         parts.append(f'<line x1="{ml + 10}" y1="{ly - 4}" x2="{ml + 34}" '
                      f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{ml + 40}" y="{ly}" font-size="12">{c.method}</text>')
+        # xml.sax.saxutils.escape, written out: importing that module pulls
+        # urllib.request and http.client into every `import dfsane`
+        label = c.method.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(f'<text x="{ml + 40}" y="{ly}" font-size="12">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

@@ -134,12 +134,17 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                 f_accel: float | None = None
                 if accelerated:
                     window.trial_difference(x_new, x, F_new, F)
-                    x_accel = accel_point(window, None, None, x_new, F_new)
+                    x_accel = accel_point(window, None, None, x_new, F_new,
+                                          out=window.spare_row())
                     F_accel, f_accel = ev.evaluate(x_accel)
                     # The kept point's pair joins the window; the trial pair
-                    # keeps the row and factor column it has.
+                    # keeps the row and factor column it has.  x_accel lives
+                    # in a window row that the push or the next trial pair
+                    # overwrites, so a winning one is copied out, after the
+                    # trial x is released.
                     if f_accel < f_new:
-                        x_new, F_new, f_new, accepted = x_accel, F_accel, f_accel, "accel"
+                        x_new = None
+                        x_new, F_new, f_new, accepted = x_accel.copy(), F_accel, f_accel, "accel"
                         pair = window.push_difference(x_new, x, F_new, F)
                     else:
                         pair = window.keep_trial()

@@ -453,6 +453,61 @@ def test_kept_factored_trial_writes_only_its_own_row_of_S(pushes):
     np.testing.assert_allclose(sty, float(s.dot(y)), rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("n", [5, BLOCK_ROWS + 100])
+@pytest.mark.parametrize("capacity", [1, 3])
+def test_point_in_the_spare_row_matches_a_new_array(capacity, n):
+    # The solver's steps with the point written into spare_row(), more than
+    # capacity of them in both layouts: the point is copied out before
+    # push_difference overwrites its row, or left there when keep_trial
+    # pushes the trial pair.  A twin window given no out sees the same bytes.
+    rng = np.random.default_rng(capacity)
+    w, twin = SecantWindow(capacity), SecantWindow(capacity)
+    x, F = rng.standard_normal(n), rng.standard_normal(n)
+    for step in range(3 * capacity + 2):
+        x_trial, F_trial = rng.standard_normal(n), rng.standard_normal(n)
+        for v in (w, twin):
+            v.trial_difference(x_trial, x, F_trial, F)
+        want = accel_point(twin, None, None, x_trial, F_trial)
+        got = accel_point(w, None, None, x_trial, F_trial, out=w.spare_row())
+        assert np.shares_memory(got, w._s_rows)
+        assert got.tobytes() == want.tobytes()
+        assert (w.nu.tobytes(), w.rank) == (twin.nu.tobytes(), twin.rank)
+        if step % 2:
+            x_new, F_new = got.copy(), rng.standard_normal(n)
+            products = [v.push_difference(x_new, x, F_new, F) for v in (w, twin)]
+        else:
+            x_new, F_new = x_trial, F_trial
+            products = [v.keep_trial() for v in (w, twin)]
+        assert products[0] == products[1]
+        zero = np.zeros(n)
+        assert ([M.tobytes() for M in w.matrices_with(zero, zero)]
+                == [M.tobytes() for M in twin.matrices_with(zero, zero)])
+        x, F = x_new, F_new
+    assert w.count == capacity
+
+
+@pytest.mark.parametrize("n", [5, BLOCK_ROWS + 100])
+@pytest.mark.parametrize("capacity", [1, 3])
+def test_points_without_out_leave_a_full_window_unchanged(capacity, n):
+    # The kernel microbench's pattern: repeated calls with one outside pair
+    # on a full window, where the spare row is the oldest pair's column of S.
+    rng = np.random.default_rng(capacity)
+    w = SecantWindow(capacity)
+    for _ in range(capacity + 1):
+        w.push_pair(rng.standard_normal(n), rng.standard_normal(n))
+    s, y, x, F = (rng.standard_normal(n) for _ in range(4))
+    S, Y = (M.copy() for M in w.matrices_with(s, y))
+    points = [accel_point(w, s, y, x, F).tobytes() for _ in range(3)]
+    assert points == points[:1] * 3
+    S_after, Y_after = w.matrices_with(s, y)
+    assert S_after.tobytes() == S.tobytes()
+    if w._qr is None:
+        assert Y_after.tobytes() == Y.tobytes()
+    else:
+        # Y comes from the factors, which the first call's pass updated
+        np.testing.assert_allclose(Y_after, Y, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("n, m", [(1, 1), (10, 6), (BLOCK_ROWS, 1), (BLOCK_ROWS, 6)])
 def test_direct_path_up_to_block_rows_is_bitwise_lstsq(n, m):
     rng = np.random.default_rng(n + m)

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -387,3 +388,11 @@ def test_svg_handles_wide_tau_range():
     curves = perf_profile([[1.0, 1.0], [1500.0, 1.0]], methods=["a", "b"])
     svg = profile_svg(curves)
     assert "1e4" in svg or "1e3" in svg  # log decade labels present
+
+
+def test_svg_escapes_method_names():
+    names = ["R&D <fast>", "plain"]
+    curves = perf_profile([[1.0, 2.0], [2.0, 1.0]], methods=names)
+    doc = minidom.parseString(profile_svg(curves))
+    labels = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert labels[-2:] == names

@@ -23,9 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dfsane.core
-from dfsane.core import Problem, SolverConfig
+from dfsane.core import BLOCK_ROWS, Problem, SolverConfig
 from dfsane.linesearch import M, armijo_ok
-from dfsane.problems import discrete_bvp, powell_singular, rosenbrock_ext
+from dfsane.problems import broyden_tridiagonal, discrete_bvp, powell_singular, rosenbrock_ext
 from dfsane.solver import solve
 
 PROBLEMS = {
@@ -86,14 +86,26 @@ def test_every_stop_reports_the_best_iterate(name, mode, cap, limit):
 
 def assert_reports_best_iterate(problem, rep, trace, start_evaluated):
     """normF is the smallest merit value of x0 and the completed iterates,
-    and res is F at x; inf and NaN at x0 when no evaluation completed."""
+    and res is F at x; inf and NaN at x0 when no evaluation completed.  x
+    owns its memory: it is no view of a solver buffer, such as the window
+    row an extrapolated point is formed in."""
+    assert rep.x.base is None
     if not start_evaluated:
         assert rep.iter == 0 and np.array_equal(rep.x, problem.x0)
         assert np.isnan(rep.res).all() and rep.normF == math.inf
         return
     F0 = problem.residual(problem.x0)
     assert rep.normF == min([float(F0 @ F0)] + [rec.f_next for rec in trace])
-    assert np.array_equal(problem.residual(rep.x), rep.res)
+    assert problem.residual(rep.x).tobytes() == rep.res.tobytes()
+
+
+def test_a_solve_ending_on_an_extrapolated_point_reports_it():
+    # Above BLOCK_ROWS and with a full window: the last accepted point was
+    # formed in the oldest pair's row of S, which its own push overwrites.
+    problem = broyden_tridiagonal(BLOCK_ROWS + 3)
+    rep, trace = traced_solve(problem, SolverConfig())
+    assert rep.istop == 0 and rep.iter > 5 and trace[-1].accepted == "accel"
+    assert_reports_best_iterate(problem, rep, trace, start_evaluated=True)
 
 
 def failing_at_call(problem, k):
