@@ -11,12 +11,9 @@ import json
 import math
 import os
 import sys
-import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .bench import (
     perf_profile,
@@ -27,7 +24,8 @@ from .bench import (
     write_records_csv,
 )
 from .core import SOLVER_MODES, SolveReport, SolverConfig
-from .problems import FIXTURE_PATTERN, REGISTRY, fixtures_from_dir, make, suite_builtin
+from .problems import (FIXTURE_PATTERN, REGISTRY, fixtures_from_dir, make, read_numbers,
+                       suite_builtin)
 from .solver import solve
 
 FIXTURE_DIR_ENV = "DFSANE_FIXTURE_DIR"
@@ -44,14 +42,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one named problem")
     p_solve.add_argument("--problem", required=True, help="registered problem name")
     p_solve.add_argument("--n", type=int, default=None, help="problem dimension")
-    p_solve.add_argument("--nhlim", type=int, default=6,
+    p_solve.add_argument("--nhlim", type=int, default=SolverConfig.nhlim,
                          help="secant history limit (window holds nhlim-1 pairs)")
     p_solve.add_argument("--epsf", type=float, default=None,
                          help="stopping tolerance on ||F||_2 (default 1e-6*sqrt(n))")
     p_solve.add_argument("--maxit", type=int, default=None, help="iteration cap")
     p_solve.add_argument("--iprint", type=int, default=-1, choices=(-1, 0, 1, 2),
                          help="verbosity of the iteration trace")
-    p_solve.add_argument("--mode", choices=SOLVER_MODES, default="accelerated")
+    p_solve.add_argument("--mode", choices=SOLVER_MODES, default=SolverConfig.mode)
     p_solve.add_argument("--x0-file", default=None,
                          help="text file with n numbers overriding the start point")
     p_solve.add_argument("--json", action="store_true",
@@ -168,13 +166,8 @@ def _cmd_solve(args) -> int:
     with _bad_input(KeyError, ValueError):
         problem = make(args.problem, args.n)
     if args.x0_file is not None:
-        with _bad_input(OSError, ValueError, UserWarning), warnings.catch_warnings():
-            # numpy only warns on a file with no numbers; here it is an error
-            warnings.simplefilter("error", UserWarning)
-            x0 = np.loadtxt(args.x0_file, dtype=np.float64).ravel()
-            problem = replace(problem, x0=x0)  # Problem checks the length
-        if not np.isfinite(x0).all():
-            raise _UsageError(f"{args.x0_file}: non-finite entry in the start point")
+        with _bad_input(OSError, ValueError):  # Problem checks the length
+            problem = replace(problem, x0=read_numbers(args.x0_file))
     with _bad_input(ValueError):
         cfg = SolverConfig(nhlim=args.nhlim, epsf=args.epsf, maxit=args.maxit,
                            mode=args.mode)
@@ -247,8 +240,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    for name, (_, default_n, _) in sorted(REGISTRY.items()):
-        print(f"{name} (default n = {default_n})")
+    for name, factory in sorted(REGISTRY.items()):
+        print(f"{name} (default n = {factory().n})")
     return 0
 
 
@@ -267,7 +260,3 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
-
-
-if __name__ == "__main__":
-    main()

@@ -44,8 +44,10 @@ def _linear(name: str, A: Array, b: Array, x0: Array) -> Problem:
     return Problem(name, len(b), residual, x0)
 
 
-def booth() -> Problem:
+def booth(n: int = 2) -> Problem:
     """Booth linear system x1 + 2 x2 = 7, 2 x1 + x2 = 5; root (1, 3)."""
+    if n != 2:
+        raise ValueError("booth has fixed dimension 2")
     return _linear("booth", np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([7.0, 5.0]),
                    np.zeros(2))
 
@@ -118,12 +120,14 @@ def discrete_bvp(n: int = 50) -> Problem:
     return Problem("bvp", n, residual, t * (t - 1.0))
 
 
-def powell_singular() -> Problem:
+def powell_singular(n: int = 4) -> Problem:
     """Powell's singular function as a 4-equation system; root at the origin.
 
     Started from (1, 2, 1, 1), where the two squared components have zero
     gradient, so the Jacobian has rank 2 at the start point.
     """
+    if n != 4:
+        raise ValueError("powell-singular has fixed dimension 4")
     s5 = math.sqrt(5.0)
     s10 = math.sqrt(10.0)
 
@@ -188,17 +192,16 @@ def trigexp(n: int = 50) -> Problem:
     return Problem("trigexp", n, residual, np.zeros(n))
 
 
-# name -> (factory, default n, parametric); a fixed-dimension factory takes
-# no argument.
-REGISTRY: dict[str, tuple[Callable[..., Problem], int, bool]] = {
-    "booth": (booth, 2, False),
-    "broyden-tri": (broyden_tridiagonal, 50, True),
-    "bvp": (discrete_bvp, 50, True),
-    "expfun2": (expfun2, 3, True),
-    "linear-dense": (linear_dense, 8, True),
-    "powell-singular": (powell_singular, 4, False),
-    "rosenbrock-ext": (rosenbrock_ext, 10, True),
-    "trigexp": (trigexp, 50, True),
+# name -> factory; each factory takes n, defaulting to the problem's own size.
+REGISTRY: dict[str, Callable[..., Problem]] = {
+    "booth": booth,
+    "broyden-tri": broyden_tridiagonal,
+    "bvp": discrete_bvp,
+    "expfun2": expfun2,
+    "linear-dense": linear_dense,
+    "powell-singular": powell_singular,
+    "rosenbrock-ext": rosenbrock_ext,
+    "trigexp": trigexp,
 }
 
 
@@ -207,13 +210,7 @@ def make(name: str, n: int | None = None) -> Problem:
     key = name.strip().lower()
     if key not in REGISTRY:
         raise KeyError(f"unknown problem {name!r} (known: {', '.join(available())})")
-    factory, default_n, parametric = REGISTRY[key]
-    if parametric:
-        return factory(default_n if n is None else n)
-    problem = factory()
-    if n is not None and n != problem.n:
-        raise ValueError(f"{name} has fixed dimension {problem.n}")
-    return problem
+    return REGISTRY[key]() if n is None else REGISTRY[key](n)
 
 
 def available() -> list[str]:
@@ -237,36 +234,43 @@ def suite_builtin() -> list[Problem]:
     ]
 
 
+def read_numbers(path) -> Array:
+    """The whitespace-separated numbers of a text file, in which ``#`` starts
+    a comment to the end of its line, as a float64 vector.  A token that is
+    not a finite number (``nan`` and ``inf`` included) raises ValueError
+    naming the file."""
+    values = []
+    for line in Path(path).read_text().splitlines():
+        for token in line.partition("#")[0].split():
+            try:
+                values.append(float(token))
+            except ValueError:
+                values.append(math.nan)
+            if not math.isfinite(values[-1]):
+                raise ValueError(f"{path}: {token!r} is not a finite number")
+    return np.array(values, dtype=np.float64)
+
+
 def load_linear_fixture(path) -> Problem:
     """Read a dense linear problem from a plain-text fixture.
 
-    Format: first token n, then n rows of n+1 numbers (a row of A followed
-    by the entry of b), then n numbers for the start point.  Tokens may be
-    separated by any whitespace.  A non-finite entry (``nan``, ``inf``) in
-    A, b or the start point is an error, as a missing number is.
+    Format (``read_numbers``): the dimension n, then n rows of n+1 numbers
+    (a row of A followed by the entry of b), then n numbers for the start
+    point.  n must be a positive integer, and the file must hold exactly
+    that many numbers.
     """
     path = Path(path)
-    tokens = path.read_text().split()
-    if not tokens:
+    values = read_numbers(path)
+    if not values.size:
         raise ValueError(f"{path}: empty fixture")
-    try:
-        n = int(tokens[0])
-    except ValueError as exc:
-        raise ValueError(f"{path}: first token must be the dimension") from exc
-    if n < 1:
-        raise ValueError(f"{path}: dimension must be positive")
+    n = int(values[0])
+    if n < 1 or n != values[0]:
+        raise ValueError(f"{path}: dimension must be a positive integer")
     need = 1 + n * (n + 1) + n
-    if len(tokens) != need:
-        raise ValueError(f"{path}: expected {need} numbers, found {len(tokens)}")
-    values = np.array([float(t) for t in tokens[1:]])
-    rows = values[: n * (n + 1)].reshape(n, n + 1)
-    A = rows[:, :n].copy()
-    b = rows[:, n].copy()
-    x0 = values[n * (n + 1):].copy()
-    for label, part in (("A", A), ("b", b), ("start point", x0)):
-        if not np.isfinite(part).all():
-            raise ValueError(f"{path}: non-finite entry in {label}")
-    return _linear(path.stem, A, b, x0)
+    if values.size != need:
+        raise ValueError(f"{path}: expected {need} numbers, found {values.size}")
+    rows = values[1:-n].reshape(n, n + 1)
+    return _linear(path.stem, rows[:, :n].copy(), rows[:, n].copy(), values[-n:].copy())
 
 
 def fixtures_from_dir(path) -> list[Problem]:

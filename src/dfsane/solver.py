@@ -124,7 +124,7 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                 if cfg.maxit is not None and k >= cfg.maxit:
                     return report(k, ISTOP_MAXIT, "iteration cap reached")
 
-                sigma = sigma_k(pair, x, F)
+                sigma = sigma_k(pair, x, f)
                 fbar = max(fvals)
                 eta = math.ldexp(eta0, -k)
                 alpha, x_new, F_new, f_trial, ls_evals, direction = double_backtracking(

@@ -11,7 +11,7 @@ SIGMA_MIN = math.sqrt(EPS_MACH)
 SIGMA_MAX = 1.0 / math.sqrt(EPS_MACH)
 
 
-def sigma_k(pair: tuple[float, float] | None, x: Array, F: Array) -> float:
+def sigma_k(pair: tuple[float, float] | None, x: Array, f: float) -> float:
     """Safeguarded spectral step coefficient.
 
     ``pair`` is (s'y, s's) for the newest secant pair, the differences s
@@ -22,8 +22,9 @@ def sigma_k(pair: tuple[float, float] | None, x: Array, F: Array) -> float:
     fallback max(SIGMA_MIN, min(||x|| / ||F||, SIGMA_MAX)) is used, with
     ||x|| replaced by 1 when the current point is the origin.
 
-    ``x`` and ``F`` are 1-D float64 ndarrays of one length.  Each norm is
-    ``math.sqrt(v.dot(v))``: for a contiguous vector that is what
+    ``x`` is the current iterate, a 1-D float64 ndarray, and ``f`` its
+    finite merit value ``F.dot(F)``, so ||F|| is ``math.sqrt(f)``.  ||x||
+    is ``math.sqrt(x.dot(x))``: for a contiguous vector that is what
     ``np.linalg.norm`` computes, bit for bit, at less cost per call.
     (``np.linalg.norm`` first copies a strided vector into contiguous
     memory, and BLAS may then sum in another order.)
@@ -36,7 +37,7 @@ def sigma_k(pair: tuple[float, float] | None, x: Array, F: Array) -> float:
     rho = math.sqrt(x.dot(x))
     if rho == 0.0:
         rho = 1.0
-    return max(SIGMA_MIN, min(rho / math.sqrt(F.dot(F)), SIGMA_MAX))
+    return max(SIGMA_MIN, min(rho / math.sqrt(f), SIGMA_MAX))
 
 
 def secant_pair(x_new: Array, x: Array, F_new: Array, F: Array) -> tuple[float, float]:

@@ -8,12 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dfsane.bench
-from dfsane.cli import dispatch
+from dfsane.cli import build_parser, dispatch
 from dfsane.core import SolverConfig
-from dfsane.problems import booth, expfun2
+from dfsane.problems import REGISTRY, booth, expfun2, load_linear_fixture, make
 from dfsane.solver import solve
 
 FIXTURE = """2
@@ -175,6 +176,11 @@ def test_solve_rejects_bad_flag_values(capsys):
     capsys.readouterr()
 
 
+def test_solve_flag_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["solve", "--problem", "booth"])
+    assert (args.nhlim, args.mode) == (SolverConfig().nhlim, SolverConfig().mode)
+
+
 def test_solve_with_x0_file(capsys, tmp_path):
     start = tmp_path / "x0.txt"
     start.write_text("1.0 3.0\n")
@@ -209,9 +215,10 @@ def test_solve_x0_file_unreadable(capsys, tmp_path, content):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("content", ["nan 1\n", "1 inf\n", "-inf 0\n"],
+@pytest.mark.parametrize("content, token", [("nan 1\n", "nan"), ("1 inf\n", "inf"),
+                                            ("-inf 0\n", "-inf")],
                          ids=["nan", "inf", "minus-inf"])
-def test_solve_rejects_a_non_finite_start_entry(capsys, tmp_path, monkeypatch, content):
+def test_solve_rejects_a_non_finite_start_entry(capsys, tmp_path, monkeypatch, content, token):
     def no_solve(*args, **kwargs):
         raise AssertionError("the solve ran")
 
@@ -222,7 +229,62 @@ def test_solve_rejects_a_non_finite_start_entry(capsys, tmp_path, monkeypatch, c
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: {start}: non-finite entry in the start point\n"
+    assert captured.err == f"error: {start}: {token!r} is not a finite number\n"
+
+
+def _last_number(token):
+    """A layout that puts ``token`` in place of the file's last number."""
+    return lambda text: text[:text.rstrip().rfind(" ") + 1] + token + "\n"
+
+
+# Layouts of a number file, each a map from its plain text, with the token
+# that read_numbers must reject (None: the file reads as its plain text).
+NUMBER_FILE_CASES = {
+    "several-lines": (lambda text: text.replace(" ", "\n"), None),
+    "comments": (lambda text: "# root\n" + text.replace("\n", "  # x*\n"), None),
+    "not-a-number": (_last_number("x"), "x"),
+    "nan": (_last_number("nan"), "nan"),
+    "inf": (_last_number("inf"), "inf"),
+    "minus-inf": (_last_number("-inf"), "-inf"),
+}
+
+
+@pytest.mark.parametrize("case", NUMBER_FILE_CASES)
+def test_x0_file_layouts(capsys, tmp_path, case):
+    layout, bad = NUMBER_FILE_CASES[case]
+    start = tmp_path / "x0.txt"
+    start.write_text(layout("1.0 3.0\n"))  # booth's root
+    if case == "comments":
+        assert start.read_text() == "# root\n1.0 3.0  # x*\n"
+    code = dispatch(["solve", "--problem", "booth", "--x0-file", str(start), "--json"])
+    captured = capsys.readouterr()
+    if bad is None:
+        assert code == 0 and json.loads(captured.out)["iter"] == 0
+    else:
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {start}: {bad!r} is not a finite number\n"
+
+
+@pytest.mark.parametrize("case", NUMBER_FILE_CASES)
+def test_fixture_layouts(capsys, tmp_path, case):
+    layout, bad = NUMBER_FILE_CASES[case]
+    fdir = tmp_path / "fixtures"
+    fdir.mkdir()
+    path = fdir / "diag.txt"
+    path.write_text(layout(FIXTURE))
+    out_csv = tmp_path / "bench.csv"
+    code = dispatch(["bench", "--fixture-dir", str(fdir), "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    if bad is None:
+        assert code == 0 and "accelerated: solved 1/1" in captured.out
+        (tmp_path / "plain.txt").write_text(FIXTURE)
+        got, want = load_linear_fixture(path), load_linear_fixture(tmp_path / "plain.txt")
+        x = np.array([0.5, -2.0])
+        assert got.x0.tobytes() == want.x0.tobytes()
+        assert got.residual(x).tobytes() == want.residual(x).tobytes()
+    else:
+        assert code == 2 and captured.out == "" and not out_csv.exists()
+        assert captured.err == f"error: {path}: {bad!r} is not a finite number\n"
 
 
 @pytest.mark.parametrize("warnings_flag", ["default", "error"])
@@ -437,7 +499,7 @@ def test_bench_fixture_with_nan_is_an_input_error(capsys, tmp_path, monkeypatch)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: {fdir / 'diag.txt'}: non-finite entry in b\n"
+    assert captured.err == f"error: {fdir / 'diag.txt'}: 'nan' is not a finite number\n"
 
 
 def test_bench_rejects_a_fixture_that_repeats_a_suite_problem(capsys, tmp_path, monkeypatch):
@@ -626,6 +688,8 @@ def test_list_prints_registry(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "booth" in out and "expfun2" in out
+    assert out.splitlines() == [f"{name} (default n = {make(name).n})"
+                                for name in sorted(REGISTRY)]
 
 
 def test_usage_error_is_nonzero(capsys):

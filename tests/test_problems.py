@@ -154,11 +154,11 @@ def test_trigexp_in_place_matches_the_expression_bit_for_bit(factory, reference,
 @pytest.mark.parametrize("name", available())
 def test_residual_returns_a_new_array_on_each_call(name):
     # solve holds the current, trial and best F at once, so a residual that
-    # reused one buffer would overwrite them.  Parametric problems cross a
+    # reused one buffer would overwrite them.  Problems of free size cross a
     # block edge, except linear-dense, whose dense matrix is n x n.
-    _, _, parametric = REGISTRY[name]
-    n = {"linear-dense": None, "rosenbrock-ext": BLOCK_ROWS + 4}.get(name, BLOCK_ROWS + 3)
-    p = make(name, n if parametric else None)
+    n = {"booth": None, "linear-dense": None, "powell-singular": None,
+         "rosenbrock-ext": BLOCK_ROWS + 4}.get(name, BLOCK_ROWS + 3)
+    p = make(name, n)
     rng = np.random.default_rng(0)
     x1, x2 = rng.standard_normal(p.n), rng.standard_normal(p.n)
     x1_before = x1.copy()
@@ -211,6 +211,17 @@ def test_registry_unknown_name():
 def test_registry_fixed_dimension_mismatch():
     with pytest.raises(ValueError):
         make("booth", 5)
+
+
+@pytest.mark.parametrize("name, n", [("booth", 2), ("powell-singular", 4)])
+def test_fixed_dimension_factory_takes_only_its_own_n(name, n):
+    factory = REGISTRY[name]
+    assert factory().n == factory(n).n == make(name, n).n == n
+    for other in (1, n + 1):
+        with pytest.raises(ValueError, match=f"^{name} has fixed dimension {n}$"):
+            factory(other)
+        with pytest.raises(ValueError, match=f"^{name} has fixed dimension {n}$"):
+            make(name.upper(), other)
 
 
 def test_available_lists_registered_names():
@@ -291,13 +302,16 @@ def test_fixture_dir_rejects_a_path_that_is_not_a_directory(tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("", "empty fixture"),
-    ("x", "first token must be the dimension"),
+    ("x", "'x' is not a finite number"),
     ("2\n1 2 3\n", "expected 9 numbers, found 4"),
-    ("0\n", "dimension must be positive"),
-    ("2\n2 nan 4\n0 4 -8\n1 1\n", "non-finite entry in A"),
-    ("2\n2 0 4\n0 4 inf\n1 1\n", "non-finite entry in b"),
-    ("2\n2 0 4\n0 4 -8\n1 nan\n", "non-finite entry in start point"),
-], ids=["", "x", "2\n1 2 3\n", "0\n", "nan-in-A", "inf-in-b", "nan-in-x0"])
+    ("0\n", "dimension must be a positive integer"),
+    ("2\n2 nan 4\n0 4 -8\n1 1\n", "'nan' is not a finite number"),
+    ("2\n2 0 4\n0 4 inf\n1 1\n", "'inf' is not a finite number"),
+    ("2\n2 0 4\n0 4 -8\n1 nan\n", "'nan' is not a finite number"),
+    ("1.5\n2 0 4\n0 4 -8\n1 1\n", "dimension must be a positive integer"),
+    ("# 2\n", "empty fixture"),
+], ids=["", "x", "2\n1 2 3\n", "0\n", "nan-in-A", "inf-in-b", "nan-in-x0",
+        "fractional-dimension", "comment-only"])
 def test_fixture_malformed_rejected(tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)

@@ -15,17 +15,22 @@ def secant_products(s, y):
     return float(s.dot(y)), float(s.dot(s))
 
 
+def merit(F):
+    """F'F, the merit value that the solver holds and passes to sigma_k."""
+    return float(F.dot(F))
+
+
 def test_sigma_spectral_value_passes_through():
     # s = x - 0, y = F - 0
     sigma = sigma_k(secant_products(np.array([1.0, 0.0]), np.array([2.0, 0.0])),
-                    np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+                    np.array([1.0, 0.0]), merit(np.array([2.0, 0.0])))
     assert sigma == 0.5  # s's / s'y = 1 / 2, bit for bit
 
 
 def test_sigma_negative_value_is_kept():
     # s = (1, 0) - 0, y = (-1, 0) - (1, 0)
     sigma = sigma_k(secant_products(np.array([1.0, 0.0]), np.array([-2.0, 0.0])),
-                    np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+                    np.array([1.0, 0.0]), merit(np.array([-1.0, 0.0])))
     assert sigma == -0.5  # |sigma| in range, sign preserved
 
 
@@ -34,7 +39,7 @@ def test_sigma_orthogonal_sy_uses_fallback():
     x = np.array([3.0, 4.0])
     F = np.array([0.0, 5.0])
     pair = secant_products(x - x, F - np.array([1.0, 1.0]))
-    assert sigma_k(pair, x, F) == 1.0
+    assert sigma_k(pair, x, merit(F)) == 1.0
 
 
 def test_sigma_out_of_range_spectral_falls_back():
@@ -44,19 +49,19 @@ def test_sigma_out_of_range_spectral_falls_back():
     pair = secant_products(x - np.zeros(2), F - np.array([0.0, 5.0]))
     expected = max(SIGMA_MIN,
                    min(np.linalg.norm(x) / np.linalg.norm(F), SIGMA_MAX))
-    assert sigma_k(pair, x, F) == expected
+    assert sigma_k(pair, x, merit(F)) == expected
 
 
 def test_sigma_first_iteration_uses_fallback():
     x = np.array([3.0, 4.0])
     F = np.array([0.0, 5.0])
-    assert sigma_k(None, x, F) == 1.0
+    assert sigma_k(None, x, merit(F)) == 1.0
 
 
 def test_sigma_at_origin_substitutes_unit_rho():
     # |x| = 0 would give sigma = SIGMA_MIN; rho = 1 is substituted instead.
     F = np.array([2.0, 0.0])
-    assert sigma_k(None, np.zeros(2), F) == 0.5
+    assert sigma_k(None, np.zeros(2), merit(F)) == 0.5
 
 
 def test_sigma_always_within_safeguards():
@@ -71,7 +76,7 @@ def test_sigma_always_within_safeguards():
             pair = None
         else:
             pair = secant_products(rng.standard_normal(n), rng.standard_normal(n))
-        sigma = sigma_k(pair, x, F)
+        sigma = sigma_k(pair, x, merit(F))
         assert SIGMA_MIN <= abs(sigma) <= SIGMA_MAX
 
 
@@ -93,7 +98,7 @@ def test_sigma_in_range_is_bit_identical():
         if not (SIGMA_MIN <= abs(spg) <= min(1.0, SIGMA_MAX)):
             continue
         hits += 1
-        assert sigma_k(secant_products(s, y), x, F) == spg
+        assert sigma_k(secant_products(s, y), x, merit(F)) == spg
     assert hits > 20  # the sample must actually exercise the pass-through arm
 
 
@@ -124,8 +129,9 @@ def test_sigma_matches_the_norm_formula_bit_for_bit(n):
         # is kept about half the time, and the fallback is taken otherwise.
         y = s / rng.uniform(0.5, 2.0) + 1e-3 * rng.standard_normal(n)
         spectral.append(SIGMA_MIN <= abs(float(s @ s) / float(s @ y)) <= 1.0)
-        assert repr(sigma_k(secant_products(s, y), x, F)) == repr(norm_reference(s, y, x, F))
-        assert repr(sigma_k(None, x, F)) == repr(norm_reference(None, None, x, F))
+        sigma = sigma_k(secant_products(s, y), x, merit(F))
+        assert repr(sigma) == repr(norm_reference(s, y, x, F))
+        assert repr(sigma_k(None, x, merit(F))) == repr(norm_reference(None, None, x, F))
     assert any(spectral) and not all(spectral)  # both branches with a pair
 
 
