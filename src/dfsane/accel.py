@@ -11,14 +11,14 @@ the numerical rank counts the singular values of Y above
 One solver iteration: ``trial_difference`` writes the trial pair,
 ``accel_point(window, None, None, x_trial, F(x_trial),
 out=window.spare_row())`` solves with it (s, y = None, None stands for the
-trial pair) and writes the extrapolated point into the one row of S that no
-pair needs after the push, and ``keep_trial()`` or ``push_difference``
-pushes the pair of the point that won and returns (s'y, s's), all the next
-spectral step reads of it.  A winning extrapolated point is copied out of
-its row before that push, which may overwrite the row.  A pair from outside is
-written the same way, as the difference (s - 0, y - 0), which is (s, y)
-bit for bit: ``push_pair`` pushes it, and an extra pair given to
-``accel_point`` or ``matrices_with`` becomes the trial pair.
+trial pair) and writes the extrapolated point, block by block, into the one
+row of S that no pair needs after the push, and ``keep_trial()`` or
+``push_difference`` pushes the pair of the point that won and returns
+(s'y, s's), all the next spectral step reads of it.  A winning extrapolated
+point is copied out of its row, after ``drop_trial``, before that push.  A
+pair from outside is written the same way, as the difference (s - 0, y - 0),
+which is (s, y) bit for bit: ``push_pair`` pushes it, and an extra pair
+given to ``accel_point`` or ``matrices_with`` becomes the trial pair.
 
 Direct layout (n <= ``BLOCK_ROWS``).  The window keeps S and Y as
 preallocated row-major (p + 1) x n arrays, one row per pair, so nothing is
@@ -146,6 +146,10 @@ class SecantWindow:
         y = self._y_rows[qr.hold()]
         np.subtract(F_new, F, out=y)
         return self._advance(i, float(self._s_rows[i].dot(y)))
+
+    def drop_trial(self) -> None:
+        """Discard the trial pair and its (F_new, F), as the push after it would."""
+        self._trial = None
 
     def spare_row(self) -> Array:
         """The row of S that no pair needs once the trial pair is pushed or
@@ -383,11 +387,17 @@ def accel_point(window: SecantWindow, s_k: Array | None, y_k: Array | None,
     (s_k, y_k); s_k, y_k = None, None stands for the window's trial pair.
 
     Performs no residual evaluation; the window keeps nu and the rank.  The
-    point goes into ``out`` when given, else into a new array.  The solver
-    passes ``window.spare_row()``, so the point costs no n-vector of its own;
-    numpy buffers S nu in a temporary where that row is a column of S, and
-    the point must be copied out before the push that overwrites the row.
-    """
-    step = np.matmul(window._solve(s_k, y_k, F_trial), window.nu, out=out)
-    np.subtract(x_trial, step, out=step)
-    return step
+    point goes into a new array, or into ``out`` by row blocks of ``BLOCK_ROWS``
+    through one block buffer, each block's rows of S read before they are
+    written, so the solver's ``window.spare_row()`` (at a full window a column
+    of S) costs no n-vector; a block's S nu sums the same m columns as the
+    whole product, bit for bit.  Copy the point out before the push."""
+    S, n = window._solve(s_k, y_k, F_trial), x_trial.shape[0]
+    if out is None:
+        step = np.matmul(S, window.nu)
+        return np.subtract(x_trial, step, out=step)
+    buf = np.empty(min(n, BLOCK_ROWS))
+    for j in range(0, n, BLOCK_ROWS):
+        rows, c = slice(j, j + BLOCK_ROWS), min(BLOCK_ROWS, n - j)
+        np.subtract(x_trial[rows], np.matmul(S[rows], window.nu, out=buf[:c]), out=out[rows])
+    return out

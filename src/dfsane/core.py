@@ -57,7 +57,7 @@ class Problem:
     be a pure function of its argument.  It must return a new array on each
     call, sharing no memory with x or with an earlier result: ``solve`` holds
     the current, trial and best F at once.  The evaluator rejects a result
-    that is x itself or the array the previous call returned (a reused
+    that is x itself or the kept array the previous call returned (a reused
     buffer) as a failed residual; a view into either is not detected.
     """
 
@@ -133,9 +133,12 @@ class CountedEvaluator:
     evaluating, once ``max_feval`` evaluations are made or ``perf_counter()``
     is past ``deadline``.  A residual that raises or returns a wrong shape
     raises BreakdownError chained to its error, one that returns x or the
-    previous call's result (held until the next call) a BreakdownError of
-    its own.  Floating-point warnings are the caller's to silence (``solve``
-    runs under ``np.errstate``).
+    previous call's result a BreakdownError of its own.  It holds that result
+    in ``last`` until the next call, or until a caller that drops it sets
+    ``last`` to None to free it (the line search for a rejected probe, the
+    solver for a losing extrapolated point); a buffer handed back after that
+    is caught once a result it returns is kept.  Floating-point warnings are
+    the caller's to silence (``solve`` runs under ``np.errstate``).
     """
 
     def __init__(self, problem: Problem, max_feval: int | None = None,
@@ -144,7 +147,7 @@ class CountedEvaluator:
         self.max_feval = max_feval
         self.deadline = deadline
         self.fcnt = 0
-        self._last: Array | None = None
+        self.last: Array | None = None
 
     def evaluate(self, x: Array) -> tuple[Array, float]:
         if self.fcnt == self.max_feval:
@@ -159,10 +162,10 @@ class CountedEvaluator:
                 F = as_vector(F, problem.n)
         except Exception as exc:
             raise BreakdownError(f"residual failed: {exc}") from exc
-        if F is x or F is self._last:
+        if F is x or F is self.last:
             raise BreakdownError("residual failed: it returned its argument or its "
                                  "previous result, not a new array")
-        self._last = F
+        self.last = F
         f = float(F.dot(F))
         if not math.isfinite(f):
             f = math.inf

@@ -45,6 +45,16 @@ def quad_new_alpha(alpha: float, f_k: float, f_probe: float) -> float:
     return capped if capped > lo else lo
 
 
+def probe_point(x: Array, F: Array, sigma: float, alpha: float, direction: str) -> Array:
+    """The probe at step ``alpha`` along -sigma F (``direction`` "-") or +sigma F
+    ("+").  numpy reuses the temporaries d = -sigma F and alpha d, so a probe
+    allocates one n-vector.  (-alpha) d + x is bitwise x + alpha (sigma F):
+    IEEE negation is exact and addition commutes."""
+    if direction == "-":
+        return x + alpha * (-sigma * F)
+    return (-alpha) * (-sigma * F) + x
+
+
 def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
                         sigma: float, fbar: float, eta_k: float
                         ) -> tuple[float, Array, Array, float, int, str]:
@@ -55,33 +65,32 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
     value, the evaluations spent and the accepted direction, ``"-"`` for
     -sigma F and ``"+"`` for +sigma F.
 
-    A probe is accepted by armijo_ok against ``fbar`` (the largest of the
-    last M merit values) and the forcing term ``eta_k``.  Both directions
-    start at step 1; each rejected round shrinks its own step via
-    quad_new_alpha (the forward step from the forward probe, the reverse
-    step from the reverse probe).  Raises BreakdownError once both steps fall
-    below machine epsilon without acceptance.  Each probe forms d = -sigma F
-    afresh, and numpy reuses the temporaries d and alpha d for the probe, so
-    a probe allocates one n-vector and no direction outlives its expression.
-    The +sigma F probe is (-alpha) d + x, bitwise x + alpha (sigma F) because
-    IEEE negation is exact and addition commutes.
+    A probe (``probe_point``) is accepted by armijo_ok against ``fbar`` (the
+    largest of the last M merit values) and the forcing term ``eta_k``.
+    Both directions start at step 1; each rejected round shrinks its own
+    step via quad_new_alpha (the forward step from the forward probe, the
+    reverse step from the reverse probe).  Raises BreakdownError once both
+    steps fall below machine epsilon without acceptance.  A rejected probe and
+    its F are dropped (the evaluator's reference too) before the next probe.
     """
     alpha_plus = 1.0
     alpha_minus = 1.0
     evals = 0
     while True:
-        x_probe = x + alpha_plus * (-sigma * F)
+        x_probe = probe_point(x, F, sigma, alpha_plus, "-")
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_plus, f_k):
             return alpha_plus, x_probe, F_probe, f_probe, evals, "-"
         f_minus_dir = f_probe
+        x_probe = F_probe = ev.last = None
 
-        x_probe = (-alpha_minus) * (-sigma * F) + x
+        x_probe = probe_point(x, F, sigma, alpha_minus, "+")
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_minus, f_k):
             return alpha_minus, x_probe, F_probe, f_probe, evals, "+"
+        x_probe = F_probe = ev.last = None
 
         alpha_plus = quad_new_alpha(alpha_plus, f_k, f_minus_dir)
         alpha_minus = quad_new_alpha(alpha_minus, f_k, f_probe)

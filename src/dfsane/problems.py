@@ -238,9 +238,13 @@ def read_numbers(path) -> Array:
     """The whitespace-separated numbers of a text file, in which ``#`` starts
     a comment to the end of its line, as a float64 vector.  A token that is
     not a finite number (``nan`` and ``inf`` included) raises ValueError
-    naming the file."""
+    naming the file, as does a file that does not decode as text."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     values = []
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         for token in line.partition("#")[0].split():
             try:
                 values.append(float(token))

@@ -29,7 +29,7 @@ from .core import (
     SolveReport,
     SolverConfig,
 )
-from .linesearch import M, double_backtracking
+from .linesearch import M, double_backtracking, probe_point
 from .steps import secant_pair, sigma_k
 
 
@@ -136,17 +136,21 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                     window.trial_difference(x_new, x, F_new, F)
                     x_accel = accel_point(window, None, None, x_new, F_new,
                                           out=window.spare_row())
+                    x_new = None  # rebuilt if the trial wins; not held through the evaluation
                     F_accel, f_accel = ev.evaluate(x_accel)
                     # The kept point's pair joins the window; the trial pair
                     # keeps the row and factor column it has.  x_accel lives
                     # in a window row that the push or the next trial pair
-                    # overwrites, so a winning one is copied out, after the
-                    # trial x is released.
+                    # overwrites, so a winning one is copied out after the
+                    # trial F is dropped, and a losing one's F goes first.
                     if f_accel < f_new:
-                        x_new = None
-                        x_new, F_new, f_new, accepted = x_accel.copy(), F_accel, f_accel, "accel"
+                        F_new, f_new, accepted = F_accel, f_accel, "accel"
+                        window.drop_trial()
+                        x_new = x_accel.copy()
                         pair = window.push_difference(x_new, x, F_new, F)
                     else:
+                        F_accel = ev.last = None
+                        x_new = probe_point(x, F, sigma, alpha, direction)
                         pair = window.keep_trial()
                 else:
                     pair = secant_pair(x_new, x, F_new, F)

@@ -1,5 +1,7 @@
 """Tests for the secant window and the minimum-norm least-squares solve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -506,6 +508,54 @@ def test_points_without_out_leave_a_full_window_unchanged(capacity, n):
     else:
         # Y comes from the factors, which the first call's pass updated
         np.testing.assert_allclose(Y_after, Y, rtol=0.0, atol=1e-12)
+
+
+def full_window_with_trial(rng, n, capacity=5):
+    """A window of capacity pushed past capacity, and its trial pair, as the
+    solver leaves them before the extrapolated point: (window, x_trial,
+    F_trial).  Its spare row is then the oldest pair's column of S."""
+    w = SecantWindow(capacity)
+    x, F = rng.standard_normal(n), rng.standard_normal(n)
+    for _ in range(capacity + 1):
+        x_new, F_new = rng.standard_normal(n), rng.standard_normal(n)
+        w.push_difference(x_new, x, F_new, F)
+        x, F = x_new, F_new
+    x_trial, F_trial = rng.standard_normal(n), rng.standard_normal(n)
+    w.trial_difference(x_trial, x, F_trial, F)
+    assert w.count == capacity
+    assert np.shares_memory(w.spare_row(), w._s_rows[w._order()[0]])
+    return w, x_trial, F_trial
+
+
+@pytest.mark.parametrize("n", [BLOCK_ROWS + 3, 50_000])
+def test_blocked_point_in_the_spare_row_is_the_whole_product(n):
+    # Written into the spare row, the point is formed by row blocks of
+    # BLOCK_ROWS, each reading its rows of the oldest column before writing
+    # them; both sizes end on a short block (3 and 848 rows).  A twin window
+    # given no out forms S nu in one product.
+    w, x_trial, F_trial = full_window_with_trial(np.random.default_rng(n), n)
+    twin, _, _ = full_window_with_trial(np.random.default_rng(n), n)
+    assert w._qr is not None
+    want = accel_point(twin, None, None, x_trial, F_trial)
+    got = accel_point(w, None, None, x_trial, F_trial, out=w.spare_row())
+    assert got.tobytes() == want.tobytes()
+
+
+def test_point_in_the_spare_row_of_a_full_window_allocates_less_than_a_vector():
+    # numpy buffered the whole product S nu in a temporary n-vector when it
+    # was written into the spare row, a column of S; the blocked product
+    # uses one block-sized buffer.  What is left is the factored pass's
+    # block scratch, about 0.27 n-vectors at this n.
+    n = 300_000
+    w, x_trial, F_trial = full_window_with_trial(np.random.default_rng(3), n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        accel_point(w, None, None, x_trial, F_trial, out=w.spare_row())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / (8 * n) < 1.0
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (10, 6), (BLOCK_ROWS, 1), (BLOCK_ROWS, 6)])

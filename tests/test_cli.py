@@ -287,6 +287,23 @@ def test_fixture_layouts(capsys, tmp_path, case):
         assert captured.err == f"error: {path}: {bad!r} is not a finite number\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_number_file_that_is_not_text_is_one_error_line(capsys, tmp_path, command):
+    # Path.read_text raised UnicodeDecodeError, a ValueError whose message
+    # did not name the file.
+    fdir = tmp_path / "fixtures"
+    fdir.mkdir()
+    path = fdir / "bad.txt"
+    path.write_bytes(b"\xff\xfe1 2\n")
+    args = (["solve", "--problem", "booth", "--x0-file", str(path)] if command == "solve"
+            else ["bench", "--fixture-dir", str(fdir), "--out", str(tmp_path / "bench.csv")])
+    code = dispatch(args)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+    assert "can't decode byte 0xff" in captured.err
+
+
 @pytest.mark.parametrize("warnings_flag", ["default", "error"])
 def test_solve_empty_x0_file_is_one_error_line(tmp_path, warnings_flag):
     # numpy reports an empty file with a UserWarning: printed to stderr by

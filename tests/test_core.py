@@ -151,6 +151,62 @@ def test_residual_reusing_its_buffer_is_breakdown(mode):
     assert rep.reason == ALIAS_REASON
 
 
+def reusing_from(p, start):
+    """p's residual, except that from call ``start`` on it writes F into the
+    array it returned on the call before and returns that array."""
+    returned = []
+
+    def residual(x):
+        if len(returned) + 1 < start:
+            returned.append(p.residual(x))
+        else:
+            returned[-1][:] = p.residual(x)
+        return returned[-1]
+
+    return residual
+
+
+def call_numbers(trace, accelerated):
+    """Per iteration, the evaluation numbers of its probes and of its
+    extrapolated point (None in plain mode); the start point is call 1."""
+    calls, c = [], 1
+    for rec in trace:
+        probes = list(range(c + 1, c + 1 + rec.ls_evals))
+        c += rec.ls_evals + accelerated
+        calls.append((probes, c if accelerated else None))
+    return calls
+
+
+@pytest.mark.parametrize("name, n, mode, reuse", [
+    ("powell-singular", 4, "accelerated", "after-rejected-probe"),
+    ("broyden-tri", 50, "plain", "after-rejected-probe"),
+    ("trigexp", 50, "accelerated", "after-losing-accel-point"),
+    ("trigexp", 50, "accelerated", "at-accel-point"),
+])
+def test_buffer_reuse_is_caught_once_a_result_is_kept(name, n, mode, reuse):
+    # The line search drops a rejected probe's F and the solver a losing
+    # extrapolated point's F, the evaluator's reference included, so a
+    # residual that starts handing that array back is caught at the first
+    # call after one of its results is kept.  Started at the extrapolated
+    # point's evaluation, it hands back the kept trial F and is caught there.
+    p = make(name, n)
+    cfg = SolverConfig(mode=mode, max_feval=100_000)
+    trace = []
+    solve(p, cfg, trace=trace)
+    calls = call_numbers(trace, mode == "accelerated")
+    if reuse == "after-rejected-probe":
+        k = next(k for k, rec in enumerate(trace) if rec.ls_evals > 1)
+        start, caught = calls[k][0][0] + 1, calls[k][0][-1] + 1
+    elif reuse == "after-losing-accel-point":
+        k = next(k for k, rec in enumerate(trace) if rec.accepted == "trial")
+        start, caught = calls[k][1] + 1, calls[k + 1][0][-1] + 1
+    else:
+        k = 2
+        start = caught = calls[k][1]
+    rep = solve(replace(p, residual=reusing_from(p, start)), cfg)
+    assert (rep.istop, rep.fcnt, rep.reason) == (3, caught, ALIAS_REASON)
+
+
 def test_evaluator_accepts_a_new_array_equal_to_the_last():
     ev = CountedEvaluator(identity_problem())
     x = np.ones(2)

@@ -15,6 +15,7 @@ from dfsane.linesearch import (
     TAU_MIN,
     armijo_ok,
     double_backtracking,
+    probe_point,
     quad_new_alpha,
 )
 from dfsane.problems import suite_builtin
@@ -334,3 +335,44 @@ def test_probes_match_a_kept_direction_bit_for_bit(monkeypatch):
     fresh = desk_suite_bytes()
     monkeypatch.setattr(solver_mod, "double_backtracking", kept_direction_backtracking)
     assert desk_suite_bytes() == fresh
+
+
+class ScriptedEvaluator:
+    """Stands in for CountedEvaluator: each call returns a copy of x as F
+    and the next merit value of ``merits``."""
+
+    def __init__(self, merits):
+        self.merits = iter(merits)
+        self.last = None
+
+    def evaluate(self, x):
+        self.last = x.copy()
+        return self.last, next(self.merits)
+
+
+@pytest.mark.parametrize("n", [7, 100_000])
+@pytest.mark.parametrize("direction", ["-", "+"])
+def test_rebuilt_trial_point_is_the_accepted_probe(direction, n):
+    # The solver drops the trial x through the extrapolated point's
+    # evaluation and, when the trial point wins, rebuilds it with
+    # probe_point from (x, F, sigma, alpha, direction).  Rejected rounds cut
+    # alpha by half (f = inf), by a tenth (f = 1e300) or by a random
+    # quadratic step, so alpha runs over 1, powers of 2 and 10 and random
+    # values; sigma takes the bounds of steps.sigma_k and random values of
+    # both signs, and x and F hold zeros of both signs, subnormals and
+    # infinities.
+    rng = np.random.default_rng(n)
+    x, F = special_vector(rng, n), special_vector(rng, n)
+    sigmas = [1.0, -1.0, math.sqrt(EPS_MACH), -math.sqrt(EPS_MACH), 1.0 / math.sqrt(EPS_MACH),
+              *rng.uniform(-1.0, 1.0, 3), *10.0 ** rng.uniform(-8, 8, 3)]
+    for sigma in sigmas:
+        for rounds in (0, 1, 4):
+            merits = [float(rng.choice([math.inf, 1e300, rng.uniform(2.0, 100.0)]))
+                      for _ in range(2 * rounds)]
+            merits += [0.0] if direction == "-" else [math.inf, 0.0]
+            with np.errstate(all="ignore"):   # as in solve: 0 * inf and inf - inf
+                alpha, x_trial, _, _, evals, got = double_backtracking(
+                    ScriptedEvaluator(merits), x, F, 1.0, sigma, 1.0, 0.5)
+                rebuilt = probe_point(x, F, sigma, alpha, direction)
+            assert (got, evals) == (direction, len(merits))
+            assert rebuilt.tobytes() == x_trial.tobytes(), (sigma, alpha)
