@@ -387,15 +387,13 @@ def accel_point(window: SecantWindow, s_k: Array | None, y_k: Array | None,
     (s_k, y_k); s_k, y_k = None, None stands for the window's trial pair.
 
     Performs no residual evaluation; the window keeps nu and the rank.  The
-    point goes into a new array, or into ``out`` by row blocks of ``BLOCK_ROWS``
-    through one block buffer, each block's rows of S read before they are
+    point is written by row blocks of ``BLOCK_ROWS`` through one block buffer
+    into ``out``, or a new array, each block's rows of S read before they are
     written, so the solver's ``window.spare_row()`` (at a full window a column
     of S) costs no n-vector; a block's S nu sums the same m columns as the
     whole product, bit for bit.  Copy the point out before the push."""
     S, n = window._solve(s_k, y_k, F_trial), x_trial.shape[0]
-    if out is None:
-        step = np.matmul(S, window.nu)
-        return np.subtract(x_trial, step, out=step)
+    out = np.empty_like(x_trial) if out is None else out
     buf = np.empty(min(n, BLOCK_ROWS))
     for j in range(0, n, BLOCK_ROWS):
         rows, c = slice(j, j + BLOCK_ROWS), min(BLOCK_ROWS, n - j)

@@ -133,12 +133,9 @@ class CountedEvaluator:
     evaluating, once ``max_feval`` evaluations are made or ``perf_counter()``
     is past ``deadline``.  A residual that raises or returns a wrong shape
     raises BreakdownError chained to its error, one that returns x or the
-    previous call's result a BreakdownError of its own.  It holds that result
-    in ``last`` until the next call, or until a caller that drops it sets
-    ``last`` to None to free it (the line search for a rejected probe, the
-    solver for a losing extrapolated point); a buffer handed back after that
-    is caught once a result it returns is kept.  Floating-point warnings are
-    the caller's to silence (``solve`` runs under ``np.errstate``).
+    previous call's result (held until the next call or until ``drop`` of
+    it) a BreakdownError of its own.  Floating-point warnings are the
+    caller's to silence (``solve`` runs under ``np.errstate``).
     """
 
     def __init__(self, problem: Problem, max_feval: int | None = None,
@@ -147,7 +144,7 @@ class CountedEvaluator:
         self.max_feval = max_feval
         self.deadline = deadline
         self.fcnt = 0
-        self.last: Array | None = None
+        self._last: Array | None = None
 
     def evaluate(self, x: Array) -> tuple[Array, float]:
         if self.fcnt == self.max_feval:
@@ -162,14 +159,19 @@ class CountedEvaluator:
                 F = as_vector(F, problem.n)
         except Exception as exc:
             raise BreakdownError(f"residual failed: {exc}") from exc
-        if F is x or F is self.last:
+        if F is x or F is self._last:
             raise BreakdownError("residual failed: it returned its argument or its "
                                  "previous result, not a new array")
-        self.last = F
+        self._last = F
         f = float(F.dot(F))
         if not math.isfinite(f):
             f = math.inf
         return F, f
+
+    def drop(self, F: Array) -> None:
+        """Stop holding F, a result the caller drops, if it is the last one."""
+        if self._last is F:
+            self._last = None
 
 
 @dataclass(frozen=True, eq=False)

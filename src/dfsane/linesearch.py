@@ -46,10 +46,9 @@ def quad_new_alpha(alpha: float, f_k: float, f_probe: float) -> float:
 
 
 def probe_point(x: Array, F: Array, sigma: float, alpha: float, direction: str) -> Array:
-    """The probe at step ``alpha`` along -sigma F (``direction`` "-") or +sigma F
-    ("+").  numpy reuses the temporaries d = -sigma F and alpha d, so a probe
-    allocates one n-vector.  (-alpha) d + x is bitwise x + alpha (sigma F):
-    IEEE negation is exact and addition commutes."""
+    """The probe x + alpha d, d = -sigma F (``direction`` "-"), or (-alpha) d + x,
+    bitwise x + alpha (sigma F) ("+"): one n-vector, as numpy reuses the
+    temporaries d and alpha d.  IEEE negation is exact and addition commutes."""
     if direction == "-":
         return x + alpha * (-sigma * F)
     return (-alpha) * (-sigma * F) + x
@@ -67,11 +66,10 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
 
     A probe (``probe_point``) is accepted by armijo_ok against ``fbar`` (the
     largest of the last M merit values) and the forcing term ``eta_k``.
-    Both directions start at step 1; each rejected round shrinks its own
-    step via quad_new_alpha (the forward step from the forward probe, the
-    reverse step from the reverse probe).  Raises BreakdownError once both
-    steps fall below machine epsilon without acceptance.  A rejected probe and
-    its F are dropped (the evaluator's reference too) before the next probe.
+    Both directions start at step 1; a rejected round shrinks each step via
+    quad_new_alpha from its own direction's probe.  Raises BreakdownError once
+    both steps fall below machine epsilon without acceptance.  A rejected probe
+    and its F are dropped (``ev.drop`` too) before the next probe.
     """
     alpha_plus = 1.0
     alpha_minus = 1.0
@@ -83,14 +81,16 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
         if armijo_ok(f_probe, fbar, eta_k, alpha_plus, f_k):
             return alpha_plus, x_probe, F_probe, f_probe, evals, "-"
         f_minus_dir = f_probe
-        x_probe = F_probe = ev.last = None
+        ev.drop(F_probe)
+        x_probe = F_probe = None
 
         x_probe = probe_point(x, F, sigma, alpha_minus, "+")
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_minus, f_k):
             return alpha_minus, x_probe, F_probe, f_probe, evals, "+"
-        x_probe = F_probe = ev.last = None
+        ev.drop(F_probe)
+        x_probe = F_probe = None
 
         alpha_plus = quad_new_alpha(alpha_plus, f_k, f_minus_dir)
         alpha_minus = quad_new_alpha(alpha_minus, f_k, f_probe)

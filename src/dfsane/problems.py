@@ -240,7 +240,7 @@ def read_numbers(path) -> Array:
     not a finite number (``nan`` and ``inf`` included) raises ValueError
     naming the file, as does a file that does not decode as text."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     values = []

@@ -139,17 +139,17 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                     x_new = None  # rebuilt if the trial wins; not held through the evaluation
                     F_accel, f_accel = ev.evaluate(x_accel)
                     # The kept point's pair joins the window; the trial pair
-                    # keeps the row and factor column it has.  x_accel lives
-                    # in a window row that the push or the next trial pair
-                    # overwrites, so a winning one is copied out after the
-                    # trial F is dropped, and a losing one's F goes first.
+                    # keeps its row and factor column.  x_accel lives in a row
+                    # that the push or the next trial pair overwrites: a winning
+                    # one is copied out once the trial F is dropped.
                     if f_accel < f_new:
                         F_new, f_new, accepted = F_accel, f_accel, "accel"
                         window.drop_trial()
                         x_new = x_accel.copy()
                         pair = window.push_difference(x_new, x, F_new, F)
                     else:
-                        F_accel = ev.last = None
+                        ev.drop(F_accel)
+                        F_accel = None
                         x_new = probe_point(x, F, sigma, alpha, direction)
                         pair = window.keep_trial()
                 else:

@@ -529,16 +529,18 @@ def full_window_with_trial(rng, n, capacity=5):
 
 @pytest.mark.parametrize("n", [BLOCK_ROWS + 3, 50_000])
 def test_blocked_point_in_the_spare_row_is_the_whole_product(n):
-    # Written into the spare row, the point is formed by row blocks of
-    # BLOCK_ROWS, each reading its rows of the oldest column before writing
-    # them; both sizes end on a short block (3 and 848 rows).  A twin window
-    # given no out forms S nu in one product.
+    # The point is formed by row blocks of BLOCK_ROWS, in the spare row each
+    # block reading its rows of the oldest column before writing them; both
+    # sizes end on a short block (3 and 848 rows).  A twin window given no
+    # out leaves its S whole, so x_trial - S nu can be formed in one product.
     w, x_trial, F_trial = full_window_with_trial(np.random.default_rng(n), n)
     twin, _, _ = full_window_with_trial(np.random.default_rng(n), n)
     assert w._qr is not None
-    want = accel_point(twin, None, None, x_trial, F_trial)
+    new_array = accel_point(twin, None, None, x_trial, F_trial)
+    S, _ = twin.matrices_with(None, None)
+    whole = x_trial - np.matmul(S, twin.nu)
     got = accel_point(w, None, None, x_trial, F_trial, out=w.spare_row())
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == whole.tobytes() == new_array.tobytes()
 
 
 def test_point_in_the_spare_row_of_a_full_window_allocates_less_than_a_vector():

@@ -207,6 +207,19 @@ def test_buffer_reuse_is_caught_once_a_result_is_kept(name, n, mode, reuse):
     assert (rep.istop, rep.fcnt, rep.reason) == (3, caught, ALIAS_REASON)
 
 
+def test_drop_forgets_only_the_last_result():
+    # A residual that hands its one buffer back is caught unless the caller
+    # dropped that buffer; dropping another array leaves the check on.
+    buf = np.zeros(2)
+    ev = CountedEvaluator(replace(identity_problem(), residual=lambda x: buf))
+    F, _ = ev.evaluate(np.ones(2))
+    ev.drop(F.copy())
+    with pytest.raises(BreakdownError, match="previous result"):
+        ev.evaluate(np.ones(2))
+    ev.drop(F)
+    assert ev.evaluate(np.ones(2))[0] is buf
+
+
 def test_evaluator_accepts_a_new_array_equal_to_the_last():
     ev = CountedEvaluator(identity_problem())
     x = np.ones(2)
