@@ -8,17 +8,18 @@ below use the rank rule of ``np.linalg.lstsq`` (LAPACK's SVD-based solver):
 the numerical rank counts the singular values of Y above
 ``eps * max(n, m) * sigma_max``.
 
-One solver iteration: ``trial_difference`` writes the trial pair,
+One solver iteration: ``trial_difference`` writes the trial pair, whose
+residuals (F_new, F) the window holds until its solve,
 ``accel_point(window, None, None, x_trial, F(x_trial),
-out=window.spare_row())`` solves with it (s, y = None, None stands for the
-trial pair) and writes the extrapolated point, block by block, into the one
-row of S that no pair needs after the push, and ``keep_trial()`` or
-``push_difference`` pushes the pair of the point that won and returns
-(s'y, s's), all the next spectral step reads of it.  A winning extrapolated
-point is copied out of its row, after ``drop_trial``, before that push.  A
-pair from outside is written the same way, as the difference (s - 0, y - 0),
-which is (s, y) bit for bit: ``push_pair`` pushes it, and an extra pair
-given to ``accel_point`` or ``matrices_with`` becomes the trial pair.
+out=window.spare_row())``.  That call (s, y = None, None stands for the
+trial pair) releases them and writes the extrapolated point, block by block,
+into the one row of S that no pair needs after the push.  ``keep_trial()``
+or ``push_difference`` pushes the pair of the point that won and returns
+(s'y, s's), all the next spectral step reads of it.  A pair from outside is
+written the same way, as the difference (s - 0, y - 0), which is (s, y) bit
+for bit: ``push_pair`` pushes it, ``keep_trial`` the trial pair's rows, and
+an extra pair given to ``accel_point`` or ``matrices_with`` becomes the
+trial pair.
 
 Direct layout (n <= ``BLOCK_ROWS``).  The window keeps S and Y as
 preallocated row-major (p + 1) x n arrays, one row per pair, so nothing is
@@ -48,7 +49,8 @@ each block is in cache:
   small QR, R_i[:, 1:] = G_i T_i, and rotating Q_i by the same G_i, as
   sliding-window Anderson acceleration codes do (Walker & Ni, SIAM J. Numer.
   Anal. 49, 2011);
-- a trial column that is not kept is dropped by truncation.
+- a trial column that is not kept is dropped by truncation; a second solve
+  of the same trial pair reuses it.
 
 A pushed pair's y waits in the row after the factored columns until that
 pass orthogonalizes it in place; a kept trial pair's s'y is summed block
@@ -93,8 +95,8 @@ class SecantWindow:
         self._s_rows: Array | None = None
         self._y_rows: Array | None = None
         self._qr: _BlockQR | None = None
-        # (F_new, F) of the trial pair, until it is kept or discarded
-        self._trial: tuple[Array, Array] | None = None
+        # (F_new, F) of the trial pair until its solve, then (); else None
+        self._trial: tuple[Array, Array] | tuple[()] | None = None
 
     def push_pair(self, s: Array, y: Array) -> tuple[float, float]:
         """Push the pair (s, y), written as the difference (s - 0, y - 0)."""
@@ -104,7 +106,7 @@ class SecantWindow:
                         F: Array) -> tuple[float, float]:
         """Push the pair (x_new - x, F_new - F), computed in its slot; the
         trial pair is discarded."""
-        self._check(x.shape[0])
+        self._check(x_new.shape[0])
         self._trial = None
         i = self._pushes % self.capacity
         s, y = self._s_rows[i], self._y_rows[i if self._qr is None else self._qr.hold()]
@@ -118,8 +120,9 @@ class SecantWindow:
         pairs (its s alone in the factored layout, where a solve forms its y
         block by block).  It is the extra pair that None, None stands for
         until ``keep_trial`` pushes it, a push discards it or a new trial
-        pair (an outside extra pair too) replaces it."""
-        self._check(x.shape[0])
+        pair (an outside extra pair too) replaces it.  (F_new, F) are held
+        until a solve with the pair."""
+        self._check(x_new.shape[0])
         np.subtract(x_new, x, out=self._s_rows[self.count])
         if self._qr is None:
             np.subtract(F_new, F, out=self._y_rows[self.count])
@@ -128,28 +131,19 @@ class SecantWindow:
         self._trial = (F_new, F)
 
     def keep_trial(self) -> tuple[float, float]:
-        """Push the trial pair as it stands, with the factor column that a
-        solve gave it and the s'y summed as it was formed (module docstring)."""
+        """Push the trial pair through ``push_difference`` as (s - 0, y - 0),
+        y = F_new - F while a factored trial is unsolved; a solved one keeps
+        its factor column and block-summed s'y (module docstring)."""
         if self._trial is None:
             raise ValueError("no trial pair to keep")
-        (F_new, F), self._trial = self._trial, None
-        i, t, qr = self._pushes % self.capacity, self.count, self._qr
-        if i != t:
-            self._s_rows[i] = self._s_rows[t]
-            if qr is None:
-                self._y_rows[i] = self._y_rows[t]
-        if qr is None:
-            return self._advance(i, float(self._s_rows[i].dot(self._y_rows[i])))
-        if qr.trial is not None:
-            sty, qr.trial = qr.trial, None
-            return self._advance(i, sty)
-        y = self._y_rows[qr.hold()]
-        np.subtract(F_new, F, out=y)
-        return self._advance(i, float(self._s_rows[i].dot(y)))
-
-    def drop_trial(self) -> None:
-        """Discard the trial pair and its (F_new, F), as the push after it would."""
-        self._trial = None
+        t, qr = self.count, self._qr
+        if qr is None or self._trial:
+            y = (self._y_rows[t], 0.0) if qr is None else self._trial
+            return self.push_difference(self._s_rows[t], 0.0, *y)
+        i, sty = self._pushes % self.capacity, qr.trial
+        qr.trial = self._trial = None
+        self._s_rows[i] = self._s_rows[t]
+        return self._advance(i, sty)
 
     def spare_row(self) -> Array:
         """The row of S that no pair needs once the trial pair is pushed or
@@ -172,29 +166,30 @@ class SecantWindow:
         S = self._s_rows[:m].T
         if self._qr is None:
             return S, self._y_rows[:m].T
-        Y = np.empty((m, S.shape[0]))
-        Y[self._order()] = self._qr.columns()
-        np.subtract(*self._trial, out=Y[m - 1])
+        Y, columns = np.empty((m, S.shape[0])), self._qr.columns()
+        Y[(self._order() + [m - 1])[:len(columns)]] = columns
+        if self._trial:
+            np.subtract(*self._trial, out=Y[m - 1])
         return S, Y.T
 
     def _solve(self, s: Array | None, y: Array | None, b: Array) -> Array:
         """Keep nu, the minimum-norm least-squares solution of Y nu = b, and
         Y's rank, with S and Y as ``matrices_with(s, y)`` gives them; return S.
-        The factored layout factors the trial pair's y as its trial column."""
+        Release the trial residuals; the first solve with a trial pair
+        factors its y as the trial column in the factored layout."""
         self._extra(s, y)
         m = self.count + 1
         qr = self._qr
         if qr is None:
             nu, _, rank, _ = np.linalg.lstsq(self._y_rows[:m].T, b, rcond=None)
         else:
-            qr.truncate_trial()
-            Qb = qr.update((self._s_rows[m - 1], *self._trial), b)
+            Qb = qr.update(self._trial and (self._s_rows[m - 1], *self._trial), b)
             nu_age, _, rank, _ = np.linalg.lstsq(
                 qr.R[:, :m, :m].reshape(-1, m), Qb.reshape(-1),
                 rcond=EPS_MACH * max(self._s_rows.shape[1], m))
             nu = np.empty(m)
             nu[self._order() + [m - 1]] = nu_age
-        self.nu, self.rank = nu, int(rank)
+        self.nu, self.rank, self._trial = nu, int(rank), ()
         return self._s_rows[:m].T
 
     def _extra(self, s: Array | None, y: Array | None) -> None:
@@ -300,7 +295,6 @@ class _BlockQR:
         if rotate:
             G, R[:, :m, :m] = np.linalg.qr(R[:, :k, :m])
             Gt = G.transpose(0, 2, 1)
-            rotated = np.empty(m * self.width)
         new = [] if self.held is None else [Q[self.held]]
         t = m + len(new)
         if trial:
@@ -312,9 +306,8 @@ class _BlockQR:
         Qb = None if b is None else np.empty((len(self.blocks), m + len(new)))
         for i, (j0, j1) in enumerate(self.blocks):
             if rotate:
-                out = rotated[:m * (j1 - j0)].reshape(m, j1 - j0)
-                np.matmul(Gt[i], Q[:k, j0:j1], out=out)
-                Q[:m, j0:j1] = out
+                # numpy buffers an output that overlaps an input
+                np.matmul(Gt[i], Q[:k, j0:j1], out=Q[:m, j0:j1])
             for j, v in enumerate(new, start=m):
                 if j == t:
                     np.subtract(trial[1][j0:j1], trial[2][j0:j1], out=v[j0:j1])
@@ -328,9 +321,9 @@ class _BlockQR:
         return Qb
 
     def columns(self) -> Array:
-        """The window's columns of Y (the held one included, the trial
-        column not), as the rows of a new array."""
-        m, k = self.m - (self.trial is not None), self.k - (self.trial is not None)
+        """Every factored column of Y (a solved trial column too), then the
+        held one, as the rows of a new array."""
+        m, k = self.m, self.k
         Y = np.empty((m + (self.held is not None), self.rows.shape[1]))
         for i, (j0, j1) in enumerate(self.blocks):
             Y[:m, j0:j1] = self.R[i, :k, :m].T @ self.rows[:k, j0:j1]

@@ -259,4 +259,13 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    try:
+        status = dispatch()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # A reader that stopped early (``| head``): point stdout at devnull so
+        # the flush at exit raises no second error ("Note on SIGPIPE" in
+        # Python's ``signal`` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

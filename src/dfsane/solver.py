@@ -141,10 +141,9 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                     # The kept point's pair joins the window; the trial pair
                     # keeps its row and factor column.  x_accel lives in a row
                     # that the push or the next trial pair overwrites: a winning
-                    # one is copied out once the trial F is dropped.
+                    # one is copied out once the trial F is released.
                     if f_accel < f_new:
                         F_new, f_new, accepted = F_accel, f_accel, "accel"
-                        window.drop_trial()
                         x_new = x_accel.copy()
                         pair = window.push_difference(x_new, x, F_new, F)
                     else:
@@ -164,7 +163,6 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                         rank=window.rank if accelerated else None,
                         nu_norm=float(np.linalg.norm(window.nu)) if accelerated else None))
 
-                x_accel = F_accel = None  # release the losing candidate
                 x, F, f = x_new, F_new, f_new
                 if f < best_f:
                     best_x, best_F, best_f = x, F, f

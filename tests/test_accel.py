@@ -1,6 +1,7 @@
 """Tests for the secant window and the minimum-norm least-squares solve."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -558,6 +559,56 @@ def test_point_in_the_spare_row_of_a_full_window_allocates_less_than_a_vector():
     finally:
         tracemalloc.stop()
     assert (peak - base) / (8 * n) < 1.0
+
+
+def window_and_trial(n, capacity=3):
+    """A window pushed once past capacity, and the trial pair it was given:
+    (window, x, F, x_trial, F_trial).  Its first solve rotates the factors."""
+    rng = np.random.default_rng(n)
+    w = SecantWindow(capacity)
+    for _ in range(capacity + 1):
+        w.push_pair(rng.standard_normal(n), rng.standard_normal(n))
+    x, F, x_trial, F_trial = (rng.standard_normal(n) for _ in range(4))
+    w.trial_difference(x_trial, x, F_trial, F)
+    return w, x, F, x_trial, F_trial
+
+
+@pytest.mark.parametrize("n", [7, BLOCK_ROWS + 100])
+def test_solve_releases_the_trial_residuals(n):
+    # The window holds the trial pair's (F_new, F) until its solve has its
+    # y; then the caller's references are the last ones, and keep_trial
+    # still pushes the pair.
+    w, x, F, x_trial, F_trial = window_and_trial(n)
+    s, y = x_trial - x, F_trial - F
+    accel_point(w, None, None, x_trial, F_trial)
+    refs = [weakref.ref(F_trial), weakref.ref(F)]
+    del F, F_trial
+    assert [ref() is None for ref in refs] == [True, True]
+    check_push(w, w.keep_trial(), s, y, solved_factored_trial=w._qr is not None)
+
+
+@pytest.mark.parametrize("n", [7, BLOCK_ROWS + 100])
+def test_second_solve_of_one_trial_pair_repeats_the_first(n):
+    # The factored layout reuses the trial column that the first solve formed.
+    w, _, _, x_trial, F_trial = window_and_trial(n)
+    first = accel_point(w, None, None, x_trial, F_trial).tobytes(), w.nu.tobytes(), w.rank
+    second = accel_point(w, None, None, x_trial, F_trial).tobytes(), w.nu.tobytes(), w.rank
+    assert second == first
+
+
+@pytest.mark.parametrize("n", [7, BLOCK_ROWS + 100])
+def test_matrices_with_reads_a_solved_trial_column(n):
+    # Before the solve the trial column is F_trial - F itself; after a
+    # factored solve it comes from the factors with the other columns.
+    w, x, F, x_trial, F_trial = window_and_trial(n)
+    S, Y = (M.copy() for M in w.matrices_with(None, None))
+    assert Y[:, -1].tobytes() == (F_trial - F).tobytes()
+    accel_point(w, None, None, x_trial, F_trial)
+    S_solved, Y_solved = w.matrices_with(None, None)
+    assert S_solved.tobytes() == S.tobytes()
+    assert S[:, -1].tobytes() == (x_trial - x).tobytes()
+    np.testing.assert_allclose(Y_solved, Y, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(Y_solved[:, -1], F_trial - F, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (10, 6), (BLOCK_ROWS, 1), (BLOCK_ROWS, 6)])

@@ -728,3 +728,25 @@ def test_console_script_smoke():
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["istop"] == 0
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_reader_that_stops_early_gets_no_traceback(unbuffered):
+    # ``dfsane solve ... --iprint 2 | head -1``: about 200 kB of iteration
+    # lines, more than a pipe and stdout's buffer hold, so the solve is
+    # still printing when the reader closes the pipe.
+    src = str(Path(dfsane.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "dfsane", "solve", "--problem",
+                             "broyden-tri", "--n", "20", "--epsf", "1e-300", "--maxit",
+                             "1000", "--iprint", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"Iter:  0")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
