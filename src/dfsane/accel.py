@@ -8,28 +8,29 @@ below use the rank rule of ``np.linalg.lstsq`` (LAPACK's SVD-based solver):
 the numerical rank counts the singular values of Y above
 ``eps * max(n, m) * sigma_max``.
 
-One solver iteration: ``trial_difference`` writes the trial pair, whose
-residuals (F_new, F) the window holds until its solve,
-``accel_point(window, None, None, x_trial, F(x_trial),
-out=window.spare_row())``.  That call (s, y = None, None stands for the
-trial pair) releases them and writes the extrapolated point, block by block,
-into the one row of S that no pair needs after the push.  ``keep_trial()``
-or ``push_difference`` pushes the pair of the point that won and returns
-(s'y, s's), all the next spectral step reads of it.  A pair from outside is
-written the same way, as the difference (s - 0, y - 0), which is (s, y) bit
-for bit: ``push_pair`` pushes it, ``keep_trial`` the trial pair's rows, and
-an extra pair given to ``accel_point`` or ``matrices_with`` becomes the
-trial pair.
+One solver iteration: ``trial_difference`` makes (x_trial - x, F_trial - F)
+the trial pair and holds those four vectors until the solve of
+``accel_point(window, None, None, x_trial, F_trial, out=window.spare_row())``.
+That call (s, y = None, None stands for the trial pair) releases them and
+writes the extrapolated point, by row chunks, into the row of S that the
+next push writes.  S holds the p pairs alone: the trial step x_trial - x is
+formed where it is read, as both points are alive there.
+``keep_trial(x_trial, x)`` or ``push_difference`` pushes the pair of the
+point that won and returns (s'y, s's), all the next spectral step reads of
+it.  A pair from outside is written the same way, as the difference
+(s - 0, y - 0), which is (s, y) bit for bit: ``push_pair`` pushes it, and an
+extra pair given to ``accel_point`` or ``matrices_with`` becomes the trial
+pair, which ``keep_trial(s, 0.0)`` pushes.
 
 Direct layout (n <= ``BLOCK_ROWS``).  The window keeps S and Y as
-preallocated row-major (p + 1) x n arrays, one row per pair, so nothing is
-restacked per call: pairs fill a ring of p rows and the trial pair goes into
-the row after them.  The n x m matrices are transposed (Fortran-ordered)
-views of the first m rows, and nu comes from one ``lstsq`` call on them
-(``rcond=None``).  Rows are in ring order, not in age order; the solution is
-invariant (in exact arithmetic) under a common column permutation of S and Y.
-A kept trial pair is copied into its ring slot only once the window is full:
-until then the trial row is the next slot.
+preallocated row-major p x n and (p + 1) x n arrays, one row per pair, so
+nothing is restacked per call: pairs fill a ring of p rows and the trial
+pair's y goes into the row of Y after them.  The n x m Y is a transposed
+(Fortran-ordered) view of its first m rows, and nu comes from one ``lstsq``
+call on it (``rcond=None``).  Rows are in ring order, not in age order; the
+solution is invariant (in exact arithmetic) under a common column
+permutation of S and Y.  A kept trial pair's y is copied into its ring slot
+only once the window is full: until then the trial row is the next slot.
 
 Factored layout (n > ``BLOCK_ROWS``).  S is kept as above, but Y is not
 stored.  Its rows array holds thin QR factors instead, kept per block of at
@@ -49,12 +50,11 @@ each block is in cache:
   small QR, R_i[:, 1:] = G_i T_i, and rotating Q_i by the same G_i, as
   sliding-window Anderson acceleration codes do (Walker & Ni, SIAM J. Numer.
   Anal. 49, 2011);
-- a trial column that is not kept is dropped by truncation; a second solve
-  of the same trial pair reuses it.
+- a trial column that is not kept is dropped by truncation.
 
 A pushed pair's y waits in the row after the factored columns until that
 pass orthogonalizes it in place; a kept trial pair's s'y is summed block
-by block as the pass forms its column, before Gram-Schmidt overwrites it.
+by block, with s from x_trial - x, as the pass forms its column.
 
 Y = diag(Q_1, Q_2, ...) [R_1; R_2; ...] with orthonormal columns, so nu is
 the ``lstsq`` solution of the stacked R against the stacked Q_i^T F(x_trial),
@@ -70,6 +70,10 @@ import math
 import numpy as np
 
 from .core import BLOCK_ROWS, EPS_MACH, Array
+
+# Columns per step of the rotation, rows per step of the extrapolated point.
+# Chunks of 1024 or more gave the whole product's bits on random shapes.
+_CHUNK, _POINT_ROWS = 2048, 4096
 
 
 class SecantWindow:
@@ -95,8 +99,8 @@ class SecantWindow:
         self._s_rows: Array | None = None
         self._y_rows: Array | None = None
         self._qr: _BlockQR | None = None
-        # (F_new, F) of the trial pair until its solve, then (); else None
-        self._trial: tuple[Array, Array] | tuple[()] | None = None
+        # (x_new, x, F_new, F) of the trial pair until its solve, then (); else None
+        self._trial: tuple[Array, ...] | None = None
 
     def push_pair(self, s: Array, y: Array) -> tuple[float, float]:
         """Push the pair (s, y), written as the difference (s - 0, y - 0)."""
@@ -116,89 +120,85 @@ class SecantWindow:
 
     def trial_difference(self, x_new: Array, x: Array, F_new: Array,
                          F: Array) -> None:
-        """Write the trial pair (x_new - x, F_new - F) into the row after the
-        pairs (its s alone in the factored layout, where a solve forms its y
-        block by block).  It is the extra pair that None, None stands for
-        until ``keep_trial`` pushes it, a push discards it or a new trial
-        pair (an outside extra pair too) replaces it.  (F_new, F) are held
-        until a solve with the pair."""
+        """Make (x_new - x, F_new - F) the trial pair, which None, None stands
+        for until ``keep_trial`` pushes it, a push discards it or a new trial
+        pair replaces it.  The direct layout writes its y row; the four
+        vectors are held until a solve with the pair, which forms the rest."""
         self._check(x_new.shape[0])
-        np.subtract(x_new, x, out=self._s_rows[self.count])
         if self._qr is None:
             np.subtract(F_new, F, out=self._y_rows[self.count])
         else:
             self._qr.truncate_trial()
-        self._trial = (F_new, F)
+        self._trial = (x_new, x, F_new, F)
 
-    def keep_trial(self) -> tuple[float, float]:
-        """Push the trial pair through ``push_difference`` as (s - 0, y - 0),
-        y = F_new - F while a factored trial is unsolved; a solved one keeps
-        its factor column and block-summed s'y (module docstring)."""
+    def keep_trial(self, x_new: Array, x: Array | float) -> tuple[float, float]:
+        """Push the trial pair with its s written as x_new - x (the trial
+        point and x; ``keep_trial(s, 0.0)`` for an outside pair).  Its y is
+        the trial row, or F_new - F while a factored trial is unsolved; a
+        solved one keeps its factor column and block-summed s'y."""
         if self._trial is None:
             raise ValueError("no trial pair to keep")
-        t, qr = self.count, self._qr
+        qr = self._qr
         if qr is None or self._trial:
-            y = (self._y_rows[t], 0.0) if qr is None else self._trial
-            return self.push_difference(self._s_rows[t], 0.0, *y)
+            y = (self._y_rows[self.count], 0.0) if qr is None else self._trial[2:]
+            return self.push_difference(x_new, x, *y)
         i, sty = self._pushes % self.capacity, qr.trial
         qr.trial = self._trial = None
-        self._s_rows[i] = self._s_rows[t]
+        np.subtract(x_new, x, out=self._s_rows[i])
         return self._advance(i, sty)
 
     def spare_row(self) -> Array:
-        """The row of S that no pair needs once the trial pair is pushed or
-        kept: the row after the trial pair while the window has room, else
-        the oldest pair's row, which the push overwrites.  It is free until
-        that push, but while the window is full it is still a column of S."""
-        i = self._pushes % self.capacity
-        return self._s_rows[i + 1 if i == self.count else i]
+        """The row of S that the next push writes: free while the window has
+        room, else the oldest pair's row, a column of S until that push."""
+        return self._s_rows[self._pushes % self.capacity]
 
     def matrices_with(self, s_extra: Array | None,
                       y_extra: Array | None) -> tuple[Array, Array]:
         """The window contents plus one extra pair as n x (count+1) matrices
         (S, Y), columns in the same order in both; s_extra, y_extra None
-        stands for the trial pair, and an outside pair becomes it.  S is a
-        view of the rows, valid until the next push or call.  Y is a view of
-        the stored rows in the direct layout; in the factored layout it is
-        formed from the factors on demand, as a new array."""
-        self._extra(s_extra, y_extra)
-        m = self.count + 1
-        S = self._s_rows[:m].T
+        stands for an unsolved trial pair, and an outside pair becomes it.
+        S is a new array.  Y is a view of the stored rows in the direct
+        layout, valid until the next push or call; in the factored layout it
+        is formed from the factors on demand, as a new array."""
+        x_new, x, F_new, F = self._extra(s_extra, y_extra)
+        S = np.vstack((self._s_rows[:self.count], x_new - x))
         if self._qr is None:
-            return S, self._y_rows[:m].T
-        Y, columns = np.empty((m, S.shape[0])), self._qr.columns()
-        Y[(self._order() + [m - 1])[:len(columns)]] = columns
-        if self._trial:
-            np.subtract(*self._trial, out=Y[m - 1])
-        return S, Y.T
+            return S.T, self._y_rows[:self.count + 1].T
+        Y = np.empty_like(S)
+        Y[self._order()] = self._qr.columns()
+        np.subtract(F_new, F, out=Y[-1])
+        return S.T, Y.T
 
-    def _solve(self, s: Array | None, y: Array | None, b: Array) -> Array:
+    def _solve(self, s: Array | None, y: Array | None, b: Array) -> tuple[Array, ...]:
         """Keep nu, the minimum-norm least-squares solution of Y nu = b, and
-        Y's rank, with S and Y as ``matrices_with(s, y)`` gives them; return S.
-        Release the trial residuals; the first solve with a trial pair
-        factors its y as the trial column in the factored layout."""
-        self._extra(s, y)
+        Y's rank, with S and Y as ``matrices_with(s, y)`` gives them (the
+        factored layout factors the trial's y as the trial column).  Release
+        the trial pair and return S's pair rows and the trial's (x_new, x)."""
+        x_new, x, F_new, F = self._extra(s, y)
         m = self.count + 1
         qr = self._qr
         if qr is None:
             nu, _, rank, _ = np.linalg.lstsq(self._y_rows[:m].T, b, rcond=None)
         else:
-            Qb = qr.update(self._trial and (self._s_rows[m - 1], *self._trial), b)
+            Qb = qr.update((x_new, x, F_new, F), b)
             nu_age, _, rank, _ = np.linalg.lstsq(
                 qr.R[:, :m, :m].reshape(-1, m), Qb.reshape(-1),
-                rcond=EPS_MACH * max(self._s_rows.shape[1], m))
+                rcond=EPS_MACH * max(x_new.shape[0], m))
             nu = np.empty(m)
             nu[self._order() + [m - 1]] = nu_age
         self.nu, self.rank, self._trial = nu, int(rank), ()
-        return self._s_rows[:m].T
+        return self._s_rows[:m - 1], x_new, x
 
-    def _extra(self, s: Array | None, y: Array | None) -> None:
-        """Make (s, y) the extra pair of a solve: s, y = None, None stands
-        for the trial pair, and an outside pair becomes the trial pair."""
+    def _extra(self, s: Array | None, y: Array | None) -> tuple[Array, Array, Array, Array]:
+        """Make (s, y) the extra pair of a solve and return the trial's
+        (x_new, x, F_new, F): None, None stands for the trial pair, which a
+        solve releases, and an outside pair becomes the trial pair."""
         if s is not None or y is not None:
             self.trial_difference(*self._outside(s, y))
-        elif self._trial is None:
-            raise ValueError("s and y are None but there is no trial pair")
+        elif not self._trial:
+            raise ValueError("s and y are None but there is no trial pair"
+                             if self._trial is None else "the trial pair was solved")
+        return self._trial
 
     def _advance(self, i: int, sty: float) -> tuple[float, float]:
         """Count a push (s in row i, s'y = ``sty``) and return (s'y, s's); in
@@ -218,8 +218,8 @@ class SecantWindow:
         """Check the pair length n; the first one allocates the rows and
         fixes the layout."""
         if self._s_rows is None:
-            self._s_rows = np.empty((self.capacity + 1, n))
-            self._y_rows = np.empty_like(self._s_rows)
+            self._s_rows = np.empty((self.capacity, n))
+            self._y_rows = np.empty((self.capacity + 1, n))
             if n > BLOCK_ROWS and 2 * (self.capacity + 1) <= BLOCK_ROWS:
                 self._qr = _BlockQR(self._y_rows)
         elif n != self._s_rows.shape[1]:
@@ -283,18 +283,19 @@ class _BlockQR:
         if not m:
             self.k = 0
 
-    def update(self, trial: tuple[Array, Array, Array] | None = None,
+    def update(self, trial: tuple[Array, Array, Array, Array] | None = None,
                b: Array | None = None) -> Array | None:
         """One pass over the blocks.  In each block: rotate Q for a pending
-        drop, factor the held column, then with ``trial`` = (s, F_new, F)
-        append the column y = F_new - F, formed in its row and its s'y summed
-        into ``self.trial`` first, and with ``b`` return the stacked Q_i^T b."""
+        drop (``_rotate``), factor the held column, then with ``trial`` =
+        (x_new, x, F_new, F) append the column y = F_new - F, formed in its
+        row and its s'y (s = x_new - x) summed into ``self.trial`` first, and
+        with ``b`` return the stacked Q_i^T b."""
         Q, R = self.rows, self.R
         m, k = self.m, self.k
         rotate = k > m
         if rotate:
             G, R[:, :m, :m] = np.linalg.qr(R[:, :k, :m])
-            Gt = G.transpose(0, 2, 1)
+            Gt, buf = G.transpose(0, 2, 1), np.empty((m, _CHUNK))
         new = [] if self.held is None else [Q[self.held]]
         t = m + len(new)
         if trial:
@@ -306,12 +307,12 @@ class _BlockQR:
         Qb = None if b is None else np.empty((len(self.blocks), m + len(new)))
         for i, (j0, j1) in enumerate(self.blocks):
             if rotate:
-                # numpy buffers an output that overlaps an input
-                np.matmul(Gt[i], Q[:k, j0:j1], out=Q[:m, j0:j1])
+                _rotate(Gt[i], Q[:k, j0:j1], buf)
             for j, v in enumerate(new, start=m):
                 if j == t:
-                    np.subtract(trial[1][j0:j1], trial[2][j0:j1], out=v[j0:j1])
-                    self.trial += float(trial[0][j0:j1].dot(v[j0:j1]))
+                    np.subtract(trial[2][j0:j1], trial[3][j0:j1], out=v[j0:j1])
+                    s = np.subtract(trial[0][j0:j1], trial[1][j0:j1], out=work[:j1 - j0])
+                    self.trial += float(s.dot(v[j0:j1]))
                 _orthonormalize(Q[:j, j0:j1], v[j0:j1], Q[j, j0:j1], R[i, :j + 1, j],
                                 work[:j1 - j0])
             if Qb is not None:
@@ -321,8 +322,8 @@ class _BlockQR:
         return Qb
 
     def columns(self) -> Array:
-        """Every factored column of Y (a solved trial column too), then the
-        held one, as the rows of a new array."""
+        """Every factored column of Y, then the held one, as the rows of a
+        new array."""
         m, k = self.m, self.k
         Y = np.empty((m + (self.held is not None), self.rows.shape[1]))
         for i, (j0, j1) in enumerate(self.blocks):
@@ -330,6 +331,14 @@ class _BlockQR:
         if self.held is not None:
             Y[m] = self.rows[self.held]
         return Y
+
+
+def _rotate(G: Array, Q: Array, buf: Array) -> None:
+    """Write G @ Q over Q's first len(G) rows, ``_CHUNK`` columns at a time
+    through ``buf``: the whole product's bits, with m rows of scratch."""
+    for j in range(0, Q.shape[1], _CHUNK):
+        cols = slice(j, j + _CHUNK)
+        Q[:len(G), cols] = np.matmul(G, Q[:, cols], out=buf[:, :min(_CHUNK, Q.shape[1] - j)])
 
 
 def _orthonormalize(Q: Array, y: Array, q: Array, r: Array, work: Array) -> None:
@@ -380,15 +389,20 @@ def accel_point(window: SecantWindow, s_k: Array | None, y_k: Array | None,
     (s_k, y_k); s_k, y_k = None, None stands for the window's trial pair.
 
     Performs no residual evaluation; the window keeps nu and the rank.  The
-    point is written by row blocks of ``BLOCK_ROWS`` through one block buffer
-    into ``out``, or a new array, each block's rows of S read before they are
-    written, so the solver's ``window.spare_row()`` (at a full window a column
-    of S) costs no n-vector; a block's S nu sums the same m columns as the
-    whole product, bit for bit.  Copy the point out before the push."""
-    S, n = window._solve(s_k, y_k, F_trial), x_trial.shape[0]
+    point is written into ``out``, or a new array, by row chunks of
+    ``_POINT_ROWS``, each chunk's rows of S first copied into one m x chunk
+    buffer: the pairs' rows and the trial step x_new - x.  So the solver's
+    ``window.spare_row()`` (at a full window a column of S) costs no
+    n-vector, and a chunk's S nu sums the same m columns as the whole
+    product, bit for bit.  Copy the point out before the push."""
+    pairs, x_new, x = window._solve(s_k, y_k, F_trial)
+    n, m, nu = x_trial.shape[0], len(pairs) + 1, window.nu
     out = np.empty_like(x_trial) if out is None else out
-    buf = np.empty(min(n, BLOCK_ROWS))
-    for j in range(0, n, BLOCK_ROWS):
-        rows, c = slice(j, j + BLOCK_ROWS), min(BLOCK_ROWS, n - j)
-        np.subtract(x_trial[rows], np.matmul(S[rows], window.nu, out=buf[:c]), out=out[rows])
+    buf = np.empty((m, min(n, _POINT_ROWS)))
+    for j in range(0, n, _POINT_ROWS):
+        rows, c = slice(j, j + _POINT_ROWS), min(_POINT_ROWS, n - j)
+        buf[:m - 1, :c] = pairs[:, rows]
+        np.subtract(x_new[rows], x[rows], out=buf[m - 1, :c])
+        np.matmul(buf[:, :c].T, nu, out=out[rows])
+        np.subtract(x_trial[rows], out[rows], out=out[rows])
     return out

@@ -139,9 +139,9 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                     x_new = None  # rebuilt if the trial wins; not held through the evaluation
                     F_accel, f_accel = ev.evaluate(x_accel)
                     # The kept point's pair joins the window; the trial pair
-                    # keeps its row and factor column.  x_accel lives in a row
-                    # that the push or the next trial pair overwrites: a winning
-                    # one is copied out once the trial F is released.
+                    # keeps its y row or factor column.  x_accel lives in the
+                    # row that the push overwrites: a winning one is copied
+                    # out once the trial F is released.
                     if f_accel < f_new:
                         F_new, f_new, accepted = F_accel, f_accel, "accel"
                         x_new = x_accel.copy()
@@ -150,7 +150,7 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                         ev.drop(F_accel)
                         F_accel = None
                         x_new = probe_point(x, F, sigma, alpha, direction)
-                        pair = window.keep_trial()
+                        pair = window.keep_trial(x_new, x)
                 else:
                     pair = secant_pair(x_new, x, F_new, F)
 

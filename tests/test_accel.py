@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from dfsane.accel import BLOCK_ROWS, SecantWindow, accel_point
+from dfsane.accel import _CHUNK, BLOCK_ROWS, SecantWindow, _rotate, accel_point
 
 
 def pinv_solution(Y, b):
@@ -158,7 +158,7 @@ def test_differences_written_in_place_match_pushed_copies(capacity):
             products = w.push_difference(x_new, x, F_new, F)
         else:
             x_new, F_new = x_trial, F_trial
-            products = w.keep_trial()
+            products = w.keep_trial(x_new, x)
         assert products == ref.push_pair(x_new - x, F_new - F)
         check_push(w, products, x_new - x, F_new - F)
         x, F = x_new, F_new
@@ -287,6 +287,27 @@ def test_blocked_kernel_matches_direct_lstsq(case):
     np.testing.assert_allclose(nu, want, rtol=1e-10, atol=0.0)
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_chunked_rotation_is_the_whole_block_product(m):
+    # A pass that drops the oldest column rotates each block's k = m + 1 Q
+    # rows by G_i^T, _CHUNK columns at a time through an m x _CHUNK buffer;
+    # it writes the bits of one whole-block product over the first m rows.
+    # Block widths: BLOCK_ROWS, the widths at n = 1e6 and 1e5, and a short
+    # last chunk.
+    rng = np.random.default_rng(m)
+    k = m + 1
+    G = np.linalg.qr(rng.standard_normal((4, k, m)))[0].transpose(0, 2, 1)
+    for i, width in enumerate([BLOCK_ROWS, 15_625, 14_286, 2 * _CHUNK + 5]):
+        rows = rng.standard_normal((k + 1, 3 * width))    # blocks side by side
+        before = rows.copy()
+        block = rows[:k, width:2 * width]
+        want = np.matmul(G[i], block)
+        _rotate(G[i], block, np.empty((m, _CHUNK)))
+        assert rows[:m, width:2 * width].tobytes() == want.tobytes()
+        rows[:m, width:2 * width] = before[:m, width:2 * width]
+        assert rows.tobytes() == before.tobytes()
+
+
 def factor_orthogonality(w):
     """max over blocks of |Q_i^T Q_i - I| for the window's factored columns."""
     qr = w._qr
@@ -329,7 +350,7 @@ def test_factored_window_follows_the_solver_steps(capacity):
             products = w.push_difference(x_new, x, F_new, F)
         else:
             x_new, F_new = x_trial, F_trial
-            products = w.keep_trial()
+            products = w.keep_trial(x_new, x)
         pairs = (pairs + [(x_new - x, F_new - F)])[-capacity:]
         check_push(w, products, *pairs[-1], solved_factored_trial=step % 2 == 0)
         assert factor_orthogonality(w) <= 1e-13
@@ -366,8 +387,8 @@ def test_factored_window_slides_over_pushed_pairs():
 def test_keep_trial_pushes_only_a_pending_trial_pair(n):
     # keep_trial needs a trial pair that no push has discarded since
     # trial_difference; with or without a solve in between, it pushes the
-    # same pair.  An outside extra pair replaces the trial pair, so
-    # keep_trial then pushes the outside pair.
+    # same pair, given the trial point and x.  An outside extra pair
+    # replaces the trial pair, so keep_trial(s, 0.0) then pushes it.
     capacity = 3
     rng = np.random.default_rng(n)
     pairs = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(capacity + 1)]
@@ -382,9 +403,9 @@ def test_keep_trial_pushes_only_a_pending_trial_pair(n):
         return w
 
     with pytest.raises(ValueError, match="no trial pair"):
-        SecantWindow(capacity).keep_trial()
+        SecantWindow(capacity).keep_trial(x_trial, x)
     with pytest.raises(ValueError, match="no trial pair"):
-        window().keep_trial()
+        window().keep_trial(x_trial, x)
     discards = {
         "push_pair": lambda w: w.push_pair(s_out, y_out),
         "push_difference": lambda w: w.push_difference(x_next, x, F_next, F),
@@ -394,7 +415,7 @@ def test_keep_trial_pushes_only_a_pending_trial_pair(n):
         w.trial_difference(x_trial, x, F_trial, F)
         discard(w)
         with pytest.raises(ValueError, match="no trial pair"):
-            w.keep_trial()
+            w.keep_trial(x_trial, x)
         with pytest.raises(ValueError, match="no trial pair"):
             accel_point(w, None, None, x_trial, F_trial)
 
@@ -419,9 +440,10 @@ def test_keep_trial_pushes_only_a_pending_trial_pair(n):
         w = window()
         w.trial_difference(x_trial, x, F_trial, F)
         before_keep(w)
-        kept = w.keep_trial()
+        ends = (x_trial, x) if pair is trial else (s_out, 0.0)
+        kept = w.keep_trial(*ends)
         with pytest.raises(ValueError, match="no trial pair"):
-            w.keep_trial()
+            w.keep_trial(*ends)
         check_push(w, kept, *pair, solved_factored_trial=solved and w._qr is not None)
         want, want_rank = reference_step((pairs + [pair])[-capacity:], x_next - x_trial,
                                          F_next - F_trial, x_next, F_next)
@@ -437,7 +459,7 @@ def test_keep_trial_pushes_only_a_pending_trial_pair(n):
 def test_kept_factored_trial_writes_only_its_own_row_of_S(pushes):
     # A solve sums the trial pair's s'y block by block as it forms the trial
     # column, so keep_trial forms no y: of S it writes only the kept pair's
-    # ring row (a copy of the trial row), before and after the window fills.
+    # ring row (x_trial - x), before and after the window fills.
     n, capacity = BLOCK_ROWS + 100, 3
     rng = np.random.default_rng(pushes)
     w = SecantWindow(capacity)
@@ -447,9 +469,9 @@ def test_kept_factored_trial_writes_only_its_own_row_of_S(pushes):
     w.trial_difference(x_trial, x, F_trial, F)
     accel_point(w, None, None, x_trial, F_trial)
     before, i = w._s_rows.copy(), pushes % capacity
-    sty, sts = w.keep_trial()
+    sty, sts = w.keep_trial(x_trial, x)
     s, y = x_trial - x, F_trial - F
-    others = [r for r in range(capacity + 1) if r != i]
+    others = [r for r in range(capacity) if r != i]
     assert w._s_rows[others].tobytes() == before[others].tobytes()
     assert w._s_rows[i].tobytes() == s.tobytes()
     assert sts.hex() == float(s.dot(s)).hex()
@@ -480,7 +502,7 @@ def test_point_in_the_spare_row_matches_a_new_array(capacity, n):
             products = [v.push_difference(x_new, x, F_new, F) for v in (w, twin)]
         else:
             x_new, F_new = x_trial, F_trial
-            products = [v.keep_trial() for v in (w, twin)]
+            products = [v.keep_trial(x_new, x) for v in (w, twin)]
         assert products[0] == products[1]
         zero = np.zeros(n)
         assert ([M.tobytes() for M in w.matrices_with(zero, zero)]
@@ -530,15 +552,15 @@ def full_window_with_trial(rng, n, capacity=5):
 
 @pytest.mark.parametrize("n", [BLOCK_ROWS + 3, 50_000])
 def test_blocked_point_in_the_spare_row_is_the_whole_product(n):
-    # The point is formed by row blocks of BLOCK_ROWS, in the spare row each
-    # block reading its rows of the oldest column before writing them; both
-    # sizes end on a short block (3 and 848 rows).  A twin window given no
-    # out leaves its S whole, so x_trial - S nu can be formed in one product.
+    # The point is formed by row chunks, in the spare row each chunk's rows
+    # of the oldest column copied before they are written; both sizes end
+    # on a short chunk.  A twin window given no out leaves its S whole, and
+    # S, taken before its solve, gives x_trial - S nu in one product.
     w, x_trial, F_trial = full_window_with_trial(np.random.default_rng(n), n)
     twin, _, _ = full_window_with_trial(np.random.default_rng(n), n)
     assert w._qr is not None
-    new_array = accel_point(twin, None, None, x_trial, F_trial)
     S, _ = twin.matrices_with(None, None)
+    new_array = accel_point(twin, None, None, x_trial, F_trial)
     whole = x_trial - np.matmul(S, twin.nu)
     got = accel_point(w, None, None, x_trial, F_trial, out=w.spare_row())
     assert got.tobytes() == whole.tobytes() == new_array.tobytes()
@@ -584,31 +606,42 @@ def test_solve_releases_the_trial_residuals(n):
     refs = [weakref.ref(F_trial), weakref.ref(F)]
     del F, F_trial
     assert [ref() is None for ref in refs] == [True, True]
-    check_push(w, w.keep_trial(), s, y, solved_factored_trial=w._qr is not None)
+    check_push(w, w.keep_trial(x_trial, x), s, y, solved_factored_trial=w._qr is not None)
 
 
 @pytest.mark.parametrize("n", [7, BLOCK_ROWS + 100])
-def test_second_solve_of_one_trial_pair_repeats_the_first(n):
-    # The factored layout reuses the trial column that the first solve formed.
-    w, _, _, x_trial, F_trial = window_and_trial(n)
-    first = accel_point(w, None, None, x_trial, F_trial).tobytes(), w.nu.tobytes(), w.rank
-    second = accel_point(w, None, None, x_trial, F_trial).tobytes(), w.nu.tobytes(), w.rank
-    assert second == first
-
-
-@pytest.mark.parametrize("n", [7, BLOCK_ROWS + 100])
-def test_matrices_with_reads_a_solved_trial_column(n):
-    # Before the solve the trial column is F_trial - F itself; after a
-    # factored solve it comes from the factors with the other columns.
+def test_solve_releases_the_trial_point(n):
+    # S has no row for the trial step: it is formed from x_trial - x where
+    # it is read, and the solve lets go of x_trial with the residuals, so a
+    # caller that drops x_trial frees it.  keep_trial takes the rebuilt one.
     w, x, F, x_trial, F_trial = window_and_trial(n)
-    S, Y = (M.copy() for M in w.matrices_with(None, None))
+    s, y, rebuilt = x_trial - x, F_trial - F, x_trial.copy()
+    accel_point(w, None, None, x_trial, F_trial, out=w.spare_row())
+    ref = weakref.ref(x_trial)
+    del x_trial
+    assert ref() is None
+    check_push(w, w.keep_trial(rebuilt, x), s, y, solved_factored_trial=w._qr is not None)
+
+
+@pytest.mark.parametrize("n", [7, BLOCK_ROWS + 100])
+def test_second_solve_of_one_trial_pair_raises(n):
+    # The first solve released the trial point, so there is no s to form.
+    w, _, _, x_trial, F_trial = window_and_trial(n)
+    accel_point(w, None, None, x_trial, F_trial)
+    with pytest.raises(ValueError, match="trial pair was solved"):
+        accel_point(w, None, None, x_trial, F_trial)
+
+
+@pytest.mark.parametrize("n", [7, BLOCK_ROWS + 100])
+def test_matrices_with_the_trial_pair_raises_after_its_solve(n):
+    # Before the solve the trial columns are x_trial - x and F_trial - F.
+    w, x, F, x_trial, F_trial = window_and_trial(n)
+    S, Y = w.matrices_with(None, None)
+    assert S[:, -1].tobytes() == (x_trial - x).tobytes()
     assert Y[:, -1].tobytes() == (F_trial - F).tobytes()
     accel_point(w, None, None, x_trial, F_trial)
-    S_solved, Y_solved = w.matrices_with(None, None)
-    assert S_solved.tobytes() == S.tobytes()
-    assert S[:, -1].tobytes() == (x_trial - x).tobytes()
-    np.testing.assert_allclose(Y_solved, Y, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(Y_solved[:, -1], F_trial - F, rtol=0.0, atol=1e-12)
+    with pytest.raises(ValueError, match="trial pair was solved"):
+        w.matrices_with(None, None)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (10, 6), (BLOCK_ROWS, 1), (BLOCK_ROWS, 6)])
