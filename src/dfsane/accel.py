@@ -8,27 +8,27 @@ below use the rank rule of ``np.linalg.lstsq`` (LAPACK's SVD-based solver):
 the numerical rank counts the singular values of Y above
 ``eps * max(n, m) * sigma_max``.
 
-One solver iteration: ``trial_difference`` makes (x_trial - x, F_trial - F)
-the trial pair and holds those four vectors until the solve of
-``accel_point(window, None, None, x_trial, F_trial, out=window.spare_row())``.
-That call (s, y = None, None stands for the trial pair) releases them and
-writes the extrapolated point, by row chunks, into the row of S that the
-next push writes.  S holds the p pairs alone: the trial step x_trial - x is
-formed where it is read, as both points are alive there.
-``keep_trial(x_trial, x)`` or ``push_difference`` pushes the pair of the
-point that won and returns (s'y, s's), all the next spectral step reads of
-it.  A pair from outside is written the same way, as the difference
-(s - 0, y - 0), which is (s, y) bit for bit: ``push_pair`` pushes it, and an
-extra pair given to ``accel_point`` or ``matrices_with`` becomes the trial
-pair, which ``keep_trial(s, 0.0)`` pushes.
+Each trial pair has one lifecycle.  ``trial_difference(x_trial, x,
+F_trial, F)`` holds the four vectors.  The solve,
+``accel_point(window, None, None, x_trial, F_trial, out=window.spare_row())``,
+forms the pair's y, releases the vectors and writes the extrapolated point,
+by row chunks, into the row of S that the next push writes.  S holds the p
+pairs alone: the trial step x_trial - x is formed where it is read, as both
+points are alive there.  Then ``keep_trial(x_trial, x)`` pushes the solved
+pair, or ``push_difference`` pushes the pair of the point that won instead;
+a push returns (s'y, s's), all the next spectral step reads of it.  An
+outside pair is the difference (s - 0, y - 0), which is (s, y) bit for bit:
+``push_pair`` pushes it, ``accel_point`` given it solves it as the trial
+pair (``keep_trial(s, 0.0)`` pushes it), and ``matrices_with`` only reads
+the window with it.
 
 Direct layout (n <= ``BLOCK_ROWS``).  The window keeps S and Y as
 preallocated row-major p x n and (p + 1) x n arrays, one row per pair, so
-nothing is restacked per call: pairs fill a ring of p rows and the trial
-pair's y goes into the row of Y after them.  The n x m Y is a transposed
-(Fortran-ordered) view of its first m rows, and nu comes from one ``lstsq``
-call on it (``rcond=None``).  Rows are in ring order, not in age order; the
-solution is invariant (in exact arithmetic) under a common column
+nothing is restacked per call: pairs fill a ring of p rows and the solve
+writes the trial pair's y into the row of Y after them.  The n x m Y is a
+transposed (Fortran-ordered) view of its first m rows, and nu comes from one
+``lstsq`` call on it (``rcond=None``).  Rows are in ring order, not in age
+order; the solution is invariant (in exact arithmetic) under a common column
 permutation of S and Y.  A kept trial pair's y is copied into its ring slot
 only once the window is full: until then the trial row is the next slot.
 
@@ -121,27 +121,20 @@ class SecantWindow:
     def trial_difference(self, x_new: Array, x: Array, F_new: Array,
                          F: Array) -> None:
         """Make (x_new - x, F_new - F) the trial pair, which None, None stands
-        for until ``keep_trial`` pushes it, a push discards it or a new trial
-        pair replaces it.  The direct layout writes its y row; the four
-        vectors are held until a solve with the pair, which forms the rest."""
+        for until its solve; a push or a new trial pair discards it.  The four
+        vectors are held until that solve, which forms the pair."""
         self._check(x_new.shape[0])
-        if self._qr is None:
-            np.subtract(F_new, F, out=self._y_rows[self.count])
-        else:
-            self._qr.truncate_trial()
         self._trial = (x_new, x, F_new, F)
 
     def keep_trial(self, x_new: Array, x: Array | float) -> tuple[float, float]:
-        """Push the trial pair with its s written as x_new - x (the trial
-        point and x; ``keep_trial(s, 0.0)`` for an outside pair).  Its y is
-        the trial row, or F_new - F while a factored trial is unsolved; a
-        solved one keeps its factor column and block-summed s'y."""
-        if self._trial is None:
-            raise ValueError("no trial pair to keep")
+        """Push the solved trial pair with its s written as x_new - x (the
+        trial point and x; ``keep_trial(s, 0.0)`` for an outside pair).  Its
+        y is the trial row, or its factor column and block-summed s'y."""
+        if self._trial is None or self._trial:
+            raise ValueError("no solved trial pair to keep")
         qr = self._qr
-        if qr is None or self._trial:
-            y = (self._y_rows[self.count], 0.0) if qr is None else self._trial[2:]
-            return self.push_difference(x_new, x, *y)
+        if qr is None:
+            return self.push_difference(x_new, x, self._y_rows[self.count], 0.0)
         i, sty = self._pushes % self.capacity, qr.trial
         qr.trial = self._trial = None
         np.subtract(x_new, x, out=self._s_rows[i])
@@ -152,32 +145,37 @@ class SecantWindow:
         room, else the oldest pair's row, a column of S until that push."""
         return self._s_rows[self._pushes % self.capacity]
 
-    def matrices_with(self, s_extra: Array | None,
-                      y_extra: Array | None) -> tuple[Array, Array]:
-        """The window contents plus one extra pair as n x (count+1) matrices
-        (S, Y), columns in the same order in both; s_extra, y_extra None
-        stands for an unsolved trial pair, and an outside pair becomes it.
-        S is a new array.  Y is a view of the stored rows in the direct
-        layout, valid until the next push or call; in the factored layout it
-        is formed from the factors on demand, as a new array."""
-        x_new, x, F_new, F = self._extra(s_extra, y_extra)
-        S = np.vstack((self._s_rows[:self.count], x_new - x))
-        if self._qr is None:
-            return S.T, self._y_rows[:self.count + 1].T
-        Y = np.empty_like(S)
-        Y[self._order()] = self._qr.columns()
-        np.subtract(F_new, F, out=Y[-1])
+    def matrices_with(self, s: Array, y: Array) -> tuple[Array, Array]:
+        """The window's pairs plus the outside pair (s, y) as new n x
+        (count+1) matrices (S, Y), columns in the same order in both.  It
+        only reads the window; the factored layout forms Y from the factors."""
+        s, _, y, _ = self._outside(s, y)
+        S, Y = np.empty((2, self.count + 1, s.shape[0]))
+        S[-1], Y[-1] = s, y
+        if self._s_rows is not None:
+            self._check(s.shape[0])
+            S[:-1] = self._s_rows[:self.count]
+            if self._qr is None:
+                Y[:-1] = self._y_rows[:self.count]
+            else:
+                Y[self._order()] = self._qr.columns()
         return S.T, Y.T
 
     def _solve(self, s: Array | None, y: Array | None, b: Array) -> tuple[Array, ...]:
         """Keep nu, the minimum-norm least-squares solution of Y nu = b, and
-        Y's rank, with S and Y as ``matrices_with(s, y)`` gives them (the
-        factored layout factors the trial's y as the trial column).  Release
-        the trial pair and return S's pair rows and the trial's (x_new, x)."""
-        x_new, x, F_new, F = self._extra(s, y)
+        Y's rank, with the trial pair last: an outside (s, y), or the unsolved
+        one for None, None.  Form its y (a row, or the trial column), release
+        it and return S's pair rows and the trial's (x_new, x)."""
+        if s is not None or y is not None:
+            self.trial_difference(*self._outside(s, y))
+        elif not self._trial:
+            raise ValueError("s and y are None but there is no trial pair"
+                             if self._trial is None else "the trial pair was solved")
+        x_new, x, F_new, F = self._trial
         m = self.count + 1
         qr = self._qr
         if qr is None:
+            np.subtract(F_new, F, out=self._y_rows[m - 1])
             nu, _, rank, _ = np.linalg.lstsq(self._y_rows[:m].T, b, rcond=None)
         else:
             Qb = qr.update((x_new, x, F_new, F), b)
@@ -188,17 +186,6 @@ class SecantWindow:
             nu[self._order() + [m - 1]] = nu_age
         self.nu, self.rank, self._trial = nu, int(rank), ()
         return self._s_rows[:m - 1], x_new, x
-
-    def _extra(self, s: Array | None, y: Array | None) -> tuple[Array, Array, Array, Array]:
-        """Make (s, y) the extra pair of a solve and return the trial's
-        (x_new, x, F_new, F): None, None stands for the trial pair, which a
-        solve releases, and an outside pair becomes the trial pair."""
-        if s is not None or y is not None:
-            self.trial_difference(*self._outside(s, y))
-        elif not self._trial:
-            raise ValueError("s and y are None but there is no trial pair"
-                             if self._trial is None else "the trial pair was solved")
-        return self._trial
 
     def _advance(self, i: int, sty: float) -> tuple[float, float]:
         """Count a push (s in row i, s'y = ``sty``) and return (s'y, s's); in
@@ -227,7 +214,7 @@ class SecantWindow:
 
     def _outside(self, s: Array, y: Array) -> tuple[Array, Array, Array, Array]:
         """The outside pair (s, y) as the difference (s - 0, y - 0), in
-        float64 with a zero-stride zero; the method it feeds checks the length."""
+        float64 with a zero-stride zero; the caller checks the length."""
         s = np.asarray(s, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if s.shape != y.shape or s.ndim != 1:
@@ -261,6 +248,7 @@ class _BlockQR:
         self.trial: float | None = None
 
     def truncate_trial(self) -> None:
+        """Drop the trial column, if there is one."""
         if self.trial is not None:
             self.m -= 1
             self.k -= 1
@@ -289,7 +277,9 @@ class _BlockQR:
         drop (``_rotate``), factor the held column, then with ``trial`` =
         (x_new, x, F_new, F) append the column y = F_new - F, formed in its
         row and its s'y (s = x_new - x) summed into ``self.trial`` first, and
-        with ``b`` return the stacked Q_i^T b."""
+        with ``b`` return the stacked Q_i^T b.  A stale trial column is
+        dropped first."""
+        self.truncate_trial()
         Q, R = self.rows, self.R
         m, k = self.m, self.k
         rotate = k > m
@@ -322,9 +312,9 @@ class _BlockQR:
         return Qb
 
     def columns(self) -> Array:
-        """Every factored column of Y, then the held one, as the rows of a
-        new array."""
-        m, k = self.m, self.k
+        """Every factored pair column of Y (the trial column left out), then
+        the held one, as the rows of a new array."""
+        m, k = (self.m, self.k) if self.trial is None else (self.m - 1, self.k - 1)
         Y = np.empty((m + (self.held is not None), self.rows.shape[1]))
         for i, (j0, j1) in enumerate(self.blocks):
             Y[:m, j0:j1] = self.R[i, :k, :m].T @ self.rows[:k, j0:j1]

@@ -9,6 +9,11 @@ from .core import BLOCK_ROWS, EPS_MACH, Array
 # Safeguards of the spectral coefficient (La Cruz, Martinez & Raydan, 2006).
 SIGMA_MIN = math.sqrt(EPS_MACH)
 SIGMA_MAX = 1.0 / math.sqrt(EPS_MACH)
+# Upper bound on |s's / s'y| for the spectral value to be taken.  La Cruz,
+# Martinez & Raydan (2006) and SciPy's df-sane accept it up to SIGMA_MAX;
+# this bound was in the package's first version with no source given.  It
+# may come from Birgin & Martinez (SIAM J. Numer. Anal., 2022), unchecked.
+SIGMA_SPG_MAX = 1.0
 
 
 def sigma_k(pair: tuple[float, float] | None, x: Array, f: float) -> float:
@@ -17,10 +22,11 @@ def sigma_k(pair: tuple[float, float] | None, x: Array, f: float) -> float:
     ``pair`` is (s'y, s's) for the newest secant pair, the differences s
     and y of the current iterate and its residual from the previous ones,
     None at the first iteration.  When it is given, the spectral value
-    s's / s'y is returned unchanged whenever |sigma| lies in [SIGMA_MIN, 1]
-    (SIGMA_MAX > 1).  Otherwise, and always at the first iteration, the
-    fallback max(SIGMA_MIN, min(||x|| / ||F||, SIGMA_MAX)) is used, with
-    ||x|| replaced by 1 when the current point is the origin.
+    s's / s'y is returned unchanged whenever |sigma| lies in [SIGMA_MIN,
+    SIGMA_SPG_MAX] (SIGMA_SPG_MAX = 1 < SIGMA_MAX).  Otherwise, and always
+    at the first iteration, the fallback max(SIGMA_MIN, min(||x|| / ||F||,
+    SIGMA_MAX)) is used, with ||x|| replaced by 1 when the current point is
+    the origin.
 
     ``x`` is the current iterate, a 1-D float64 ndarray, and ``f`` its
     finite merit value ``F.dot(F)``, so ||F|| is ``math.sqrt(f)``.  ||x||
@@ -32,7 +38,7 @@ def sigma_k(pair: tuple[float, float] | None, x: Array, f: float) -> float:
     sty, sts = pair or (0.0, 0.0)  # s'y = 0 takes the fallback too
     if sty != 0.0:
         sigma_spg = sts / sty
-        if SIGMA_MIN <= abs(sigma_spg) <= 1.0:
+        if SIGMA_MIN <= abs(sigma_spg) <= SIGMA_SPG_MAX:
             return sigma_spg
     rho = math.sqrt(x.dot(x))
     if rho == 0.0:

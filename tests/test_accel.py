@@ -50,7 +50,7 @@ def check_push(w, products, s, y, solved_factored_trial=False):
     and y into the newest columns of S and Y, all bit for bit.  A kept trial
     that a factored solve formed is not stored whole: its s'y is a sum over
     blocks and its y comes from the factors, so both are checked to a
-    tolerance.  Leaves an outside pair of zeros as the trial pair."""
+    tolerance."""
     assert all(type(v) is float for v in products)
     want = (float(s.dot(y)), float(s.dot(s)))
     S, Y = w.matrices_with(np.zeros_like(s), np.zeros_like(y))
@@ -136,13 +136,17 @@ def test_matrices_with_rejects_mismatched_extra_pair():
         accel_point(w, np.array([9.0]), np.array([7.0]), np.zeros(2), np.ones(2))
     with pytest.raises(ValueError):
         w.matrices_with(np.zeros(2), np.zeros(3))
+    w = SecantWindow(2)                      # a trial pair, no pushed pair yet
+    w.trial_difference(np.zeros(2), np.zeros(2), np.ones(2), np.zeros(2))
+    with pytest.raises(ValueError):
+        w.matrices_with(np.array([9.0]), np.array([7.0]))
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 3])
 def test_differences_written_in_place_match_pushed_copies(capacity):
-    # The solver's path (trial_difference, then keep_trial or
-    # push_difference and the products it returns) against push_pair of
-    # fresh differences.
+    # The solver's path (trial_difference, its solve, then keep_trial or
+    # push_difference and the products it returns) against accel_point and
+    # push_pair of fresh differences.
     rng = np.random.default_rng(capacity)
     n = 5
     w, ref = SecantWindow(capacity), SecantWindow(capacity)
@@ -150,9 +154,12 @@ def test_differences_written_in_place_match_pushed_copies(capacity):
     for step in range(3 * capacity + 2):
         x_trial, F_trial = rng.standard_normal(n), rng.standard_normal(n)
         w.trial_difference(x_trial, x, F_trial, F)
-        S, Y = w.matrices_with(None, None)
+        S, Y = w.matrices_with(x_trial - x, F_trial - F)
         S_ref, Y_ref = ref.matrices_with(x_trial - x, F_trial - F)
         assert S.tobytes() == S_ref.tobytes() and Y.tobytes() == Y_ref.tobytes()
+        got = accel_point(w, None, None, x_trial, F_trial)
+        want = accel_point(ref, x_trial - x, F_trial - F, x_trial, F_trial)
+        assert got.tobytes() == want.tobytes()
         if step % 2:
             x_new, F_new = rng.standard_normal(n), rng.standard_normal(n)
             products = w.push_difference(x_new, x, F_new, F)
@@ -331,7 +338,7 @@ def test_factored_window_follows_the_solver_steps(capacity):
     # The solver's steps above BLOCK_ROWS, more than capacity pushes: the
     # trial pair is kept (keep_trial) or replaced by an accepted
     # extrapolated pair (push_difference), and the window's oldest pair is
-    # dropped once it is full.
+    # dropped once it is full.  S and Y read before each solve give its point.
     n = 2 * BLOCK_ROWS + 123
     rng = np.random.default_rng(capacity)
     w, pairs = SecantWindow(capacity), []
@@ -339,12 +346,13 @@ def test_factored_window_follows_the_solver_steps(capacity):
     for step in range(3 * capacity + 3):
         x_trial, F_trial = rng.standard_normal(n), rng.standard_normal(n)
         assert w.trial_difference(x_trial, x, F_trial, F) is None
-        S, Y = w.matrices_with(None, None)
-        assert Y[:, -1].tobytes() == (F_trial - F).tobytes()
+        S, Y = w.matrices_with(x_trial - x, F_trial - F)
         want, want_rank = reference_step(pairs, x_trial - x, F_trial - F, x_trial, F_trial)
         got = accel_point(w, None, None, x_trial, F_trial)
         assert (len(w.nu), w.rank) == (len(pairs) + 1, want_rank)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+        nu = np.linalg.lstsq(Y, F_trial, rcond=None)[0]
+        np.testing.assert_allclose(got, x_trial - S @ nu, rtol=1e-10, atol=1e-10)
         if step % 2:
             x_new, F_new = got, rng.standard_normal(n)
             products = w.push_difference(x_new, x, F_new, F)
@@ -385,10 +393,10 @@ def test_factored_window_slides_over_pushed_pairs():
 
 @pytest.mark.parametrize("n", [5, 2 * BLOCK_ROWS + 123])
 def test_keep_trial_pushes_only_a_pending_trial_pair(n):
-    # keep_trial needs a trial pair that no push has discarded since
-    # trial_difference; with or without a solve in between, it pushes the
-    # same pair, given the trial point and x.  An outside extra pair
-    # replaces the trial pair, so keep_trial(s, 0.0) then pushes it.
+    # keep_trial pushes a solved trial pair that no push has discarded since
+    # trial_difference, given the trial point and x, or keep_trial(s, 0.0)
+    # for an outside pair that a solve made the trial pair.  With no trial
+    # pair, before its solve, after a push and a second time it raises.
     capacity = 3
     rng = np.random.default_rng(n)
     pairs = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(capacity + 1)]
@@ -400,11 +408,12 @@ def test_keep_trial_pushes_only_a_pending_trial_pair(n):
         w = SecantWindow(capacity)
         for pair in pairs:
             w.push_pair(*pair)
+        w.trial_difference(x_trial, x, F_trial, F)
         return w
 
-    with pytest.raises(ValueError, match="no trial pair"):
+    with pytest.raises(ValueError, match="no solved trial pair"):
         SecantWindow(capacity).keep_trial(x_trial, x)
-    with pytest.raises(ValueError, match="no trial pair"):
+    with pytest.raises(ValueError, match="no solved trial pair"):
         window().keep_trial(x_trial, x)
     discards = {
         "push_pair": lambda w: w.push_pair(s_out, y_out),
@@ -412,9 +421,9 @@ def test_keep_trial_pushes_only_a_pending_trial_pair(n):
     }
     for name, discard in discards.items():
         w = window()
-        w.trial_difference(x_trial, x, F_trial, F)
+        accel_point(w, None, None, x_trial, F_trial)
         discard(w)
-        with pytest.raises(ValueError, match="no trial pair"):
+        with pytest.raises(ValueError, match="no solved trial pair"):
             w.keep_trial(x_trial, x)
         with pytest.raises(ValueError, match="no trial pair"):
             accel_point(w, None, None, x_trial, F_trial)
@@ -424,27 +433,22 @@ def test_keep_trial_pushes_only_a_pending_trial_pair(n):
         accel_point(w, None, None, x_trial, F_trial)
         accel_point(w, s_out, y_out, x_trial, F_trial)
 
-    # (what runs before keep_trial, the pair it keeps, whether a solve
-    # factored that pair)
+    # (the solve before keep_trial, the pair it keeps)
     trial, outside = (x_trial - x, F_trial - F), (s_out, y_out)
     keeps = {
-        "trial pair": (lambda w: None, trial, False),
-        "solved trial pair": (lambda w: accel_point(w, None, None, x_trial, F_trial),
-                              trial, True),
+        "solved trial pair": (lambda w: accel_point(w, None, None, x_trial, F_trial), trial),
         "outside accel_point": (lambda w: accel_point(w, s_out, y_out, x_trial, F_trial),
-                                outside, True),
-        "outside matrices_with": (lambda w: w.matrices_with(s_out, y_out), outside, False),
-        "outside after a solve": (outside_after_solve, outside, True),
+                                outside),
+        "outside after a solve": (outside_after_solve, outside),
     }
-    for name, (before_keep, pair, solved) in keeps.items():
+    for name, (solve, pair) in keeps.items():
         w = window()
-        w.trial_difference(x_trial, x, F_trial, F)
-        before_keep(w)
+        solve(w)
         ends = (x_trial, x) if pair is trial else (s_out, 0.0)
         kept = w.keep_trial(*ends)
-        with pytest.raises(ValueError, match="no trial pair"):
+        with pytest.raises(ValueError, match="no solved trial pair"):
             w.keep_trial(*ends)
-        check_push(w, kept, *pair, solved_factored_trial=solved and w._qr is not None)
+        check_push(w, kept, *pair, solved_factored_trial=w._qr is not None)
         want, want_rank = reference_step((pairs + [pair])[-capacity:], x_next - x_trial,
                                          F_next - F_trial, x_next, F_next)
         w.trial_difference(x_next, x_trial, F_next, F_trial)
@@ -535,8 +539,8 @@ def test_points_without_out_leave_a_full_window_unchanged(capacity, n):
 
 def full_window_with_trial(rng, n, capacity=5):
     """A window of capacity pushed past capacity, and its trial pair, as the
-    solver leaves them before the extrapolated point: (window, x_trial,
-    F_trial).  Its spare row is then the oldest pair's column of S."""
+    solver leaves them before the extrapolated point: (window, x, F,
+    x_trial, F_trial).  Its spare row is then the oldest pair's column of S."""
     w = SecantWindow(capacity)
     x, F = rng.standard_normal(n), rng.standard_normal(n)
     for _ in range(capacity + 1):
@@ -547,7 +551,7 @@ def full_window_with_trial(rng, n, capacity=5):
     w.trial_difference(x_trial, x, F_trial, F)
     assert w.count == capacity
     assert np.shares_memory(w.spare_row(), w._s_rows[w._order()[0]])
-    return w, x_trial, F_trial
+    return w, x, F, x_trial, F_trial
 
 
 @pytest.mark.parametrize("n", [BLOCK_ROWS + 3, 50_000])
@@ -556,10 +560,10 @@ def test_blocked_point_in_the_spare_row_is_the_whole_product(n):
     # of the oldest column copied before they are written; both sizes end
     # on a short chunk.  A twin window given no out leaves its S whole, and
     # S, taken before its solve, gives x_trial - S nu in one product.
-    w, x_trial, F_trial = full_window_with_trial(np.random.default_rng(n), n)
-    twin, _, _ = full_window_with_trial(np.random.default_rng(n), n)
+    w, x, F, x_trial, F_trial = full_window_with_trial(np.random.default_rng(n), n)
+    twin = full_window_with_trial(np.random.default_rng(n), n)[0]
     assert w._qr is not None
-    S, _ = twin.matrices_with(None, None)
+    S, _ = twin.matrices_with(x_trial - x, F_trial - F)
     new_array = accel_point(twin, None, None, x_trial, F_trial)
     whole = x_trial - np.matmul(S, twin.nu)
     got = accel_point(w, None, None, x_trial, F_trial, out=w.spare_row())
@@ -572,7 +576,7 @@ def test_point_in_the_spare_row_of_a_full_window_allocates_less_than_a_vector():
     # uses one block-sized buffer.  What is left is the factored pass's
     # block scratch, about 0.27 n-vectors at this n.
     n = 300_000
-    w, x_trial, F_trial = full_window_with_trial(np.random.default_rng(3), n)
+    w, _, _, x_trial, F_trial = full_window_with_trial(np.random.default_rng(3), n)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -633,15 +637,22 @@ def test_second_solve_of_one_trial_pair_raises(n):
 
 
 @pytest.mark.parametrize("n", [7, BLOCK_ROWS + 100])
-def test_matrices_with_the_trial_pair_raises_after_its_solve(n):
-    # Before the solve the trial columns are x_trial - x and F_trial - F.
+def test_matrices_with_leaves_the_trial_pair_alone(n):
+    # matrices_with only reads the window: called with an outside pair
+    # before and after the trial pair's solve, it leaves the point, nu, the
+    # rank and keep_trial's products those of a twin window without the calls.
     w, x, F, x_trial, F_trial = window_and_trial(n)
-    S, Y = w.matrices_with(None, None)
-    assert S[:, -1].tobytes() == (x_trial - x).tobytes()
-    assert Y[:, -1].tobytes() == (F_trial - F).tobytes()
-    accel_point(w, None, None, x_trial, F_trial)
-    with pytest.raises(ValueError, match="trial pair was solved"):
+    twin = window_and_trial(n)[0]
+    s, y = np.random.default_rng(n + 1).standard_normal((2, n))
+    with pytest.raises(ValueError):
         w.matrices_with(None, None)
+    w.matrices_with(s, y)
+    got = accel_point(w, None, None, x_trial, F_trial)
+    w.matrices_with(s, y)
+    assert got.tobytes() == accel_point(twin, None, None, x_trial, F_trial).tobytes()
+    assert (w.nu.tobytes(), w.rank) == (twin.nu.tobytes(), twin.rank)
+    assert ([v.hex() for v in w.keep_trial(x_trial, x)]
+            == [v.hex() for v in twin.keep_trial(x_trial, x)])
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (10, 6), (BLOCK_ROWS, 1), (BLOCK_ROWS, 6)])

@@ -303,6 +303,7 @@ def test_config_defaults():
     assert linesearch.M == 10
     assert steps.SIGMA_MIN == math.sqrt(EPS_MACH)
     assert steps.SIGMA_MAX == 1.0 / math.sqrt(EPS_MACH)
+    assert steps.SIGMA_SPG_MAX == 1.0
 
 
 @pytest.mark.parametrize("kwargs", [
