@@ -45,50 +45,45 @@ def quad_new_alpha(alpha: float, f_k: float, f_probe: float) -> float:
     return capped if capped > lo else lo
 
 
-def probe_point(x: Array, F: Array, sigma: float, alpha: float, direction: str) -> Array:
-    """The probe x + alpha d, d = -sigma F (``direction`` "-"), or (-alpha) d + x,
-    bitwise x + alpha (sigma F) ("+"): one n-vector, as numpy reuses the
-    temporaries d and alpha d.  IEEE negation is exact and addition commutes."""
-    if direction == "-":
-        return x + alpha * (-sigma * F)
-    return (-alpha) * (-sigma * F) + x
+def probe_point(x: Array, F: Array, sigma: float, t: float) -> Array:
+    """The probe x + t d along d = -sigma F, with t = alpha or t = -alpha: one
+    n-vector, as numpy reuses the temporaries d and t d."""
+    return x + t * (-sigma * F)
 
 
 def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
                         sigma: float, fbar: float, eta_k: float
-                        ) -> tuple[float, Array, Array, float, int, str]:
+                        ) -> tuple[float, Array, Array, float]:
     """Backtrack along -sigma F and +sigma F with independent step sizes.
 
-    Returns the accepted step as ``(alpha, x_trial, F_trial, f_trial, evals,
-    direction)``: the step size, the trial point, its residual and merit
-    value, the evaluations spent and the accepted direction, ``"-"`` for
-    -sigma F and ``"+"`` for +sigma F.
+    Returns the accepted step as ``(t, x_trial, F_trial, f_trial)``: the
+    signed step, t = alpha along -sigma F and t = -alpha along +sigma F, the
+    trial point ``probe_point(x, F, sigma, t)``, its residual and merit value.
+    The evaluations spent are ``ev.fcnt``'s growth across the call.
 
-    A probe (``probe_point``) is accepted by armijo_ok against ``fbar`` (the
-    largest of the last M merit values) and the forcing term ``eta_k``.
-    Both directions start at step 1; a rejected round shrinks each step via
-    quad_new_alpha from its own direction's probe.  Raises BreakdownError once
-    both steps fall below machine epsilon without acceptance.  A rejected probe
-    and its F are dropped (``ev.drop`` too) before the next probe.
+    A probe is accepted by armijo_ok against ``fbar`` (the largest of the
+    last M merit values) and the forcing term ``eta_k``.  Both directions
+    start at step 1; a rejected round shrinks each step via quad_new_alpha
+    from its own direction's probe.  Raises BreakdownError once both steps
+    fall below machine epsilon without acceptance.  A rejected probe and its
+    F are dropped (``ev.drop`` too) before the next probe.
     """
+    fcnt0 = ev.fcnt
     alpha_plus = 1.0
     alpha_minus = 1.0
-    evals = 0
     while True:
-        x_probe = probe_point(x, F, sigma, alpha_plus, "-")
+        x_probe = probe_point(x, F, sigma, alpha_plus)
         F_probe, f_probe = ev.evaluate(x_probe)
-        evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_plus, f_k):
-            return alpha_plus, x_probe, F_probe, f_probe, evals, "-"
+            return alpha_plus, x_probe, F_probe, f_probe
         f_minus_dir = f_probe
         ev.drop(F_probe)
         x_probe = F_probe = None
 
-        x_probe = probe_point(x, F, sigma, alpha_minus, "+")
+        x_probe = probe_point(x, F, sigma, -alpha_minus)
         F_probe, f_probe = ev.evaluate(x_probe)
-        evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_minus, f_k):
-            return alpha_minus, x_probe, F_probe, f_probe, evals, "+"
+            return -alpha_minus, x_probe, F_probe, f_probe
         ev.drop(F_probe)
         x_probe = F_probe = None
 
@@ -96,4 +91,4 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
         alpha_minus = quad_new_alpha(alpha_minus, f_k, f_probe)
         if alpha_plus < EPS_MACH and alpha_minus < EPS_MACH:
             raise BreakdownError(
-                f"line search step underflow after {evals} evaluations")
+                f"line search step underflow after {ev.fcnt - fcnt0} evaluations")

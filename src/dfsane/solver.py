@@ -38,11 +38,12 @@ class IterationRecord:
     """Trace entry for one iteration (used by audits, regression tests and
     the CLI's ``--iprint`` lines).
 
-    ``direction`` is the accepted line-search direction (``"-"`` for
-    -sigma F, ``"+"`` for +sigma F).  ``rank`` and ``nu_norm`` are the
-    numerical rank of the secant difference matrix, as ``np.linalg.lstsq``
-    counts it (singular values above eps * max(n, m) * sigma_max), and
-    ||nu||_2 of the acceleration step; both are None in plain mode.
+    ``alpha`` and ``direction`` are |t| and the sign of the line search's
+    signed step t: ``"-"`` for t > 0, along -sigma F, ``"+"`` for t < 0,
+    along +sigma F.  ``rank`` and ``nu_norm`` are the numerical rank of the
+    secant difference matrix, as ``np.linalg.lstsq`` counts it (singular
+    values above eps * max(n, m) * sigma_max), and ||nu||_2 of the
+    acceleration step; both are None in plain mode.
     """
 
     k: int
@@ -127,8 +128,9 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                 sigma = sigma_k(pair, x, f)
                 fbar = max(fvals)
                 eta = math.ldexp(eta0, -k)
-                alpha, x_new, F_new, f_trial, ls_evals, direction = double_backtracking(
-                    ev, x, F, f, sigma, fbar, eta)
+                fcnt0 = ev.fcnt
+                t, x_new, F_new, f_trial = double_backtracking(ev, x, F, f, sigma, fbar, eta)
+                ls_evals = ev.fcnt - fcnt0
                 f_new, accepted = f_trial, "trial"
 
                 f_accel: float | None = None
@@ -149,17 +151,17 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                     else:
                         ev.drop(F_accel)
                         F_accel = None
-                        x_new = probe_point(x, F, sigma, alpha, direction)
+                        x_new = probe_point(x, F, sigma, t)
                         pair = window.keep_trial(x_new, x)
                 else:
                     pair = secant_pair(x_new, x, F_new, F)
 
                 if trace is not None:
                     trace.append(IterationRecord(
-                        k=k, sigma=sigma, fbar=fbar, eta=eta, alpha=alpha,
+                        k=k, sigma=sigma, fbar=fbar, eta=eta, alpha=abs(t),
                         ls_evals=ls_evals, f_current=f, f_trial=f_trial,
                         f_accel=f_accel, accepted=accepted, f_next=f_new,
-                        direction=direction,
+                        direction="-" if t > 0 else "+",
                         rank=window.rank if accelerated else None,
                         nu_norm=float(np.linalg.norm(window.nu)) if accelerated else None))
 

@@ -120,11 +120,12 @@ def test_first_probe_hits_root():
     x = np.array([1.0])
     F, f = ev.evaluate(x)
     sigma = 1.0
-    alpha, x_trial, F_trial, f_trial, evals, direction = (
-        double_backtracking(ev, x, F, f, sigma, 1.0, 0.5))
+    before = ev.fcnt
+    t, x_trial, F_trial, f_trial = double_backtracking(ev, x, F, f, sigma, 1.0, 0.5)
+    alpha = abs(t)
     assert alpha == 1.0
-    assert evals == 1
-    assert direction == "-"
+    assert ev.fcnt - before == 1
+    assert t > 0  # along -sigma F
     assert np.array_equal(x_trial, x + alpha * (-sigma * F))
     np.testing.assert_array_equal(x_trial, [0.0])
     assert f_trial == 0.0
@@ -137,12 +138,13 @@ def test_second_probe_accepts_reverse_direction():
     F, f = ev.evaluate(x)
     assert f == 1.0
     sigma = 1.0
-    alpha, x_trial, F_trial, f_trial, evals, direction = (
-        double_backtracking(ev, x, F, f, sigma, 1.0, 0.5))
+    before = ev.fcnt
+    t, x_trial, F_trial, f_trial = double_backtracking(ev, x, F, f, sigma, 1.0, 0.5)
+    alpha = abs(t)
     # forward probe x = 2 has f = 4 > 1.4999; reverse probe x = 0 is a root.
     assert alpha == 1.0
-    assert evals == 2
-    assert direction == "+"
+    assert ev.fcnt - before == 2
+    assert t < 0  # along +sigma F
     assert np.array_equal(x_trial, x + alpha * (sigma * F))  # d = +sigma F = -1
     np.testing.assert_array_equal(x_trial, [0.0])
 
@@ -159,11 +161,13 @@ def test_first_accept_shape():
         if f == 0.0:
             continue
         sigma = 0.5
-        alpha, x_trial, F_trial, f_trial, evals, direction = (
+        before = ev.fcnt
+        t, x_trial, F_trial, f_trial = (
             double_backtracking(ev, x, F, f, sigma, f, 10.0 * f + 1.0))
-        if evals == 1:
+        alpha = abs(t)
+        if ev.fcnt - before == 1:
             np.testing.assert_allclose(x_trial, x - sigma * alpha * F)
-        d = {"-": -sigma * F, "+": sigma * F}[direction]
+        d = -sigma * F if t > 0 else sigma * F
         assert np.array_equal(x_trial, x + alpha * d)
 
 
@@ -183,10 +187,12 @@ def test_outcome_always_satisfies_acceptance():
         fbar = f * float(rng.uniform(1.0, 2.0))
         eta = float(rng.uniform(1e-8, 0.5))
         before = ev.fcnt
-        alpha, x_trial, F_trial, f_trial, evals, direction = (
-            double_backtracking(ev, x, F, f, sigma, fbar, eta))
+        t, x_trial, F_trial, f_trial = double_backtracking(ev, x, F, f, sigma, fbar, eta)
+        alpha = abs(t)
         assert armijo_ok(f_trial, fbar, eta, alpha, f)
-        assert evals == ev.fcnt - before
+        # Probes alternate -sigma F, +sigma F: the count's parity is t's sign.
+        assert (ev.fcnt - before) % 2 == (1 if t > 0 else 0)
+        assert np.array_equal(x_trial, probe_point(x, F, sigma, t))
         assert 0.0 < alpha <= 1.0
 
 
@@ -206,8 +212,9 @@ def test_step_cuts_are_monotone_and_bounded():
     F, f_k = ev.evaluate(x)
     assert f_k == 1e-6
     points.clear()
-    alpha, x_trial, F_trial, f_trial, evals, direction = (
-        double_backtracking(ev, x, F, f_k, 1.0, f_k, 1e-9))
+    before = ev.fcnt
+    t, x_trial, F_trial, f_trial = double_backtracking(ev, x, F, f_k, 1.0, f_k, 1e-9)
+    alpha = abs(t)
     probe_alphas = np.abs(np.array(points)) / 1e-3
     plus = probe_alphas[0::2]   # forward-direction probes
     minus = probe_alphas[1::2]
@@ -215,7 +222,7 @@ def test_step_cuts_are_monotone_and_bounded():
         for old, new in zip(seq, seq[1:]):
             assert new <= old
             assert TAU_MIN * old - 1e-15 <= new <= TAU_MAX * old + 1e-15
-    assert evals == len(points)
+    assert ev.fcnt - before == len(points)
     assert alpha == plus[-1]
 
 
@@ -229,11 +236,12 @@ def test_underflow_raises_breakdown():
     ev = CountedEvaluator(p)
     x = np.zeros(1)
     F, f = ev.evaluate(x)
-    with pytest.raises(BreakdownError):
+    with pytest.raises(BreakdownError) as info:
         double_backtracking(ev, x, F, f, 1.0, f, 0.5)
     # TAU_MAX = 0.5 halves both steps each round until they pass eps_mach
     rounds = math.ceil(-math.log2(EPS_MACH)) + 1
     assert ev.fcnt - 1 == 2 * rounds
+    assert str(info.value) == f"line search step underflow after {ev.fcnt - 1} evaluations"
 
 
 # ---------------------------------------------------------------------------
@@ -253,23 +261,32 @@ def special_vector(rng, n):
 
 @pytest.mark.parametrize("n", [1, 7, 1000, 100_000])
 def test_reverse_probe_is_bitwise_the_subtraction(n):
-    # double_backtracking writes the +sigma F probe x - alpha d as
-    # (-alpha) d + x: negation is exact and addition commutes.
+    # probe_point writes the +sigma F probe x - alpha d as x + (-alpha) d,
+    # and the held-d reference as (-alpha) d + x: both are the subtraction,
+    # since negation is exact and addition commutes.
     rng = np.random.default_rng(n)
     alphas = [0.0, -0.0, 1.0, 5e-324, 1e-300, 1e300, math.inf,
               *rng.random(5), *10.0 ** rng.uniform(-300, 300, 5)]
+    signed_rng = np.random.default_rng([n, 1])   # F and sigma for probe_point
+    sigmas = [1.0, -1.0, math.sqrt(EPS_MACH), 1.0 / math.sqrt(EPS_MACH),
+              *signed_rng.uniform(-1.0, 1.0, 3)]
     for alpha in alphas:
         d, x = special_vector(rng, n), special_vector(rng, n)
+        F, sigma = special_vector(signed_rng, n), sigmas[signed_rng.integers(len(sigmas))]
         with np.errstate(all="ignore"):   # as in solve: 0 * inf and inf - inf
             probe, want = (-alpha) * d + x, x - alpha * d
+            signed = probe_point(x, F, sigma, -alpha)
+            product_first, subtraction = (-alpha) * (-sigma * F) + x, x - alpha * (-sigma * F)
         assert probe.tobytes() == want.tobytes(), alpha
+        assert signed.tobytes() == product_first.tobytes(), (alpha, sigma)
+        assert signed.tobytes() == subtraction.tobytes(), (alpha, sigma)
 
 
 def test_reverse_probe_allocates_one_vector():
     # numpy reuses each product's temporary for the next operation, so a
     # probe allocates only its result (x - alpha * d would allocate the
     # product and then the result).  The first form holds d; the two after
-    # it are double_backtracking's probes, which form d = -sigma F inside.
+    # it form d = -sigma F inside, as probe_point does for either sign of t.
     n = 100_000
     rng = np.random.default_rng(0)
     F, x = rng.standard_normal(n), rng.standard_normal(n)
@@ -277,7 +294,9 @@ def test_reverse_probe_allocates_one_vector():
     d = -sigma * F
     for probe_of in (lambda: (-alpha) * d + x,
                      lambda: x + alpha * (-sigma * F),
-                     lambda: (-alpha) * (-sigma * F) + x):
+                     lambda: (-alpha) * (-sigma * F) + x,
+                     lambda: probe_point(x, F, sigma, alpha),
+                     lambda: probe_point(x, F, sigma, -alpha)):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -300,13 +319,13 @@ def kept_direction_backtracking(ev, x, F, f_k, sigma, fbar, eta_k):
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_plus, f_k):
-            return alpha_plus, x_probe, F_probe, f_probe, evals, "-"
+            return alpha_plus, x_probe, F_probe, f_probe
         f_minus_dir = f_probe
         x_probe = (-alpha_minus) * d + x
         F_probe, f_probe = ev.evaluate(x_probe)
         evals += 1
         if armijo_ok(f_probe, fbar, eta_k, alpha_minus, f_k):
-            return alpha_minus, x_probe, F_probe, f_probe, evals, "+"
+            return -alpha_minus, x_probe, F_probe, f_probe
         alpha_plus = quad_new_alpha(alpha_plus, f_k, f_minus_dir)
         alpha_minus = quad_new_alpha(alpha_minus, f_k, f_probe)
         if alpha_plus < EPS_MACH and alpha_minus < EPS_MACH:
@@ -338,13 +357,15 @@ def test_probes_match_a_kept_direction_bit_for_bit(monkeypatch):
 
 
 class ScriptedEvaluator:
-    """Stands in for CountedEvaluator: each call returns a copy of x as F
-    and the next merit value of ``merits``."""
+    """Stands in for CountedEvaluator: each call counts itself in ``fcnt``
+    and returns a copy of x as F and the next merit value of ``merits``."""
 
     def __init__(self, merits):
         self.merits = iter(merits)
+        self.fcnt = 0
 
     def evaluate(self, x):
+        self.fcnt += 1
         return x.copy(), next(self.merits)
 
     def drop(self, F):
@@ -356,7 +377,7 @@ class ScriptedEvaluator:
 def test_rebuilt_trial_point_is_the_accepted_probe(direction, n):
     # The solver drops the trial x through the extrapolated point's
     # evaluation and, when the trial point wins, rebuilds it with
-    # probe_point from (x, F, sigma, alpha, direction).  Rejected rounds cut
+    # probe_point from (x, F, sigma, t).  Rejected rounds cut
     # alpha by half (f = inf), by a tenth (f = 1e300) or by a random
     # quadratic step, so alpha runs over 1, powers of 2 and 10 and random
     # values; sigma takes the bounds of steps.sigma_k and random values of
@@ -371,9 +392,10 @@ def test_rebuilt_trial_point_is_the_accepted_probe(direction, n):
             merits = [float(rng.choice([math.inf, 1e300, rng.uniform(2.0, 100.0)]))
                       for _ in range(2 * rounds)]
             merits += [0.0] if direction == "-" else [math.inf, 0.0]
+            ev = ScriptedEvaluator(merits)
             with np.errstate(all="ignore"):   # as in solve: 0 * inf and inf - inf
-                alpha, x_trial, _, _, evals, got = double_backtracking(
-                    ScriptedEvaluator(merits), x, F, 1.0, sigma, 1.0, 0.5)
-                rebuilt = probe_point(x, F, sigma, alpha, direction)
-            assert (got, evals) == (direction, len(merits))
-            assert rebuilt.tobytes() == x_trial.tobytes(), (sigma, alpha)
+                t, x_trial, _, _ = double_backtracking(ev, x, F, 1.0, sigma, 1.0, 0.5)
+                rebuilt = probe_point(x, F, sigma, t)
+            got = "-" if t > 0 else "+"
+            assert (got, ev.fcnt) == (direction, len(merits))
+            assert rebuilt.tobytes() == x_trial.tobytes(), (sigma, t)
