@@ -163,7 +163,6 @@ def perf_profile(t, restrict_to_solved_by_all: bool = False,
     with np.errstate(invalid="ignore"):
         ratios = t / col_min
     ratios[~np.isfinite(t)] = math.inf
-    ratios[:, ~np.isfinite(col_min)] = math.inf
 
     finite = ratios[np.isfinite(ratios)]
     taus = np.unique(finite) if finite.size else np.array([1.0])
@@ -240,7 +239,7 @@ def profile_svg(curves: Sequence[ProfileCurve]) -> str:
     for c in curves:
         if c.taus.size:
             tau_max = max(tau_max, float(c.taus[-1]))
-    decades = max(1, math.ceil(math.log10(tau_max)) or 1)
+    decades = max(1, math.ceil(math.log10(tau_max)))
     span = float(decades)
 
     def sx(tau: float) -> float:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from numbers import Integral
 from time import perf_counter
 from typing import Callable
+from weakref import ref
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class Problem:
     be a pure function of its argument.  It must return a new array on each
     call, sharing no memory with x or with an earlier result: ``solve`` holds
     the current, trial and best F at once.  The evaluator rejects a result
-    that is x itself or the kept array the previous call returned (a reused
+    that is x itself or the array the previous call returned (a reused
     buffer) as a failed residual; a view into either is not detected.
     """
 
@@ -77,8 +78,8 @@ class SolverConfig:
     """The settable numerical parameters (progress goes to ``solve``'s ``trace``).
 
     The method's fixed constants are not settings: GAMMA, TAU_MIN, TAU_MAX
-    and the nonmonotone memory M live in ``linesearch``, SIGMA_MIN and
-    SIGMA_MAX in ``steps``.
+    and the nonmonotone memory M live in ``linesearch``, SIGMA_MIN,
+    SIGMA_MAX and SIGMA_SPG_MAX in ``steps``.
     ``nhlim`` equals p + 1 where p is the secant-window capacity in pairs.
     ``epsf`` is the convergence tolerance on ||F||_2; when left as None the
     solver uses 1e-6 * sqrt(n).  ``maxit`` / ``max_feval`` /
@@ -133,9 +134,10 @@ class CountedEvaluator:
     evaluating, once ``max_feval`` evaluations are made or ``perf_counter()``
     is past ``deadline``.  A residual that raises or returns a wrong shape
     raises BreakdownError chained to its error, one that returns x or the
-    previous call's result (held until the next call or until ``drop`` of
-    it) a BreakdownError of its own.  Floating-point warnings are the
-    caller's to silence (``solve`` runs under ``np.errstate``).
+    previous call's result a BreakdownError of its own, on that call and
+    whether or not the caller still holds that result: the evaluator keeps
+    only a weak reference to it.  Floating-point warnings are the caller's
+    to silence (``solve`` runs under ``np.errstate``).
     """
 
     def __init__(self, problem: Problem, max_feval: int | None = None,
@@ -144,7 +146,7 @@ class CountedEvaluator:
         self.max_feval = max_feval
         self.deadline = deadline
         self.fcnt = 0
-        self._last: Array | None = None
+        self._last: Callable[[], Array | None] = lambda: None
 
     def evaluate(self, x: Array) -> tuple[Array, float]:
         if self.fcnt == self.max_feval:
@@ -159,19 +161,14 @@ class CountedEvaluator:
                 F = as_vector(F, problem.n)
         except Exception as exc:
             raise BreakdownError(f"residual failed: {exc}") from exc
-        if F is x or F is self._last:
+        if F is x or F is self._last():
             raise BreakdownError("residual failed: it returned its argument or its "
                                  "previous result, not a new array")
-        self._last = F
+        self._last = ref(F)
         f = float(F.dot(F))
         if not math.isfinite(f):
             f = math.inf
         return F, f
-
-    def drop(self, F: Array) -> None:
-        """Stop holding F, a result the caller drops, if it is the last one."""
-        if self._last is F:
-            self._last = None
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,7 +66,7 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
     start at step 1; a rejected round shrinks each step via quad_new_alpha
     from its own direction's probe.  Raises BreakdownError once both steps
     fall below machine epsilon without acceptance.  A rejected probe and its
-    F are dropped (``ev.drop`` too) before the next probe.
+    F are dropped before the next probe.
     """
     fcnt0 = ev.fcnt
     alpha_plus = 1.0
@@ -77,14 +77,12 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
         if armijo_ok(f_probe, fbar, eta_k, alpha_plus, f_k):
             return alpha_plus, x_probe, F_probe, f_probe
         f_minus_dir = f_probe
-        ev.drop(F_probe)
         x_probe = F_probe = None
 
         x_probe = probe_point(x, F, sigma, -alpha_minus)
         F_probe, f_probe = ev.evaluate(x_probe)
         if armijo_ok(f_probe, fbar, eta_k, alpha_minus, f_k):
             return -alpha_minus, x_probe, F_probe, f_probe
-        ev.drop(F_probe)
         x_probe = F_probe = None
 
         alpha_plus = quad_new_alpha(alpha_plus, f_k, f_minus_dir)

@@ -149,7 +149,6 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                         x_new = x_accel.copy()
                         pair = window.push_difference(x_new, x, F_new, F)
                     else:
-                        ev.drop(F_accel)
                         F_accel = None
                         x_new = probe_point(x, F, sigma, t)
                         pair = window.keep_trial(x_new, x)

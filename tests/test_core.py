@@ -1,6 +1,7 @@
 """Tests for the core types: counted evaluation, configuration, reports."""
 
 import math
+import weakref
 from dataclasses import fields, replace
 from time import perf_counter
 
@@ -183,12 +184,11 @@ def call_numbers(trace, accelerated):
     ("trigexp", 50, "accelerated", "after-losing-accel-point"),
     ("trigexp", 50, "accelerated", "at-accel-point"),
 ])
-def test_buffer_reuse_is_caught_once_a_result_is_kept(name, n, mode, reuse):
-    # The line search drops a rejected probe's F and the solver a losing
-    # extrapolated point's F, the evaluator's reference included, so a
-    # residual that starts handing that array back is caught at the first
-    # call after one of its results is kept.  Started at the extrapolated
-    # point's evaluation, it hands back the kept trial F and is caught there.
+def test_buffer_reuse_is_caught_on_its_first_call(name, n, mode, reuse):
+    # A residual that starts handing back the array it returned on the call
+    # before is caught on that first call, whether the solver still holds
+    # that array (the kept trial F at the extrapolated point) or has let go
+    # of it (a rejected probe's F, a losing extrapolated point's F).
     p = make(name, n)
     cfg = SolverConfig(mode=mode, max_feval=100_000)
     trace = []
@@ -196,28 +196,35 @@ def test_buffer_reuse_is_caught_once_a_result_is_kept(name, n, mode, reuse):
     calls = call_numbers(trace, mode == "accelerated")
     if reuse == "after-rejected-probe":
         k = next(k for k, rec in enumerate(trace) if rec.ls_evals > 1)
-        start, caught = calls[k][0][0] + 1, calls[k][0][-1] + 1
+        start = calls[k][0][0] + 1
     elif reuse == "after-losing-accel-point":
         k = next(k for k, rec in enumerate(trace) if rec.accepted == "trial")
-        start, caught = calls[k][1] + 1, calls[k + 1][0][-1] + 1
+        start = calls[k][1] + 1
     else:
-        k = 2
-        start = caught = calls[k][1]
+        start = calls[2][1]
     rep = solve(replace(p, residual=reusing_from(p, start)), cfg)
-    assert (rep.istop, rep.fcnt, rep.reason) == (3, caught, ALIAS_REASON)
+    assert (rep.istop, rep.fcnt, rep.reason) == (3, start, ALIAS_REASON)
 
 
-def test_drop_forgets_only_the_last_result():
-    # A residual that hands its one buffer back is caught unless the caller
-    # dropped that buffer; dropping another array leaves the check on.
-    buf = np.zeros(2)
+def test_one_buffer_is_caught_on_call_2_after_call_1_is_dropped():
+    # The line search lets go of its rejected first probe and that probe's
+    # F before the second probe; a residual that hands its one buffer back
+    # there is still caught on call 2, not left to overwrite a held F later.
+    buf = np.full(2, 10.0)
     ev = CountedEvaluator(replace(identity_problem(), residual=lambda x: buf))
-    F, _ = ev.evaluate(np.ones(2))
-    ev.drop(F.copy())
     with pytest.raises(BreakdownError, match="previous result"):
-        ev.evaluate(np.ones(2))
-    ev.drop(F)
-    assert ev.evaluate(np.ones(2))[0] is buf
+        linesearch.double_backtracking(ev, np.zeros(2), np.ones(2), 1.0, 1.0, 1.0, 0.0)
+    assert ev.fcnt == 2
+
+
+def test_evaluator_holds_no_reference_to_a_result():
+    # A result the caller drops is freed: the evaluator's check on the
+    # previous result does not keep it alive.
+    ev = CountedEvaluator(identity_problem())
+    F, _ = ev.evaluate(np.ones(2))
+    ref = weakref.ref(F)
+    del F
+    assert ref() is None
 
 
 def test_evaluator_accepts_a_new_array_equal_to_the_last():

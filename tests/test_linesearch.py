@@ -368,9 +368,6 @@ class ScriptedEvaluator:
         self.fcnt += 1
         return x.copy(), next(self.merits)
 
-    def drop(self, F):
-        pass
-
 
 @pytest.mark.parametrize("n", [7, 100_000])
 @pytest.mark.parametrize("direction", ["-", "+"])
