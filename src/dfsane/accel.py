@@ -15,12 +15,11 @@ forms the pair's y, releases the vectors and writes the extrapolated point,
 by row chunks, into the row of S that the next push writes.  S holds the p
 pairs alone: the trial step x_trial - x is formed where it is read, as both
 points are alive there.  Then ``keep_trial(x_trial, x)`` pushes the solved
-pair, or ``push_difference`` pushes the pair of the point that won instead;
-a push returns (s'y, s's), all the next spectral step reads of it.  An
-outside pair is the difference (s - 0, y - 0), which is (s, y) bit for bit:
-``push_pair`` pushes it, ``accel_point`` given it solves it as the trial
-pair (``keep_trial(s, 0.0)`` pushes it), and ``matrices_with`` only reads
-the window with it.
+pair, or ``push_difference`` pushes the pair of the point that won instead.
+An outside pair is the difference (s - 0, y - 0), which is (s, y) bit for
+bit: ``push_pair`` pushes it, ``accel_point`` given it solves it as the
+trial pair (``keep_trial(s, 0.0)`` pushes it), and ``matrices_with`` only
+reads the window with it.
 
 Direct layout (n <= ``BLOCK_ROWS``).  The window keeps S and Y as
 preallocated row-major p x n and (p + 1) x n arrays, one row per pair, so
@@ -53,8 +52,7 @@ each block is in cache:
 - a trial column that is not kept is dropped by truncation.
 
 A pushed pair's y waits in the row after the factored columns until that
-pass orthogonalizes it in place; a kept trial pair's s'y is summed block
-by block, with s from x_trial - x, as the pass forms its column.
+pass orthogonalizes it in place.
 
 Y = diag(Q_1, Q_2, ...) [R_1; R_2; ...] with orthonormal columns, so nu is
 the ``lstsq`` solution of the stacked R against the stacked Q_i^T F(x_trial),
@@ -85,7 +83,7 @@ class SecantWindow:
     docstring) depends on the pair length alone; a window wider than half
     a block keeps the direct layout.  ``rank`` and ``nu`` (in S's column
     order) are those of the last ``accel_point`` solve, None before the
-    first.  A push returns (s'y, s's) of its pair as floats.
+    first.
     """
 
     def __init__(self, capacity: int):
@@ -102,21 +100,19 @@ class SecantWindow:
         # (x_new, x, F_new, F) of the trial pair until its solve, then (); else None
         self._trial: tuple[Array, ...] | None = None
 
-    def push_pair(self, s: Array, y: Array) -> tuple[float, float]:
+    def push_pair(self, s: Array, y: Array) -> None:
         """Push the pair (s, y), written as the difference (s - 0, y - 0)."""
-        return self.push_difference(*self._outside(s, y))
+        self.push_difference(*self._outside(s, y))
 
-    def push_difference(self, x_new: Array, x: Array, F_new: Array,
-                        F: Array) -> tuple[float, float]:
+    def push_difference(self, x_new: Array, x: Array, F_new: Array, F: Array) -> None:
         """Push the pair (x_new - x, F_new - F), computed in its slot; the
         trial pair is discarded."""
         self._check(x_new.shape[0])
         self._trial = None
         i = self._pushes % self.capacity
-        s, y = self._s_rows[i], self._y_rows[i if self._qr is None else self._qr.hold()]
-        np.subtract(x_new, x, out=s)
-        np.subtract(F_new, F, out=y)
-        return self._advance(i, float(s.dot(y)))
+        np.subtract(x_new, x, out=self._s_rows[i])
+        np.subtract(F_new, F, out=self._y_rows[i if self._qr is None else self._qr.hold()])
+        self._advance()
 
     def trial_difference(self, x_new: Array, x: Array, F_new: Array,
                          F: Array) -> None:
@@ -126,19 +122,18 @@ class SecantWindow:
         self._check(x_new.shape[0])
         self._trial = (x_new, x, F_new, F)
 
-    def keep_trial(self, x_new: Array, x: Array | float) -> tuple[float, float]:
+    def keep_trial(self, x_new: Array, x: Array | float) -> None:
         """Push the solved trial pair with its s written as x_new - x (the
         trial point and x; ``keep_trial(s, 0.0)`` for an outside pair).  Its
-        y is the trial row, or its factor column and block-summed s'y."""
+        y is the trial row, or its factor column."""
         if self._trial is None or self._trial:
             raise ValueError("no solved trial pair to keep")
-        qr = self._qr
-        if qr is None:
-            return self.push_difference(x_new, x, self._y_rows[self.count], 0.0)
-        i, sty = self._pushes % self.capacity, qr.trial
-        qr.trial = self._trial = None
-        np.subtract(x_new, x, out=self._s_rows[i])
-        return self._advance(i, sty)
+        if self._qr is None:
+            self.push_difference(x_new, x, self._y_rows[self.count], 0.0)
+            return
+        self._qr.trial, self._trial = False, None
+        np.subtract(x_new, x, out=self._s_rows[self._pushes % self.capacity])
+        self._advance()
 
     def spare_row(self) -> Array:
         """The row of S that the next push writes: free while the window has
@@ -178,7 +173,7 @@ class SecantWindow:
             np.subtract(F_new, F, out=self._y_rows[m - 1])
             nu, _, rank, _ = np.linalg.lstsq(self._y_rows[:m].T, b, rcond=None)
         else:
-            Qb = qr.update((x_new, x, F_new, F), b)
+            Qb = qr.update((F_new, F), b)
             nu_age, _, rank, _ = np.linalg.lstsq(
                 qr.R[:, :m, :m].reshape(-1, m), Qb.reshape(-1),
                 rcond=EPS_MACH * max(x_new.shape[0], m))
@@ -187,14 +182,13 @@ class SecantWindow:
         self.nu, self.rank, self._trial = nu, int(rank), ()
         return self._s_rows[:m - 1], x_new, x
 
-    def _advance(self, i: int, sty: float) -> tuple[float, float]:
-        """Count a push (s in row i, s'y = ``sty``) and return (s'y, s's); in
-        the factored layout a full window drops its oldest column."""
+    def _advance(self) -> None:
+        """Count a push; in the factored layout a full window drops its
+        oldest column."""
         if self._qr is not None and self.count == self.capacity:
             self._qr.drop_oldest()
         self._pushes += 1
         self.count = min(self._pushes, self.capacity)
-        return sty, float(self._s_rows[i].dot(self._s_rows[i]))
 
     def _order(self) -> list[int]:
         """The row of S of each pair, oldest first."""
@@ -232,7 +226,7 @@ class _BlockQR:
     the next pass over the blocks: k is m + 1 after the oldest column was
     dropped (R[:, 1:] is Hessenberg until the pass re-triangularizes it and
     rotates Q), and a pushed column waits unfactored in row ``held``.
-    ``trial`` is the s'y of the trial column, None when there is none.
+    ``trial`` is True while the last column is a trial column not yet kept.
     """
 
     def __init__(self, rows: Array):
@@ -245,14 +239,14 @@ class _BlockQR:
         self.R = np.zeros((nb, k, k))
         self.m = self.k = 0
         self.held: int | None = None
-        self.trial: float | None = None
+        self.trial = False
 
     def truncate_trial(self) -> None:
         """Drop the trial column, if there is one."""
-        if self.trial is not None:
+        if self.trial:
             self.m -= 1
             self.k -= 1
-            self.trial = None
+            self.trial = False
 
     def hold(self) -> int:
         """The free row for a pushed column, to be factored by the next
@@ -271,13 +265,12 @@ class _BlockQR:
         if not m:
             self.k = 0
 
-    def update(self, trial: tuple[Array, Array, Array, Array] | None = None,
+    def update(self, trial: tuple[Array, Array] | None = None,
                b: Array | None = None) -> Array | None:
         """One pass over the blocks.  In each block: rotate Q for a pending
         drop (``_rotate``), factor the held column, then with ``trial`` =
-        (x_new, x, F_new, F) append the column y = F_new - F, formed in its
-        row and its s'y (s = x_new - x) summed into ``self.trial`` first, and
-        with ``b`` return the stacked Q_i^T b.  A stale trial column is
+        (F_new, F) append the trial column y = F_new - F, formed in its row,
+        and with ``b`` return the stacked Q_i^T b.  A stale trial column is
         dropped first."""
         self.truncate_trial()
         Q, R = self.rows, self.R
@@ -290,7 +283,7 @@ class _BlockQR:
         t = m + len(new)
         if trial:
             new.append(Q[t])
-            self.trial = 0.0
+            self.trial = True
         for j in range(m, m + len(new)):
             R[:, j, :j] = 0.0
         work = np.empty(self.width)
@@ -300,9 +293,7 @@ class _BlockQR:
                 _rotate(Gt[i], Q[:k, j0:j1], buf)
             for j, v in enumerate(new, start=m):
                 if j == t:
-                    np.subtract(trial[2][j0:j1], trial[3][j0:j1], out=v[j0:j1])
-                    s = np.subtract(trial[0][j0:j1], trial[1][j0:j1], out=work[:j1 - j0])
-                    self.trial += float(s.dot(v[j0:j1]))
+                    np.subtract(trial[0][j0:j1], trial[1][j0:j1], out=v[j0:j1])
                 _orthonormalize(Q[:j, j0:j1], v[j0:j1], Q[j, j0:j1], R[i, :j + 1, j],
                                 work[:j1 - j0])
             if Qb is not None:
@@ -314,7 +305,7 @@ class _BlockQR:
     def columns(self) -> Array:
         """Every factored pair column of Y (the trial column left out), then
         the held one, as the rows of a new array."""
-        m, k = (self.m, self.k) if self.trial is None else (self.m - 1, self.k - 1)
+        m, k = (self.m - 1, self.k - 1) if self.trial else (self.m, self.k)
         Y = np.empty((m + (self.held is not None), self.rows.shape[1]))
         for i, (j0, j1) in enumerate(self.blocks):
             Y[:m, j0:j1] = self.R[i, :k, :m].T @ self.rows[:k, j0:j1]

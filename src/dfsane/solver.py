@@ -116,6 +116,9 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                 # No trial point can pass the nonmonotone test against fbar = inf.
                 raise BreakdownError("merit value at the start point is not finite")
             r0 = math.sqrt(f)
+            # No source is known here for eta_k = 2^-k min(||F0|| / 2, sqrt(||F0||)).  SciPy
+            # 1.17.1 uses ||F0||^2 / (1 + k)^2 (optimize/_spectral.py, lines 71-76), departing
+            # from La Cruz et al. (2006) because "their eta is not invariant vs. scaling of F".
             eta0 = min(0.5 * r0, math.sqrt(r0))
             fvals.append(f)
 
@@ -147,13 +150,12 @@ def solve(problem: Problem, cfg: SolverConfig | None = None,
                     if f_accel < f_new:
                         F_new, f_new, accepted = F_accel, f_accel, "accel"
                         x_new = x_accel.copy()
-                        pair = window.push_difference(x_new, x, F_new, F)
+                        window.push_difference(x_new, x, F_new, F)
                     else:
                         F_accel = None
                         x_new = probe_point(x, F, sigma, t)
-                        pair = window.keep_trial(x_new, x)
-                else:
-                    pair = secant_pair(x_new, x, F_new, F)
+                        window.keep_trial(x_new, x)
+                pair = secant_pair(x_new, x, F_new, F)
 
                 if trace is not None:
                     trace.append(IterationRecord(

@@ -7,6 +7,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_bits.py"
 
 
@@ -32,11 +34,16 @@ def test_same_bits_rows_repeat_within_one_process(monkeypatch):
     assert all(re.fullmatch(r"[0-9a-f]{16}", row.rsplit(" ", 1)[1]) for row in kernel)
 
 
-def test_same_bits_plain_rows_name_each_large_n_problem(monkeypatch):
+@pytest.mark.parametrize("mode", ["accelerated", "plain"])
+def test_same_bits_large_n_rows_name_each_problem(mode, monkeypatch):
+    # Rows 3 (accelerated) and 7 (plain) of the tool's output.
     tool = load(monkeypatch)
-    rows = tool.large_n(20, mode="plain")
+    rows = tool.large_n(20, mode=mode)
     short = r"[0-9a-f]{16}"
+    fields = {"accelerated": rf"accepted {short} rank \[\d+(, \d+)*\] f_next {short} "
+                             rf"nu {short} x {short}",
+              "plain": rf"f_next {short} x {short}"}[mode]
+    prefix = "plain " if mode == "plain" else ""
     for name, row in zip(("broyden-tri", "trigexp"), rows, strict=True):
-        assert re.fullmatch(rf"plain {name} 20: iter=\d+ fcnt=\d+ istop=0 "
-                            rf"f_next {short} x {short}", row), row
-    assert tool.large_n(20, mode="plain") == rows
+        assert re.fullmatch(rf"{prefix}{name} 20: iter=\d+ fcnt=\d+ istop=0 {fields}", row), row
+    assert tool.large_n(20, mode=mode) == rows

@@ -234,6 +234,29 @@ def test_a_winning_trial_point_is_the_one_the_line_search_returned(name, n, monk
         assert calls[k + 1][0] == calls[k][1]
 
 
+@pytest.mark.parametrize("mode", ["accelerated", "plain"])
+@pytest.mark.parametrize("n", [50, 2 * BLOCK_ROWS + 123])
+@pytest.mark.parametrize("name", ["broyden-tri", "trigexp"])
+def test_spectral_step_reads_the_secant_pair_of_consecutive_iterates(name, n, mode,
+                                                                      monkeypatch):
+    # Both modes take (s'y, s's) from steps.secant_pair of the last two
+    # iterates and their residuals, so above BLOCK_ROWS they sum it in the
+    # same block order.
+    spectral_step, calls = solver_mod.sigma_k, []
+
+    def recorded(pair, x, f):
+        calls.append((pair, x.copy()))
+        return spectral_step(pair, x, f)
+
+    monkeypatch.setattr(solver_mod, "sigma_k", recorded)
+    p = make(name, n)
+    solve(p, SolverConfig(mode=mode))
+    assert len(calls) > 2 and calls[0][0] is None
+    for (_, x0), (pair, x1) in zip(calls, calls[1:]):
+        want = steps_mod.secant_pair(x1, x0, p.residual(x1), p.residual(x0))
+        assert [v.hex() for v in pair] == [v.hex() for v in want]
+
+
 def test_accepted_point_never_worse_than_trial():
     for problem in (booth(), expfun2(3), broyden_tridiagonal(10)):
         trace = []

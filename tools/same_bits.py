@@ -29,11 +29,14 @@ Rows, in order (a "short" digest is the first 16 hex digits of a SHA-256):
    ``<name> <N>: iter=I fcnt=F istop=S accepted <short> rank [r, ...]
    f_next <short> nu <short> x <short>``.  The accepted, f_next and nu_norm
    digests are of the repr of the trace's list of that field (floats as
-   ``float.hex()``); the x digest is of the bytes of the final x.
+   ``float.hex()``); the x digest is of the bytes of the final x.  Above
+   ``BLOCK_ROWS`` these digests depend on the block order in which
+   ``steps.secant_pair`` sums (s'y, s's), as in row 7.
 4. ``iprint2 <problem> <n or None> <short> <length>`` for
    ``python -m dfsane solve --problem P [--n N] --iprint 2``: the digest and
    the length of its stdout lines joined by newlines, for rosenbrock-ext
-   at n = 10, powell-singular and broyden-tri at n = 20,000.
+   at n = 10, powell-singular and broyden-tri at n = 20,000.  The last is
+   above ``BLOCK_ROWS``, so its digest depends on that block order too.
 5. ``kernel n=<n> m=<m> <short>``, the outside-pair path that the kernel
    microbench drives: one ``default_rng(0)`` across the cases n = 10,
    1,000, 100,000 (outer) and m = 2, 6 (inner).  Per case a window of
@@ -50,9 +53,10 @@ Rows, in order (a "short" digest is the first 16 hex digits of a SHA-256):
 7. For each N on the command line, broyden-tri then trigexp at n = N in
    plain mode, ``SolverConfig(mode="plain")``: ``plain <name> <N>: iter=I
    fcnt=F istop=S f_next <short> x <short>``, the digests as in row 3.
-   Plain mode sums (s'y, s's) block by block above ``BLOCK_ROWS`` (16,384)
-   rows, adding the blocks' products in block order, so these digests
-   change with that rule and with ``BLOCK_ROWS``; the counts do not.
+   Both modes sum (s'y, s's) with ``steps.secant_pair``, block by block
+   above ``BLOCK_ROWS`` (16,384) rows, adding the blocks' products in block
+   order, so these digests change with that rule and with ``BLOCK_ROWS``;
+   the counts do not.
 """
 
 from __future__ import annotations
