@@ -70,7 +70,8 @@ import numpy as np
 from .core import BLOCK_ROWS, EPS_MACH, Array
 
 # Columns per step of the rotation, rows per step of the extrapolated point.
-# Chunks of 1024 or more gave the whole product's bits on random shapes.
+# The rotation's chunks give the whole-block product's bits at the widths that
+# tests/test_accel.py pins; a last chunk of one column (width = 1 mod _CHUNK) may not.
 _CHUNK, _POINT_ROWS = 2048, 4096
 
 
@@ -156,17 +157,20 @@ class SecantWindow:
                 Y[self._order()] = self._qr.columns()
         return S.T, Y.T
 
-    def _solve(self, s: Array | None, y: Array | None, b: Array) -> tuple[Array, ...]:
+    def _solve(self, s: Array | None, y: Array | None, x_trial: Array,
+               b: Array) -> tuple[Array, ...]:
         """Keep nu, the minimum-norm least-squares solution of Y nu = b, and
         Y's rank, with the trial pair last: an outside (s, y), or the unsolved
         one for None, None.  Form its y (a row, or the trial column), release
         it and return S's pair rows and the trial's (x_new, x)."""
-        if s is not None or y is not None:
-            self.trial_difference(*self._outside(s, y))
-        elif not self._trial:
+        pair = self._trial if s is None and y is None else self._outside(s, y)
+        if not pair:
             raise ValueError("s and y are None but there is no trial pair"
-                             if self._trial is None else "the trial pair was solved")
-        x_new, x, F_new, F = self._trial
+                             if pair is None else "the trial pair was solved")
+        if not x_trial.shape == b.shape == pair[0].shape:
+            raise ValueError("x_trial and F_trial must have the pair length")
+        self.trial_difference(*pair)
+        x_new, x, F_new, F = pair
         m = self.count + 1
         qr = self._qr
         if qr is None:
@@ -268,10 +272,10 @@ class _BlockQR:
     def update(self, trial: tuple[Array, Array] | None = None,
                b: Array | None = None) -> Array | None:
         """One pass over the blocks.  In each block: rotate Q for a pending
-        drop (``_rotate``), factor the held column, then with ``trial`` =
-        (F_new, F) append the trial column y = F_new - F, formed in its row,
-        and with ``b`` return the stacked Q_i^T b.  A stale trial column is
-        dropped first."""
+        drop (G_i^T Q_i, ``_CHUNK`` columns at a time through one buffer),
+        factor the held column, then with ``trial`` = (F_new, F) append the
+        trial column y = F_new - F, formed in its row, and with ``b`` return
+        the stacked Q_i^T b.  A stale trial column is dropped first."""
         self.truncate_trial()
         Q, R = self.rows, self.R
         m, k = self.m, self.k
@@ -290,7 +294,9 @@ class _BlockQR:
         Qb = None if b is None else np.empty((len(self.blocks), m + len(new)))
         for i, (j0, j1) in enumerate(self.blocks):
             if rotate:
-                _rotate(Gt[i], Q[:k, j0:j1], buf)
+                for c in range(j0, j1, _CHUNK):
+                    cols = slice(c, min(c + _CHUNK, j1))
+                    Q[:m, cols] = np.matmul(Gt[i], Q[:k, cols], out=buf[:, :cols.stop - c])
             for j, v in enumerate(new, start=m):
                 if j == t:
                     np.subtract(trial[0][j0:j1], trial[1][j0:j1], out=v[j0:j1])
@@ -312,14 +318,6 @@ class _BlockQR:
         if self.held is not None:
             Y[m] = self.rows[self.held]
         return Y
-
-
-def _rotate(G: Array, Q: Array, buf: Array) -> None:
-    """Write G @ Q over Q's first len(G) rows, ``_CHUNK`` columns at a time
-    through ``buf``: the whole product's bits, with m rows of scratch."""
-    for j in range(0, Q.shape[1], _CHUNK):
-        cols = slice(j, j + _CHUNK)
-        Q[:len(G), cols] = np.matmul(G, Q[:, cols], out=buf[:, :min(_CHUNK, Q.shape[1] - j)])
 
 
 def _orthonormalize(Q: Array, y: Array, q: Array, r: Array, work: Array) -> None:
@@ -375,8 +373,9 @@ def accel_point(window: SecantWindow, s_k: Array | None, y_k: Array | None,
     buffer: the pairs' rows and the trial step x_new - x.  So the solver's
     ``window.spare_row()`` (at a full window a column of S) costs no
     n-vector, and a chunk's S nu sums the same m columns as the whole
-    product, bit for bit.  Copy the point out before the push."""
-    pairs, x_new, x = window._solve(s_k, y_k, F_trial)
+    product, bit for bit.  Copy the point out before the push.  An x_trial
+    or F_trial of another length than the pair is a ValueError."""
+    pairs, x_new, x = window._solve(s_k, y_k, x_trial, F_trial)
     n, m, nu = x_trial.shape[0], len(pairs) + 1, window.nu
     out = np.empty_like(x_trial) if out is None else out
     buf = np.empty((m, min(n, _POINT_ROWS)))

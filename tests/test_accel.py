@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from dfsane.accel import _CHUNK, BLOCK_ROWS, SecantWindow, _rotate, accel_point
+from dfsane.accel import BLOCK_ROWS, SecantWindow, accel_point
 
 
 def pinv_solution(Y, b):
@@ -288,25 +288,34 @@ def test_blocked_kernel_matches_direct_lstsq(case):
     np.testing.assert_allclose(nu, want, rtol=1e-10, atol=0.0)
 
 
-@pytest.mark.parametrize("m", range(1, 7))
-def test_chunked_rotation_is_the_whole_block_product(m):
-    # A pass that drops the oldest column rotates each block's k = m + 1 Q
-    # rows by G_i^T, _CHUNK columns at a time through an m x _CHUNK buffer;
-    # it writes the bits of one whole-block product over the first m rows.
-    # Block widths: BLOCK_ROWS, the widths at n = 1e6 and 1e5, and a short
-    # last chunk.
-    rng = np.random.default_rng(m)
-    k = m + 1
-    G = np.linalg.qr(rng.standard_normal((4, k, m)))[0].transpose(0, 2, 1)
-    for i, width in enumerate([BLOCK_ROWS, 15_625, 14_286, 2 * _CHUNK + 5]):
-        rows = rng.standard_normal((k + 1, 3 * width))    # blocks side by side
-        before = rows.copy()
-        block = rows[:k, width:2 * width]
-        want = np.matmul(G[i], block)
-        _rotate(G[i], block, np.empty((m, _CHUNK)))
-        assert rows[:m, width:2 * width].tobytes() == want.tobytes()
-        rows[:m, width:2 * width] = before[:m, width:2 * width]
-        assert rows.tobytes() == before.tobytes()
+@pytest.mark.parametrize("capacity", range(1, 7))
+def test_chunked_rotation_is_the_whole_block_product(capacity):
+    # A pass after a full window's push drops the oldest column: it rotates
+    # each block's k = m + 1 Q rows by G_i^T, a chunk of columns at a time
+    # through one m-row buffer, and writes the bits of one whole-block
+    # product over the first m rows.  This holds at the block widths below,
+    # those of n = 1e5 (14,285 / 14,286), of n = 1e6 (16,129 / 16,130) and
+    # BLOCK_ROWS, not at every width: a last chunk of one column can differ
+    # in the last bits.
+    for n, widths in [(28_571, {14_285, 14_286}), (32_259, {16_129, 16_130}),
+                      (2 * BLOCK_ROWS, {BLOCK_ROWS})]:
+        rng = np.random.default_rng(n + capacity)
+        w = SecantWindow(capacity)
+        for _ in range(capacity):
+            w.push_pair(rng.standard_normal(n), rng.standard_normal(n))
+        s, y, x_trial, F_trial = rng.standard_normal((4, n))
+        accel_point(w, s, y, x_trial, F_trial)
+        w.keep_trial(s, 0.0)
+        qr = w._qr
+        m, k = qr.m, qr.k
+        assert (k, {j1 - j0 for j0, j1 in qr.blocks}) == (m + 1, widths)
+        before = qr.rows.copy()
+        G = np.linalg.qr(qr.R.copy()[:, :k, :m])[0]
+        qr.update()
+        for i, (j0, j1) in enumerate(qr.blocks):
+            want = np.matmul(G[i].T, before[:k, j0:j1])
+            assert qr.rows[:m, j0:j1].tobytes() == want.tobytes()
+        assert qr.rows[m:].tobytes() == before[m:].tobytes()
 
 
 def factor_orthogonality(w):
@@ -621,6 +630,27 @@ def test_solve_releases_the_trial_point(n):
     assert ref() is None
     w.keep_trial(rebuilt, x)
     check_push(w, s, y, solved_factored_trial=w._qr is not None)
+
+
+@pytest.mark.parametrize("bad", ["x_trial", "F_trial"])
+@pytest.mark.parametrize("n", [10, 40_000])
+def test_point_rejects_a_trial_of_another_length(n, bad):
+    # x_trial and F_trial are checked against the pair length before the
+    # window changes, for the trial pair and for an outside pair: each bad
+    # call is a ValueError, and the next solve is bit for bit that of a twin
+    # window that never got one.
+    w, x, F, x_trial, F_trial = window_and_trial(n)
+    twin = window_and_trial(n)[0]
+    s, y = x_trial - x, F_trial - F
+    for wrong in (n - 1, n + 5):
+        args = {"x_trial": x_trial, "F_trial": F_trial, bad: np.ones(wrong)}
+        for pair in [(None, None), (s, y)]:
+            with pytest.raises(ValueError, match="must have the pair length"):
+                accel_point(w, *pair, **args)
+    got = accel_point(w, None, None, x_trial, F_trial)
+    want = accel_point(twin, None, None, x_trial, F_trial)
+    assert ((got.tobytes(), w.nu.tobytes(), w.rank)
+            == (want.tobytes(), twin.nu.tobytes(), twin.rank))
 
 
 @pytest.mark.parametrize("n", [7, BLOCK_ROWS + 100])
