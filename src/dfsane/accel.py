@@ -34,11 +34,10 @@ only once the window is full: until then the trial row is the next slot.
 Factored layout (n > ``BLOCK_ROWS``).  S is kept as above, but Y is not
 stored.  Its rows array holds thin QR factors instead, kept per block of at
 most ``BLOCK_ROWS`` rows: Y_i = Q_i R_i with Q_i (c x m) orthonormal and R_i
-(m x m) upper triangular, the columns in age order, oldest first, and the
-trial column last.  Row j of the array holds column j of every Q_i.  The
-factors change one column at a time, and each change is made by the next
-pass over the blocks (one per iteration: the ``accel_point`` call), while
-each block is in cache:
+(m x m) upper triangular, the columns in age order, oldest first.  Row j
+of the array holds column j of every Q_i.  The factors change one column at
+a time, and each change is made by the next pass over the blocks (one per
+iteration: the ``accel_point`` call), while each block is in cache:
 
 - a column is appended by classical Gram-Schmidt, reorthogonalized once
   when the first pass cancels (Daniel, Gragg, Kaufman & Stewart, Math.
@@ -48,11 +47,13 @@ each block is in cache:
 - the oldest column is dropped by re-triangularizing each R_i[:, 1:] with a
   small QR, R_i[:, 1:] = G_i T_i, and rotating Q_i by the same G_i, as
   sliding-window Anderson acceleration codes do (Walker & Ni, SIAM J. Numer.
-  Anal. 49, 2011);
-- a trial column that is not kept is dropped by truncation.
+  Anal. 49, 2011).
 
 A pushed pair's y waits in the row after the factored columns until that
-pass orthogonalizes it in place.
+pass orthogonalizes it in place.  The solve's pass factors the trial column
+into the row after the counted columns, but counts it only once
+``keep_trial`` commits it; a trial column that is not kept is written over
+by the next pass or push.
 
 Y = diag(Q_1, Q_2, ...) [R_1; R_2; ...] with orthonormal columns, so nu is
 the ``lstsq`` solution of the stacked R against the stacked Q_i^T F(x_trial),
@@ -108,7 +109,7 @@ class SecantWindow:
     def push_difference(self, x_new: Array, x: Array, F_new: Array, F: Array) -> None:
         """Push the pair (x_new - x, F_new - F), computed in its slot; the
         trial pair is discarded."""
-        self._check(x_new.shape[0])
+        self._check(x_new, x, F_new, F)
         self._trial = None
         i = self._pushes % self.capacity
         np.subtract(x_new, x, out=self._s_rows[i])
@@ -120,19 +121,21 @@ class SecantWindow:
         """Make (x_new - x, F_new - F) the trial pair, which None, None stands
         for until its solve; a push or a new trial pair discards it.  The four
         vectors are held until that solve, which forms the pair."""
-        self._check(x_new.shape[0])
+        self._check(x_new, x, F_new, F)
         self._trial = (x_new, x, F_new, F)
 
     def keep_trial(self, x_new: Array, x: Array | float) -> None:
         """Push the solved trial pair with its s written as x_new - x (the
         trial point and x; ``keep_trial(s, 0.0)`` for an outside pair).  Its
-        y is the trial row, or its factor column."""
+        y is the trial row, or its factor column, counted from here on."""
         if self._trial is None or self._trial:
             raise ValueError("no solved trial pair to keep")
         if self._qr is None:
             self.push_difference(x_new, x, self._y_rows[self.count], 0.0)
             return
-        self._qr.trial, self._trial = False, None
+        self._check(x_new, x)
+        self._qr.m = self._qr.k = self._qr.m + 1
+        self._trial = None
         np.subtract(x_new, x, out=self._s_rows[self._pushes % self.capacity])
         self._advance()
 
@@ -149,7 +152,7 @@ class SecantWindow:
         S, Y = np.empty((2, self.count + 1, s.shape[0]))
         S[-1], Y[-1] = s, y
         if self._s_rows is not None:
-            self._check(s.shape[0])
+            self._check(s)
             S[:-1] = self._s_rows[:self.count]
             if self._qr is None:
                 Y[:-1] = self._y_rows[:self.count]
@@ -158,18 +161,18 @@ class SecantWindow:
         return S.T, Y.T
 
     def _solve(self, s: Array | None, y: Array | None, x_trial: Array,
-               b: Array) -> tuple[Array, ...]:
+               b: Array, out: Array | None) -> tuple[Array, ...]:
         """Keep nu, the minimum-norm least-squares solution of Y nu = b, and
         Y's rank, with the trial pair last: an outside (s, y), or the unsolved
-        one for None, None.  Form its y (a row, or the trial column), release
-        it and return S's pair rows and the trial's (x_new, x)."""
+        one for None, None.  Check every vector, ``out`` too, form the pair's
+        y (a row, or the trial column), release it and return S's pair rows
+        and the trial's (x_new, x)."""
         pair = self._trial if s is None and y is None else self._outside(s, y)
         if not pair:
             raise ValueError("s and y are None but there is no trial pair"
                              if pair is None else "the trial pair was solved")
-        if not x_trial.shape == b.shape == pair[0].shape:
-            raise ValueError("x_trial and F_trial must have the pair length")
-        self.trial_difference(*pair)
+        self._check(*pair, x_trial, b, out)
+        self._trial = pair
         x_new, x, F_new, F = pair
         m = self.count + 1
         qr = self._qr
@@ -199,16 +202,18 @@ class SecantWindow:
         first = self._pushes - self.count
         return [(first + j) % self.capacity for j in range(self.count)]
 
-    def _check(self, n: int) -> None:
-        """Check the pair length n; the first one allocates the rows and
-        fixes the layout."""
+    def _check(self, *vectors: Array | float | None) -> None:
+        """Check, before a call writes, that every vector it was given has
+        the pair length (a scalar such as 0.0, or None, is no vector); the
+        first pair allocates the rows and fixes the layout."""
+        n = np.shape(vectors[0]) if self._s_rows is None else self._s_rows.shape[1:]
+        if len(n) != 1 or {np.shape(v) for v in vectors} - {n, ()}:
+            raise ValueError("every vector given to the window must have the pair length")
         if self._s_rows is None:
-            self._s_rows = np.empty((self.capacity, n))
-            self._y_rows = np.empty((self.capacity + 1, n))
-            if n > BLOCK_ROWS and 2 * (self.capacity + 1) <= BLOCK_ROWS:
+            self._s_rows = np.empty((self.capacity, n[0]))
+            self._y_rows = np.empty((self.capacity + 1, n[0]))
+            if n[0] > BLOCK_ROWS and 2 * (self.capacity + 1) <= BLOCK_ROWS:
                 self._qr = _BlockQR(self._y_rows)
-        elif n != self._s_rows.shape[1]:
-            raise ValueError("pair length does not match window contents")
 
     def _outside(self, s: Array, y: Array) -> tuple[Array, Array, Array, Array]:
         """The outside pair (s, y) as the difference (s - 0, y - 0), in
@@ -229,8 +234,10 @@ class _BlockQR:
     block i's factor for the m factored columns.  Updates are applied by
     the next pass over the blocks: k is m + 1 after the oldest column was
     dropped (R[:, 1:] is Hessenberg until the pass re-triangularizes it and
-    rotates Q), and a pushed column waits unfactored in row ``held``.
-    ``trial`` is True while the last column is a trial column not yet kept.
+    rotates Q), and a pushed column waits unfactored in row ``held``.  A
+    pass given a trial column factors it into row m and R[:, :m + 1, m] but
+    leaves it out of m and k: ``keep_trial`` commits it by counting it, and
+    otherwise the next pass or push writes over that row.
     """
 
     def __init__(self, rows: Array):
@@ -243,19 +250,10 @@ class _BlockQR:
         self.R = np.zeros((nb, k, k))
         self.m = self.k = 0
         self.held: int | None = None
-        self.trial = False
-
-    def truncate_trial(self) -> None:
-        """Drop the trial column, if there is one."""
-        if self.trial:
-            self.m -= 1
-            self.k -= 1
-            self.trial = False
 
     def hold(self) -> int:
         """The free row for a pushed column, to be factored by the next
-        pass; a trial column, a pending column or a full array is handled first."""
-        self.truncate_trial()
+        pass; a pending column or a full array is handled first."""
         if self.held is not None or self.k == self.rows.shape[0]:
             self.update()
         self.held = self.k
@@ -275,8 +273,7 @@ class _BlockQR:
         drop (G_i^T Q_i, ``_CHUNK`` columns at a time through one buffer),
         factor the held column, then with ``trial`` = (F_new, F) append the
         trial column y = F_new - F, formed in its row, and with ``b`` return
-        the stacked Q_i^T b.  A stale trial column is dropped first."""
-        self.truncate_trial()
+        the stacked Q_i^T b.  The trial column is left uncounted."""
         Q, R = self.rows, self.R
         m, k = self.m, self.k
         rotate = k > m
@@ -287,7 +284,6 @@ class _BlockQR:
         t = m + len(new)
         if trial:
             new.append(Q[t])
-            self.trial = True
         for j in range(m, m + len(new)):
             R[:, j, :j] = 0.0
         work = np.empty(self.width)
@@ -304,14 +300,14 @@ class _BlockQR:
                                 work[:j1 - j0])
             if Qb is not None:
                 Qb[i] = Q[:Qb.shape[1], j0:j1] @ b[j0:j1]
-        self.m = self.k = m + len(new)
+        self.m = self.k = t
         self.held = None
         return Qb
 
     def columns(self) -> Array:
-        """Every factored pair column of Y (the trial column left out), then
-        the held one, as the rows of a new array."""
-        m, k = (self.m - 1, self.k - 1) if self.trial else (self.m, self.k)
+        """Every counted column of Y, then the held one, as the rows of a new
+        array."""
+        m, k = self.m, self.k
         Y = np.empty((m + (self.held is not None), self.rows.shape[1]))
         for i, (j0, j1) in enumerate(self.blocks):
             Y[:m, j0:j1] = self.R[i, :k, :m].T @ self.rows[:k, j0:j1]
@@ -373,9 +369,10 @@ def accel_point(window: SecantWindow, s_k: Array | None, y_k: Array | None,
     buffer: the pairs' rows and the trial step x_new - x.  So the solver's
     ``window.spare_row()`` (at a full window a column of S) costs no
     n-vector, and a chunk's S nu sums the same m columns as the whole
-    product, bit for bit.  Copy the point out before the push.  An x_trial
-    or F_trial of another length than the pair is a ValueError."""
-    pairs, x_new, x = window._solve(s_k, y_k, x_trial, F_trial)
+    product, bit for bit.  Copy the point out before the push.  Any vector
+    of another length than the pair, ``out`` included, is a ValueError
+    raised before the window changes."""
+    pairs, x_new, x = window._solve(s_k, y_k, x_trial, F_trial, out)
     n, m, nu = x_trial.shape[0], len(pairs) + 1, window.nu
     out = np.empty_like(x_trial) if out is None else out
     buf = np.empty((m, min(n, _POINT_ROWS)))

@@ -68,7 +68,7 @@ class Problem:
     x0: Array
 
     def __post_init__(self):
-        if self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, Integral) or self.n < 1:
             raise ValueError("problem dimension must be a positive integer")
         object.__setattr__(self, "x0", as_vector(self.x0, self.n))
 

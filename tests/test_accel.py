@@ -372,11 +372,16 @@ def test_factored_window_follows_the_solver_steps(capacity):
 def test_factored_window_slides_over_pushed_pairs():
     # Outside pairs, more than capacity of them: matrices_with forms Y from
     # the factors, and an accel_point with an outside pair makes it the
-    # trial pair, whose factor column the next solve or push drops again.
+    # trial pair, whose factor column the next solve or push writes over.
+    # On alternate rounds the last round's solved pair is kept first, so at
+    # a full window the push finds the factor array full.
     n, capacity = BLOCK_ROWS + 4_000, 3
     rng = np.random.default_rng(12)
     w, pushed = SecantWindow(capacity), []
-    for _ in range(2 * capacity + 2):
+    for r in range(2 * capacity + 2):
+        if r % 2:
+            assert w.keep_trial(s_k, 0.0) is None
+            pushed.append((s_k, y_k))
         pair = (rng.standard_normal(n), rng.standard_normal(n))
         w.push_pair(*pair)
         pushed.append(pair)
@@ -632,10 +637,10 @@ def test_solve_releases_the_trial_point(n):
     check_push(w, s, y, solved_factored_trial=w._qr is not None)
 
 
-@pytest.mark.parametrize("bad", ["x_trial", "F_trial"])
+@pytest.mark.parametrize("bad", ["x_trial", "F_trial", "out"])
 @pytest.mark.parametrize("n", [10, 40_000])
 def test_point_rejects_a_trial_of_another_length(n, bad):
-    # x_trial and F_trial are checked against the pair length before the
+    # x_trial, F_trial and out are checked against the pair length before the
     # window changes, for the trial pair and for an outside pair: each bad
     # call is a ValueError, and the next solve is bit for bit that of a twin
     # window that never got one.
@@ -647,6 +652,38 @@ def test_point_rejects_a_trial_of_another_length(n, bad):
         for pair in [(None, None), (s, y)]:
             with pytest.raises(ValueError, match="must have the pair length"):
                 accel_point(w, *pair, **args)
+    got = accel_point(w, None, None, x_trial, F_trial)
+    want = accel_point(twin, None, None, x_trial, F_trial)
+    assert ((got.tobytes(), w.nu.tobytes(), w.rank)
+            == (want.tobytes(), twin.nu.tobytes(), twin.rank))
+
+
+@pytest.mark.parametrize("call, arg, extra", [
+    ("push_difference", 2, -1), ("push_difference", 2, 1),
+    ("push_difference", 3, -1), ("push_difference", 3, 1),
+    ("trial_difference", 3, -1), ("trial_difference", 3, 1), ("keep_trial", 0, -1),
+])
+@pytest.mark.parametrize("n", [10, 40_000])
+def test_a_vector_of_another_length_leaves_the_window_unchanged(n, call, arg, extra):
+    # Every window method checks all of its vectors (argument arg, of
+    # length n + extra, is the bad one) before it writes: the call is a
+    # ValueError, and the window still holds its trial pair, whose solve is
+    # bit for bit that of a twin window that never got the call (for
+    # keep_trial: the good keep_trial, then the next trial pair's solve).
+    w, x, F, x_trial, F_trial = window_and_trial(n)
+    twin = window_and_trial(n)[0]
+    args = [x_trial, x, F_trial, F]
+    if call == "keep_trial":
+        for v in (w, twin):
+            accel_point(v, None, None, x_trial, F_trial)
+        args = args[:2]
+    args[arg] = np.ones(n + extra)
+    with pytest.raises(ValueError, match="must have the pair length"):
+        getattr(w, call)(*args)
+    if call == "keep_trial":
+        for v in (w, twin):
+            v.keep_trial(x_trial, x)
+            v.trial_difference(x_trial, x, F_trial, F)
     got = accel_point(w, None, None, x_trial, F_trial)
     want = accel_point(twin, None, None, x_trial, F_trial)
     assert ((got.tobytes(), w.nu.tobytes(), w.rank)

@@ -294,6 +294,11 @@ def test_problem_rejects_bad_inputs():
         Problem("p", 0, lambda x: x, np.zeros(0))
     with pytest.raises(ValueError):
         Problem("p", 3, lambda x: x, np.zeros(2))
+    # A float or bool n too: solve sizes arrays by n, so a failing first
+    # evaluation would raise numpy's TypeError instead of reporting istop 3.
+    for n in (3.0, True):
+        with pytest.raises(ValueError, match="positive integer"):
+            solve(Problem("p", n, lambda x: 1 / 0, np.zeros(int(n))))
 
 
 def test_config_defaults():
