@@ -4,7 +4,7 @@ minimum-norm least-squares extrapolation step.
 The accelerated point is x_trial - S nu where nu is the minimum-norm
 least-squares solution of Y nu = F(x_trial), with S and Y collecting the
 recent iterate and residual differences plus the trial pair.  Both layouts
-below use the rank rule of ``np.linalg.lstsq`` (LAPACK's SVD-based solver):
+below use the rank rule of numpy's ``lstsq`` (LAPACK's SVD-based solver):
 the numerical rank counts the singular values of Y above
 ``eps * max(n, m) * sigma_max``.
 
@@ -16,20 +16,21 @@ by row chunks, into the row of S that the next push writes.  S holds the p
 pairs alone: the trial step x_trial - x is formed where it is read, as both
 points are alive there.  Then ``keep_trial(x_trial, x)`` pushes the solved
 pair, or ``push_difference`` pushes the pair of the point that won instead.
-An outside pair is the difference (s - 0, y - 0), which is (s, y) bit for
-bit: ``push_pair`` pushes it, ``accel_point`` given it solves it as the
-trial pair (``keep_trial(s, 0.0)`` pushes it), and ``matrices_with`` only
-reads the window with it.
+An outside pair (s, y) is the difference (s - 0, y - 0), bit for bit:
+``push_pair`` pushes it, ``accel_point`` makes it the trial pair and solves
+it (``keep_trial(s, 0.0)`` pushes it), and ``matrices_with`` only reads the
+window with it.  Every solve reads the trial pair and makes one ``lstsq``
+call, with ``rcond = eps * max(n, m)`` in both layouts.
 
 Direct layout (n <= ``BLOCK_ROWS``).  The window keeps S and Y as
 preallocated row-major p x n and (p + 1) x n arrays, one row per pair, so
 nothing is restacked per call: pairs fill a ring of p rows and the solve
 writes the trial pair's y into the row of Y after them.  The n x m Y is a
-transposed (Fortran-ordered) view of its first m rows, and nu comes from one
-``lstsq`` call on it (``rcond=None``).  Rows are in ring order, not in age
-order; the solution is invariant (in exact arithmetic) under a common column
-permutation of S and Y.  A kept trial pair's y is copied into its ring slot
-only once the window is full: until then the trial row is the next slot.
+transposed (Fortran-ordered) view of its first m rows, which ``lstsq``
+solves.  Rows are in ring order, not in age order; the solution is invariant
+(in exact arithmetic) under a common column permutation of S and Y.  A kept
+trial pair's y is copied into its ring slot only once the window is full:
+until then the trial row is the next slot.
 
 Factored layout (n > ``BLOCK_ROWS``).  S is kept as above, but Y is not
 stored.  Its rows array holds thin QR factors instead, kept per block of at
@@ -57,9 +58,9 @@ by the next pass or push.
 
 Y = diag(Q_1, Q_2, ...) [R_1; R_2; ...] with orthonormal columns, so nu is
 the ``lstsq`` solution of the stacked R against the stacked Q_i^T F(x_trial),
-and the stacked R has the singular values of Y; the explicit
-``rcond = eps * max(n, m)`` keeps the direct call's rank rule.  nu comes out
-in age order and is permuted into S's ring order before x_trial - S nu.
+and the stacked R has the singular values of Y, so the same ``rcond`` gives
+the direct layout's rank rule.  nu comes out in age order and is permuted
+into S's ring order before x_trial - S nu.
 """
 
 from __future__ import annotations
@@ -125,9 +126,9 @@ class SecantWindow:
         self._trial = (x_new, x, F_new, F)
 
     def keep_trial(self, x_new: Array, x: Array | float) -> None:
-        """Push the solved trial pair with its s written as x_new - x (the
-        trial point and x; ``keep_trial(s, 0.0)`` for an outside pair).  Its
-        y is the trial row, or its factor column, counted from here on."""
+        """Push the solved trial pair with its s written as x_new - x: the
+        trial point and x, or s and 0.0 for an outside pair (s - 0, y - 0).
+        Its y is the trial row, or its factor column, counted from here on."""
         if self._trial is None or self._trial:
             raise ValueError("no solved trial pair to keep")
         if self._qr is None:
@@ -149,43 +150,36 @@ class SecantWindow:
         (count+1) matrices (S, Y), columns in the same order in both.  It
         only reads the window; the factored layout forms Y from the factors."""
         s, _, y, _ = self._outside(s, y)
+        self._check(s)
         S, Y = np.empty((2, self.count + 1, s.shape[0]))
         S[-1], Y[-1] = s, y
-        if self._s_rows is not None:
-            self._check(s)
-            S[:-1] = self._s_rows[:self.count]
-            if self._qr is None:
-                Y[:-1] = self._y_rows[:self.count]
-            else:
-                Y[self._order()] = self._qr.columns()
+        S[:-1] = self._s_rows[:self.count]
+        if self._qr is None:
+            Y[:-1] = self._y_rows[:self.count]
+        else:
+            Y[self._order()] = self._qr.columns()
         return S.T, Y.T
 
-    def _solve(self, s: Array | None, y: Array | None, x_trial: Array,
-               b: Array, out: Array | None) -> tuple[Array, ...]:
-        """Keep nu, the minimum-norm least-squares solution of Y nu = b, and
-        Y's rank, with the trial pair last: an outside (s, y), or the unsolved
-        one for None, None.  Check every vector, ``out`` too, form the pair's
-        y (a row, or the trial column), release it and return S's pair rows
-        and the trial's (x_new, x)."""
-        pair = self._trial if s is None and y is None else self._outside(s, y)
-        if not pair:
+    def _solve(self, x_trial: Array, b: Array, out: Array | None) -> tuple[Array, ...]:
+        """Keep nu, the minimum-norm least-squares solution of Y nu = b (one
+        ``lstsq`` call), and Y's rank, with the trial pair last.  Check every
+        vector, ``out`` too, form the pair's y (a row, or the trial column),
+        release it and return S's pair rows and the trial's (x_new, x)."""
+        if not self._trial:
             raise ValueError("s and y are None but there is no trial pair"
-                             if pair is None else "the trial pair was solved")
-        self._check(*pair, x_trial, b, out)
-        self._trial = pair
-        x_new, x, F_new, F = pair
-        m = self.count + 1
-        qr = self._qr
+                             if self._trial is None else "the trial pair was solved")
+        self._check(*self._trial, x_trial, b, out)
+        x_new, x, F_new, F = self._trial
+        m, qr = self.count + 1, self._qr
         if qr is None:
             np.subtract(F_new, F, out=self._y_rows[m - 1])
-            nu, _, rank, _ = np.linalg.lstsq(self._y_rows[:m].T, b, rcond=None)
-        else:
-            Qb = qr.update((F_new, F), b)
-            nu_age, _, rank, _ = np.linalg.lstsq(
-                qr.R[:, :m, :m].reshape(-1, m), Qb.reshape(-1),
-                rcond=EPS_MACH * max(x_new.shape[0], m))
-            nu = np.empty(m)
-            nu[self._order() + [m - 1]] = nu_age
+            A, rhs = self._y_rows[:m].T, b
+        else:  # the reshape copies, so R is read after the pass updates it
+            rhs = qr.update((F_new, F), b).reshape(-1)
+            A = qr.R[:, :m, :m].reshape(-1, m)
+        nu, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=EPS_MACH * max(x_new.shape[0], m))
+        if qr is not None:  # age order into S's row order
+            nu = nu[np.argsort(self._order() + [m - 1])]
         self.nu, self.rank, self._trial = nu, int(rank), ()
         return self._s_rows[:m - 1], x_new, x
 
@@ -360,8 +354,8 @@ def _orthonormalize(Q: Array, y: Array, q: Array, r: Array, work: Array) -> None
 
 def accel_point(window: SecantWindow, s_k: Array | None, y_k: Array | None,
                 x_trial: Array, F_trial: Array, out: Array | None = None) -> Array:
-    """Extrapolated point x_trial - S nu from the window plus the extra pair
-    (s_k, y_k); s_k, y_k = None, None stands for the window's trial pair.
+    """Extrapolated point x_trial - S nu from the window plus its trial pair,
+    (s_k - 0, y_k - 0) for an outside pair (s_k, y_k); one ``lstsq`` call.
 
     Performs no residual evaluation; the window keeps nu and the rank.  The
     point is written into ``out``, or a new array, by row chunks of
@@ -372,7 +366,11 @@ def accel_point(window: SecantWindow, s_k: Array | None, y_k: Array | None,
     product, bit for bit.  Copy the point out before the push.  Any vector
     of another length than the pair, ``out`` included, is a ValueError
     raised before the window changes."""
-    pairs, x_new, x = window._solve(s_k, y_k, x_trial, F_trial, out)
+    if s_k is not None or y_k is not None:
+        pair = window._outside(s_k, y_k)
+        window._check(*pair, x_trial, F_trial, out)
+        window.trial_difference(*pair)
+    pairs, x_new, x = window._solve(x_trial, F_trial, out)
     n, m, nu = x_trial.shape[0], len(pairs) + 1, window.nu
     out = np.empty_like(x_trial) if out is None else out
     buf = np.empty((m, min(n, _POINT_ROWS)))

@@ -97,9 +97,10 @@ class SolverConfig:
     mode: str = "accelerated"
 
     def __post_init__(self):
-        for name in ("nhlim", "maxit", "max_feval"):  # a float cap never equals a count
+        for name in ("nhlim", "maxit", "max_feval"):  # a float or bool cap is no count
             value = getattr(self, name)
-            if not (isinstance(value, Integral) or (value is None and name != "nhlim")):
+            if isinstance(value, bool) or not (isinstance(value, Integral)
+                                               or (value is None and name != "nhlim")):
                 raise ValueError(f"{name} must be an integer")
         if self.nhlim < 2:
             raise ValueError("nhlim must be at least 2")

@@ -641,9 +641,10 @@ def test_solve_releases_the_trial_point(n):
 @pytest.mark.parametrize("n", [10, 40_000])
 def test_point_rejects_a_trial_of_another_length(n, bad):
     # x_trial, F_trial and out are checked against the pair length before the
-    # window changes, for the trial pair and for an outside pair: each bad
-    # call is a ValueError, and the next solve is bit for bit that of a twin
-    # window that never got one.
+    # window changes, for the trial pair and for an outside pair, and a
+    # half-given outside pair is no pair (not the window's trial pair): each
+    # bad call is a ValueError, and the next solve is bit for bit that of a
+    # twin window that never got one.
     w, x, F, x_trial, F_trial = window_and_trial(n)
     twin = window_and_trial(n)[0]
     s, y = x_trial - x, F_trial - F
@@ -652,6 +653,9 @@ def test_point_rejects_a_trial_of_another_length(n, bad):
         for pair in [(None, None), (s, y)]:
             with pytest.raises(ValueError, match="must have the pair length"):
                 accel_point(w, *pair, **args)
+    for pair in [(None, y), (s, None)]:
+        with pytest.raises(ValueError, match="s and y must be vectors of equal length"):
+            accel_point(w, *pair, x_trial, F_trial)
     got = accel_point(w, None, None, x_trial, F_trial)
     want = accel_point(twin, None, None, x_trial, F_trial)
     assert ((got.tobytes(), w.nu.tobytes(), w.rank)

@@ -338,6 +338,8 @@ def test_config_defaults():
     {"max_feval": 2.5},
     {"max_feval": 100.0},
     {"nhlim": None},
+    {"maxit": True},
+    {"max_feval": True},
 ])
 def test_config_rejects_invalid(kwargs):
     # The fixed constants and console output are no fields, so naming one is

@@ -32,6 +32,7 @@ def test_same_bits_rows_repeat_within_one_process(monkeypatch):
     assert [row.rsplit(" ", 1)[0] for row in kernel] == [
         f"kernel n={n} m={m}" for n in (10, 1_000, 100_000) for m in (2, 6)]
     assert all(re.fullmatch(r"[0-9a-f]{16}", row.rsplit(" ", 1)[1]) for row in kernel)
+    assert tool.kernel() == kernel
 
 
 @pytest.mark.parametrize("mode", ["accelerated", "plain"])

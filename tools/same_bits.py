@@ -45,6 +45,10 @@ Rows, in order (a "short" digest is the first 16 hex digits of a SHA-256):
    of three calls ``accel_point(window, s, y, x, F)``, with the output's
    bytes, ``window.nu``'s bytes and ``repr(window.rank)``, then with the
    C-ordered bytes of S and of Y from ``window.matrices_with(s, y)``.
+   ``accel_point`` makes each outside (s, y) the trial pair (s - 0, y - 0)
+   through ``trial_difference`` before its solve, the solver's own path;
+   these rows kept their digests when that route replaced the solve's
+   separate outside-pair branch.
 6. ``iprint<L> <case> <short> <length>``, row 4's digest and length for
    more levels and stops: ``--iprint 0`` then ``1`` for ``rosenbrock-ext
    10``; then levels 0, 1, 2 for ``powell-singular maxit=5`` (``--maxit
