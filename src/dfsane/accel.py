@@ -112,9 +112,9 @@ class SecantWindow:
         trial pair is discarded."""
         self._check(x_new, x, F_new, F)
         self._trial = None
-        i = self._pushes % self.capacity
-        np.subtract(x_new, x, out=self._s_rows[i])
-        np.subtract(F_new, F, out=self._y_rows[i if self._qr is None else self._qr.hold()])
+        np.subtract(x_new, x, out=self.spare_row())
+        i = self._pushes % self.capacity if self._qr is None else self._qr.hold()
+        np.subtract(F_new, F, out=self._y_rows[i])
         self._advance()
 
     def trial_difference(self, x_new: Array, x: Array, F_new: Array,
@@ -137,7 +137,7 @@ class SecantWindow:
         self._check(x_new, x)
         self._qr.m = self._qr.k = self._qr.m + 1
         self._trial = None
-        np.subtract(x_new, x, out=self._s_rows[self._pushes % self.capacity])
+        np.subtract(x_new, x, out=self.spare_row())
         self._advance()
 
     def spare_row(self) -> Array:

@@ -182,8 +182,8 @@ def write_records_csv(records: Sequence[BenchRecord], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(RECORD_FIELDS)
         for r in records:
-            writer.writerow([r.problem, r.n, r.solver, repr(r.normF_final),
-                             r.iter, r.feval, repr(r.time_seconds),
+            writer.writerow([r.problem, r.n, r.solver, repr(float(r.normF_final)),
+                             r.iter, r.feval, repr(float(r.time_seconds)),
                              "true" if r.solved else "false"])
 
 

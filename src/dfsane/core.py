@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from time import perf_counter
 from typing import Callable
 from weakref import ref
@@ -97,11 +97,12 @@ class SolverConfig:
     mode: str = "accelerated"
 
     def __post_init__(self):
-        for name in ("nhlim", "maxit", "max_feval"):  # a float or bool cap is no count
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, Integral)
+        # A float cap is no count, and a bool is neither a count nor a number.
+        for name in ("nhlim", "maxit", "max_feval", "epsf", "time_budget_seconds"):
+            value, real = getattr(self, name), name in ("epsf", "time_budget_seconds")
+            if isinstance(value, bool) or not (isinstance(value, Real if real else Integral)
                                                or (value is None and name != "nhlim")):
-                raise ValueError(f"{name} must be an integer")
+                raise ValueError(f"{name} must be {'positive' if real else 'an integer'}")
         if self.nhlim < 2:
             raise ValueError("nhlim must be at least 2")
         if self.epsf is not None and not self.epsf > 0.0:

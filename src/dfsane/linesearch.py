@@ -61,32 +61,25 @@ def double_backtracking(ev: CountedEvaluator, x: Array, F: Array, f_k: float,
     trial point ``probe_point(x, F, sigma, t)``, its residual and merit value.
     The evaluations spent are ``ev.fcnt``'s growth across the call.
 
-    A probe is accepted by armijo_ok against ``fbar`` (the largest of the
-    last M merit values) and the forcing term ``eta_k``.  Both directions
-    start at step 1; a rejected round shrinks each step via quad_new_alpha
-    from its own direction's probe.  Raises BreakdownError once both steps
-    fall below machine epsilon without acceptance.  A rejected probe and its
-    F are dropped before the next probe.
+    One round probes t = +alpha_+, then t = -alpha_-, through the same
+    block: the probe, its evaluation, the armijo_ok test against ``fbar``
+    (the largest of the last M merit values) and the forcing term
+    ``eta_k``, and the release of a rejected probe and its F before the next
+    probe.  Both steps start at 1; a rejected probe cuts its own step via
+    quad_new_alpha.  Raises BreakdownError once both steps fall below
+    machine epsilon without acceptance.
     """
     fcnt0 = ev.fcnt
-    alpha_plus = 1.0
-    alpha_minus = 1.0
+    alphas = [1.0, 1.0]
     while True:
-        x_probe = probe_point(x, F, sigma, alpha_plus)
-        F_probe, f_probe = ev.evaluate(x_probe)
-        if armijo_ok(f_probe, fbar, eta_k, alpha_plus, f_k):
-            return alpha_plus, x_probe, F_probe, f_probe
-        f_minus_dir = f_probe
-        x_probe = F_probe = None
-
-        x_probe = probe_point(x, F, sigma, -alpha_minus)
-        F_probe, f_probe = ev.evaluate(x_probe)
-        if armijo_ok(f_probe, fbar, eta_k, alpha_minus, f_k):
-            return -alpha_minus, x_probe, F_probe, f_probe
-        x_probe = F_probe = None
-
-        alpha_plus = quad_new_alpha(alpha_plus, f_k, f_minus_dir)
-        alpha_minus = quad_new_alpha(alpha_minus, f_k, f_probe)
-        if alpha_plus < EPS_MACH and alpha_minus < EPS_MACH:
+        for i, sign in (0, 1.0), (1, -1.0):
+            alpha = alphas[i]
+            x_probe = probe_point(x, F, sigma, sign * alpha)
+            F_probe, f_probe = ev.evaluate(x_probe)
+            if armijo_ok(f_probe, fbar, eta_k, alpha, f_k):
+                return sign * alpha, x_probe, F_probe, f_probe
+            x_probe = F_probe = None
+            alphas[i] = quad_new_alpha(alpha, f_k, f_probe)
+        if alphas[0] < EPS_MACH and alphas[1] < EPS_MACH:
             raise BreakdownError(
                 f"line search step underflow after {ev.fcnt - fcnt0} evaluations")

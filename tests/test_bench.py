@@ -256,6 +256,18 @@ def test_records_csv_roundtrip(tmp_path):
     assert back == records
 
 
+def test_records_csv_roundtrip_of_numpy_scalars(tmp_path):
+    # A norm from np.linalg.norm is an np.float64, whose repr under NumPy 2
+    # is 'np.float64(0.5)': the file holds its float's repr instead.
+    path = tmp_path / "records.csv"
+    record = BenchRecord(problem="p", n=np.int64(4), solver="m", normF_final=np.float64(0.5),
+                         iter=np.int64(3), feval=np.int64(7), time_seconds=np.float64(0.25),
+                         solved=np.bool_(True))
+    write_records_csv([record], path)
+    assert path.read_text().splitlines()[1] == "p,4,m,0.5,3,7,0.25,true"
+    assert read_records_csv(path) == [record]
+
+
 @pytest.mark.parametrize("field, solved", [(" TRUE ", True), ("False", False), ("yes", None),
                                            ("1", None), ("", None), (None, None)])
 def test_read_records_csv_reads_solved_as_true_or_false_only(tmp_path, field, solved):

@@ -340,6 +340,10 @@ def test_config_defaults():
     {"nhlim": None},
     {"maxit": True},
     {"max_feval": True},
+    {"epsf": True},
+    {"time_budget_seconds": True},
+    {"epsf": "1e-6"},
+    {"time_budget_seconds": "5"},
 ])
 def test_config_rejects_invalid(kwargs):
     # The fixed constants and console output are no fields, so naming one is

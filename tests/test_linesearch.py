@@ -396,3 +396,40 @@ def test_rebuilt_trial_point_is_the_accepted_probe(direction, n):
             got = "-" if t > 0 else "+"
             assert (got, ev.fcnt) == (direction, len(merits))
             assert rebuilt.tobytes() == x_trial.tobytes(), (sigma, t)
+
+
+def scripted_merits(rng, rounds, direction):
+    """Rejected merits (inf halves a step, 1e300 cuts it to a tenth, a
+    uniform draw takes a quadratic cut) for ``rounds`` rounds, then 0.0
+    accepted along ``direction``; without a direction, enough rejections
+    for both steps to underflow."""
+    draws = 2 * rounds + (direction == "+") if direction else 2 * 60
+    merits = [float(rng.choice([math.inf, 1e300, rng.uniform(2.0, 100.0)]))
+              for _ in range(draws)]
+    return merits + [0.0] if direction else merits
+
+
+@pytest.mark.parametrize("direction", ["-", "+", None])
+def test_round_loop_matches_the_two_half_reference(direction):
+    # The round loop over t = +alpha, -alpha probes, accepts and cuts as the
+    # reference written out in two halves: the same t bits, trial point,
+    # evaluation count and underflow message, on scripted rejections that
+    # the desk suite does not reach.
+    rng = np.random.default_rng(ord(direction or "0"))
+    x, F = rng.standard_normal(5), rng.standard_normal(5)
+    for rounds in (*range(7), *rng.integers(0, 7, 10)):
+        merits, sigma = scripted_merits(rng, rounds, direction), float(rng.uniform(-2.0, 2.0))
+        outcomes = []
+        for search in (double_backtracking, kept_direction_backtracking):
+            ev = ScriptedEvaluator(merits)
+            try:
+                t, x_trial, _, f_trial = search(ev, x, F, 1.0, sigma, 1.0, 0.5)
+                outcomes.append((np.float64(t).tobytes(), x_trial.tobytes(), f_trial,
+                                 ev.fcnt, t > 0))
+            except BreakdownError as err:
+                outcomes.append((str(err), ev.fcnt))
+        assert outcomes[0] == outcomes[1], (rounds, merits)
+        if direction:
+            assert outcomes[0][3:] == (len(merits), direction == "-")
+        else:
+            assert outcomes[0][0].startswith("line search step underflow after ")
