@@ -28,7 +28,6 @@ from .problems import (FIXTURE_PATTERN, REGISTRY, fixtures_from_dir, make, read_
                        suite_builtin)
 from .solver import solve
 
-FIXTURE_DIR_ENV = "DFSANE_FIXTURE_DIR"
 _ITER_LINE = "Iter:  {}  f =  {!r}"
 
 
@@ -60,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--suite", action="store_true",
                          help="include the built-in problem suite")
     p_bench.add_argument("--fixture-dir", default=None,
-                         help=f"directory of linear fixtures ({FIXTURE_PATTERN}); defaults to "
-                              f"${FIXTURE_DIR_ENV} when set")
+                         help=f"directory of linear fixtures ({FIXTURE_PATTERN})")
     p_bench.add_argument("--solvers", default="accelerated,plain",
                          help="comma-separated solver modes to run")
     p_bench.add_argument("--budget", type=float, default=10.0,
@@ -186,7 +184,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    fixture_dir = args.fixture_dir or os.environ.get(FIXTURE_DIR_ENV)
+    fixture_dir = args.fixture_dir
     fixtures = [str(p) for p in Path(fixture_dir).glob(FIXTURE_PATTERN)] if fixture_dir else []
     _check_outputs(args.out, inputs=fixtures)
     out = Path(os.path.realpath(args.out))

@@ -9,6 +9,7 @@ import pytest
 
 from dfsane.bench import (
     BenchRecord,
+    ProfileCurve,
     perf_profile,
     read_records_csv,
     records_to_matrix,
@@ -394,6 +395,21 @@ def test_profile_csv_contents_and_roundtrip(tmp_path):
     assert svg.startswith("<svg")
     assert svg.count("<path") == 2
     assert "m1" in svg and "m2" in svg
+
+
+def test_curve_without_breakpoints_is_drawn_flat_at_zero(tmp_path):
+    # A method that solves no problem has no breakpoints: its curve runs
+    # along the bottom edge of the plot frame, from tau = 1 to the right edge.
+    csv_path, svg_path = tmp_path / "profile.csv", tmp_path / "profile.svg"
+    write_profile([ProfileCurve("m", np.array([]), np.array([]))], csv_path, svg_path)
+    assert csv_path.read_text().splitlines() == ["method,tau,gamma"]
+    doc = minidom.parse(str(svg_path))
+    frame = doc.getElementsByTagName("rect")[1]
+    left = int(frame.getAttribute("x"))
+    bottom = int(frame.getAttribute("y")) + int(frame.getAttribute("height"))
+    right = left + int(frame.getAttribute("width"))
+    [path] = doc.getElementsByTagName("path")
+    assert path.getAttribute("d") == f"M {left} {bottom:.2f} H {right}"
 
 
 def test_svg_handles_wide_tau_range():

@@ -14,7 +14,7 @@ import pytest
 import dfsane.bench
 from dfsane.cli import build_parser, dispatch
 from dfsane.core import SolverConfig
-from dfsane.problems import REGISTRY, booth, expfun2, load_linear_fixture, make
+from dfsane.problems import REGISTRY, booth, expfun2, load_linear_fixture, make, suite_builtin
 from dfsane.solver import solve
 
 FIXTURE = """2
@@ -321,39 +321,28 @@ def test_solve_empty_x0_file_is_one_error_line(tmp_path, warnings_flag):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+@pytest.mark.parametrize("flag", ["--fixture-dir"], ids=["flag"])
 @pytest.mark.parametrize("kind", ["missing", "regular-file"])
-def test_bench_fixture_path_not_a_directory(capsys, tmp_path, monkeypatch,
-                                            via_env, kind):
+def test_bench_fixture_path_not_a_directory(capsys, tmp_path, flag, kind):
     fdir = tmp_path / "fixtures"
     if kind == "regular-file":
         fdir.write_text(FIXTURE)
-    argv = ["bench", "--suite", "--out", str(tmp_path / "bench.csv")]
-    if via_env:
-        monkeypatch.setenv("DFSANE_FIXTURE_DIR", str(fdir))
-    else:
-        argv += ["--fixture-dir", str(fdir)]
-    code = dispatch(argv)
+    code = dispatch(["bench", "--suite", flag, str(fdir), "--out", str(tmp_path / "bench.csv")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and str(fdir) in err
     assert not (tmp_path / "bench.csv").exists()
 
 
-@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
-def test_bench_rejects_an_output_that_is_a_fixture(capsys, tmp_path, monkeypatch, via_env):
+@pytest.mark.parametrize("flag", ["--fixture-dir"], ids=["flag"])
+def test_bench_rejects_an_output_that_is_a_fixture(capsys, tmp_path, monkeypatch, flag):
     def no_run(*args, **kwargs):
         raise AssertionError("the suite ran")
 
     monkeypatch.setattr("dfsane.cli.run_suite", no_run)
     (tmp_path / "lin.txt").write_text(FIXTURE)
     monkeypatch.chdir(tmp_path)
-    argv = ["bench", "--out", "lin.txt"]
-    if via_env:
-        monkeypatch.setenv("DFSANE_FIXTURE_DIR", ".")
-    else:
-        argv += ["--fixture-dir", "."]
-    code = dispatch(argv)
+    code = dispatch(["bench", "--out", "lin.txt", flag, "."])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: output path 'lin.txt' is the same file as input 'lin.txt'\n"
@@ -571,23 +560,28 @@ def test_bench_rejects_non_positive_caps(capsys, tmp_path, flag, value, message)
     assert not out_csv.exists()
 
 
-def test_bench_fixture_dir_from_env(capsys, tmp_path, monkeypatch):
+def test_bench_runs_only_what_its_flags_name(capsys, tmp_path, monkeypatch):
+    # The package reads no environment: a fixture directory exported as
+    # DFSANE_FIXTURE_DIR adds no problem to the run.
     fdir = tmp_path / "fixtures"
     fdir.mkdir()
     (fdir / "diag.txt").write_text(FIXTURE)
     monkeypatch.setenv("DFSANE_FIXTURE_DIR", str(fdir))
     out_csv = tmp_path / "bench.csv"
-    code = dispatch(["bench", "--solvers", "accelerated",
-                     "--out", str(out_csv)])
+    code = dispatch(["bench", "--suite", "--solvers", "plain", "--out", str(out_csv)])
     capsys.readouterr()
     assert code == 0
-    assert out_csv.exists()
+    assert [(r.problem, r.solver) for r in dfsane.bench.read_records_csv(out_csv)] == \
+        [(p.name, "plain") for p in suite_builtin()]
 
 
-def test_bench_requires_some_problems(capsys):
-    code = dispatch(["bench", "--solvers", "plain"])
-    assert code != 0
-    capsys.readouterr()
+def test_bench_requires_some_problems(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = dispatch(["bench", "--solvers", "plain", "--out", str(tmp_path / "bench.csv")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: nothing to run (pass --suite and/or --fixture-dir)\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_bench_exits_zero_on_unsolved_problems(capsys, tmp_path):
